@@ -18,17 +18,24 @@
 //   per section: name (u32 len + bytes) | payload u64 len | crc32 u32
 //                | payload bytes
 //
-// Durability follows the event-spill lessons: the writer assembles
-// everything in memory, writes to <path>.tmp, fsyncs, renames over
-// <path>, and fsyncs the directory — a crash mid-checkpoint leaves
-// either the previous complete checkpoint or none, never a torn file.
-// The reader validates magic, versions, and every section CRC before
-// handing a byte out; any anomaly is a std::runtime_error, never a
-// crash (the corruption-fuzz test flips bits over the whole file to
-// pin this down).
+// A section's CRC is computed when it is sealed (CheckpointSection),
+// so commit() is pure I/O. Durability follows the event-spill lessons:
+// the writer streams the container header and then each section header
+// and payload straight from the section buffers (no assembly copy)
+// into <path>.tmp, fsyncs, renames over <path>, and fsyncs the
+// directory — a crash mid-checkpoint leaves either the previous
+// complete checkpoint or none, never a torn file. The reader loads the
+// file with one sized read, keeps sections as views into that buffer,
+// and validates magic, versions, and every section CRC before handing
+// a byte out; any anomaly is a std::runtime_error, never a crash (the
+// corruption-fuzz test flips bits over the whole file to pin this
+// down).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -145,38 +152,75 @@ inline void save_attribution(util::StateWriter& w, const Attribution& a) {
   return a;
 }
 
-/// Assembles named sections in memory; commit() makes the file appear
-/// atomically. Section names must be unique per checkpoint.
+/// One named checkpoint section, sealed: the payload plus its CRC-32,
+/// computed when the section is constructed. Seal on the thread that
+/// produced the payload — a shard worker inside with_shard_state() —
+/// and the checksum work runs there, in parallel, instead of inside
+/// commit().
+class CheckpointSection {
+ public:
+  CheckpointSection() = default;
+  CheckpointSection(std::string name, util::StateWriter&& payload);
+
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
+    return payload_.bytes();
+  }
+  [[nodiscard]] std::uint32_t crc() const noexcept { return crc_; }
+
+ private:
+  std::string name_;
+  util::StateWriter payload_;
+  std::uint32_t crc_ = 0;
+};
+
+/// Collects sealed sections; commit() makes the file appear atomically.
+/// Section names must be unique per checkpoint.
 class CheckpointWriter {
  public:
-  /// Add one named section holding `w`'s bytes (consumed).
-  void add(const std::string& name, util::StateWriter&& w);
+  /// Add one sealed section. Throws on a duplicate name.
+  void add(CheckpointSection&& section);
+  /// Seal `w`'s bytes (consumed) as section `name` on this thread and add it.
+  void add(std::string name, util::StateWriter&& w) {
+    add(CheckpointSection(std::move(name), std::move(w)));
+  }
 
-  /// Write-to-temp + fsync + rename + directory fsync. Throws
-  /// std::runtime_error on any I/O failure (the target path is left
-  /// untouched in that case).
+  /// Write-to-temp + fsync + rename + directory fsync, streaming each
+  /// section header and payload straight from the section buffers.
+  /// Throws std::runtime_error on any I/O failure (the target path is
+  /// left untouched in that case).
   void commit(const std::string& path) const;
 
  private:
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
+  std::vector<CheckpointSection> sections_;
 };
 
 /// Loads and validates a whole checkpoint file up front; sections are
-/// then looked up by name.
+/// then looked up by name and read in place.
 class CheckpointReader {
  public:
-  /// Reads the file, validates magic/versions, parses every section
-  /// header and checks every CRC. Throws std::runtime_error on any
-  /// corruption, truncation, or version skew.
+  /// Reads the file with one sized read into one buffer, validates
+  /// magic/versions, parses every section header and checks every CRC.
+  /// Throws std::runtime_error on any corruption, truncation, or
+  /// version skew.
   explicit CheckpointReader(const std::string& path);
 
   [[nodiscard]] bool has(const std::string& name) const noexcept;
-  /// A reader over the named section's payload; throws if absent.
+  /// A reader over the named section's payload (a view into this
+  /// reader's buffer, valid while it lives); throws if absent.
   [[nodiscard]] util::StateReader section(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
+  struct Section {
+    std::string name;
+    std::size_t offset = 0;
+    std::size_t len = 0;
+  };
+  [[nodiscard]] const Section* find(const std::string& name) const noexcept;
+
+  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::vector<Section> sections_;
 };
 
 }  // namespace v6sonar::core

@@ -353,16 +353,20 @@ struct Daemon::Impl {
 
   /// Freeze the whole daemon into `path`. Caller holds the ingest
   /// pause, so the server thread owns the pipeline feeder: the shard
-  /// barrier saves each detector on its own worker thread and flushes
-  /// the snapshot publishers, then the queue/hub drains make the
-  /// server-side state (slim events, master bundle) current before
-  /// the container commits. Returns a one-line summary payload.
+  /// barrier saves and seals (CRC) each detector section on its own
+  /// worker thread and flushes the snapshot publishers, then the
+  /// queue/hub drains make the server-side state (slim events, master
+  /// bundle) current before the container commits. Returns a one-line
+  /// summary payload.
   [[nodiscard]] std::string checkpoint_now(const std::string& path) {
     const std::size_t shards = static_cast<std::size_t>(pipeline->threads());
-    std::vector<util::StateWriter> det_w(shards);
+    std::vector<core::CheckpointSection> det_sec(shards);
     pipeline->with_shard_state(
         [&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-          det.save(det_w[s]);
+          util::StateWriter w;
+          det.save(w);
+          det_sec[s] = core::CheckpointSection("shard" + std::to_string(s) + ".detector",
+                                               std::move(w));
           chains[s]->publisher.flush();
         });
     deliver_events();  // barrier-pushed events -> slim_events + spill
@@ -386,8 +390,7 @@ struct Daemon::Impl {
       meta.u64(0);
     }
     ck.add("daemon.meta", std::move(meta));
-    for (std::size_t s = 0; s < shards; ++s)
-      ck.add("shard" + std::to_string(s) + ".detector", std::move(det_w[s]));
+    for (auto& sec : det_sec) ck.add(std::move(sec));
     util::StateWriter mw;
     hub.save_master(mw);
     ck.add("master", std::move(mw));

@@ -56,4 +56,19 @@ bool write_fully(int fd, const void* data, std::size_t n) noexcept {
   return true;
 }
 
+std::ptrdiff_t read_fully(int fd, void* data, std::size_t n) noexcept {
+  char* p = static_cast<char*>(data);
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t got = ::read(fd, p + done, n - done);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (got == 0) break;
+    done += static_cast<std::size_t>(got);
+  }
+  return static_cast<std::ptrdiff_t>(done);
+}
+
 }  // namespace v6sonar::util

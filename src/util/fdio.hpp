@@ -58,6 +58,11 @@ bool sync_fd(int fd) noexcept;
 /// false on any other error (errno preserved). Blocking fds only.
 bool write_fully(int fd, const void* data, std::size_t n) noexcept;
 
+/// Read until `n` bytes arrived or end of file, retrying on EINTR and
+/// short reads. Returns the bytes read, or -1 on any other error
+/// (errno preserved). Blocking fds only.
+[[nodiscard]] std::ptrdiff_t read_fully(int fd, void* data, std::size_t n) noexcept;
+
 /// Truncate an open stdio stream's file to `len` bytes (fflush +
 /// ftruncate on the underlying descriptor). Returns 0 on success,
 /// nonzero with errno set on failure.

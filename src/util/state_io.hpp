@@ -2,12 +2,13 @@
 //
 // StateWriter appends little-endian primitives (and raw POD images —
 // host == file layout on all supported targets, the same convention
-// event_io.cpp and log_io.cpp already commit to) into a growable byte
-// buffer; StateReader walks one back with a bounds check on every
-// read, so a truncated or corrupt checkpoint section surfaces as a
-// clean std::runtime_error, never as an out-of-bounds read. The
-// checkpoint container (core/state_codec.hpp) frames these buffers
-// into named, CRC-guarded file sections.
+// event_io.cpp and log_io.cpp already commit to) through a cursor into
+// a growable byte buffer (on little-endian hosts each fixed-width field
+// is one bounds compare and one memcpy); StateReader walks one back
+// with a bounds check on every read, so a truncated or corrupt
+// checkpoint section surfaces as a clean std::runtime_error, never as
+// an out-of-bounds read. The checkpoint container (core/state_codec.hpp)
+// frames these buffers into named, CRC-guarded file sections.
 //
 // The flat-container helpers serialize util::FlatMap / util::FlatSet
 // contents count-prefixed in iteration order. Iteration order is
@@ -18,14 +19,20 @@
 // resume-equivalence tests pin down.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "util/flat_hash.hpp"
 
@@ -33,17 +40,25 @@ namespace v6sonar::util {
 
 class StateWriter {
  public:
-  void u8(std::uint8_t v) { raw(&v, 1); }
+  StateWriter() = default;
+  StateWriter(StateWriter&& o) noexcept
+      : buf_(std::move(o.buf_)),
+        cur_(std::exchange(o.cur_, nullptr)),
+        end_(std::exchange(o.end_, nullptr)) {}
+  StateWriter& operator=(StateWriter&& o) noexcept {
+    buf_ = std::move(o.buf_);
+    cur_ = std::exchange(o.cur_, nullptr);
+    end_ = std::exchange(o.end_, nullptr);
+    return *this;
+  }
+
+  void u8(std::uint8_t v) { put(&v, 1); }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }
   void i32(std::int32_t v) { le(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    le(bits);
-  }
+  void f64(double v) { le(std::bit_cast<std::uint64_t>(v)); }
 
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -54,35 +69,70 @@ class StateWriter {
   template <typename T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>, "pod() needs a trivially copyable type");
-    raw(&v, sizeof v);
+    put(&v, sizeof v);
   }
 
   void raw(const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + len);
+    if (len != 0) put(data, len);
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {buf_.get(), size()};
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(cur_ - buf_.get());
+  }
 
  private:
-  template <typename T>
-  void le(T v) {
-    std::uint8_t b[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    raw(b, sizeof b);
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const noexcept { std::free(p); }
+  };
+
+  /// Append `len` (> 0) bytes at the cursor: one bounds compare and one
+  /// memcpy, which folds to a single store for the fixed-width fields.
+  void put(const void* data, std::size_t len) {
+    if (static_cast<std::size_t>(end_ - cur_) < len) grow(len);
+    std::memcpy(cur_, data, len);
+    cur_ += len;
   }
 
-  std::vector<std::uint8_t> buf_;
+  template <typename T>
+  void le(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      put(&v, sizeof v);
+    } else {
+      std::uint8_t b[sizeof(T)];
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      put(b, sizeof b);
+    }
+  }
+
+  /// Geometric growth through realloc: large blocks move by remapping
+  /// pages rather than copying, and new capacity is never zero-filled,
+  /// so no page past the written bytes is touched.
+  void grow(std::size_t len) {
+    const std::size_t used = size();
+    const auto capacity = static_cast<std::size_t>(end_ - buf_.get());
+    const std::size_t cap = std::max({used + len, 2 * capacity, std::size_t{256}});
+    auto* p = static_cast<std::uint8_t*>(std::realloc(buf_.get(), cap));
+    if (p == nullptr) throw std::bad_alloc();
+    (void)buf_.release();
+    buf_.reset(p);
+    cur_ = p + used;
+    end_ = p + cap;
+  }
+
+  std::unique_ptr<std::uint8_t[], FreeDeleter> buf_;
+  std::uint8_t* cur_ = nullptr;
+  std::uint8_t* end_ = nullptr;
 };
 
 class StateReader {
  public:
   StateReader(const void* data, std::size_t len) noexcept
       : p_(static_cast<const std::uint8_t*>(data)), len_(len) {}
-  explicit StateReader(const std::vector<std::uint8_t>& buf) noexcept
+  explicit StateReader(std::span<const std::uint8_t> buf) noexcept
       : StateReader(buf.data(), buf.size()) {}
 
   [[nodiscard]] std::uint8_t u8() {
@@ -122,6 +172,11 @@ class StateReader {
   void raw(void* out, std::size_t len) {
     need(len);
     std::memcpy(out, p_ + pos_, len);
+    pos_ += len;
+  }
+
+  void skip(std::size_t len) {
+    need(len);
     pos_ += len;
   }
 

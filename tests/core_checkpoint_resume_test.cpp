@@ -7,7 +7,10 @@
 // UTC day) and the parallel pipeline sweeps thread counts {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -103,12 +106,22 @@ DetectorConfig detector_config(sim::TimeUs demote_idle = 0) {
           .demote_idle_us = demote_idle};
 }
 
+/// A per-process scratch directory (ctest -j runs test processes
+/// concurrently), removed when the test ends.
+struct ScratchDir {
+  std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                              ("v6sonar_resume_test_" + std::to_string(::getpid()));
+  ScratchDir() { std::filesystem::create_directories(dir); }
+  ~ScratchDir() { std::filesystem::remove_all(dir); }
+  [[nodiscard]] std::string file(const char* name) const { return (dir / name).string(); }
+};
+
 /// Events compare by their canonical serialized form — covers every
 /// field including the per-port and weekly vectors.
 std::vector<std::uint8_t> event_bytes(const std::vector<ScanEvent>& evs) {
   util::StateWriter w;
   for (const auto& ev : evs) save_scan_event(w, ev);
-  return w.take();
+  return {w.bytes().begin(), w.bytes().end()};
 }
 
 struct SerialRun {
@@ -319,6 +332,7 @@ struct ShardedRun {
 TEST(CheckpointResume, ShardedPipelineAcrossThreadCounts) {
   const auto recs = workload();
   const std::string serial_report = serial_uninterrupted(recs, detector_config()).report;
+  const ScratchDir scratch;
 
   for (const int threads : {1, 2, 8}) {
     ShardedRun base(detector_config(), threads);
@@ -328,25 +342,40 @@ TEST(CheckpointResume, ShardedPipelineAcrossThreadCounts) {
 
     for (const std::size_t k : checkpoint_points(recs)) {
       const auto n = static_cast<std::size_t>(threads);
-      std::vector<util::StateWriter> det_w(n), an_w(n);
+      const std::string path = scratch.file("sharded.v6ckpt");
       {
         ShardedRun first(detector_config(), threads);
         first.pipeline.feed_batch(std::span(recs).first(k));
+        // Save and seal every shard's sections on its own worker, as
+        // the CLI and the daemon do, then commit through the container.
+        std::vector<CheckpointSection> det_sec(n), an_sec(n);
         first.pipeline.with_shard_state(
             [&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-              det.save(det_w[s]);
-              first.sinks[s]->bundle.save(an_w[s]);
+              util::StateWriter dw, aw;
+              det.save(dw);
+              first.sinks[s]->bundle.save(aw);
+              det_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".detector",
+                                             std::move(dw));
+              an_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".analyzers",
+                                            std::move(aw));
             });
+        CheckpointWriter ck;
+        for (std::size_t s = 0; s < n; ++s) {
+          ck.add(std::move(det_sec[s]));
+          ck.add(std::move(an_sec[s]));
+        }
+        ck.commit(path);
         // Simulated crash: `first` is dropped mid-stream (its own
         // destructor flush output is discarded).
       }
+      const CheckpointReader ck(path);
       ShardedRun second(detector_config(), threads);
       second.pipeline.with_shard_state(
           [&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-            util::StateReader dr(det_w[s].bytes());
+            auto dr = ck.section("shard" + std::to_string(s) + ".detector");
             det.load(dr);
             dr.expect_end();
-            util::StateReader ar(an_w[s].bytes());
+            auto ar = ck.section("shard" + std::to_string(s) + ".analyzers");
             second.sinks[s]->bundle.load(ar);
             ar.expect_end();
           });

@@ -1,15 +1,20 @@
-// Checkpoint container robustness: roundtrip, atomic commit, and the
-// corruption contract — wrong magic, unsupported versions, truncation,
-// bit flips, and CRC damage must all surface as std::runtime_error,
-// never as a crash or a silently wrong read.
+// Checkpoint container robustness: roundtrip, the byte-exact golden
+// container, atomic commit, and the corruption contract — wrong magic,
+// unsupported versions, truncation, bit flips, and CRC damage must all
+// surface as std::runtime_error, never as a crash or a silently wrong
+// read.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/state_codec.hpp"
@@ -59,6 +64,71 @@ class StateCodecTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+/// Deterministic payload bytes for the golden container.
+util::StateWriter golden_payload(std::size_t n, unsigned salt) {
+  util::StateWriter w;
+  for (std::size_t i = 0; i < n; ++i)
+    w.u8(static_cast<std::uint8_t>(i * 131u + salt + (i >> 9)));
+  return w;
+}
+
+constexpr std::size_t kGoldenBulk = 70 * 1024;
+
+/// The golden container: sections "empty" (0 B), "seven" (7 B) and
+/// "bulk.70k" (70 KiB) of golden_payload(), as committed by the
+/// original copy-assembling CheckpointWriter. These are its first 93
+/// bytes — container header, all three section headers with their
+/// CRCs, and the 7-byte payload — and the file continues with the
+/// 70 KiB payload itself, which golden_payload() regenerates.
+constexpr std::uint8_t kGoldenFraming[] = {
+    0x56, 0x36, 0x43, 0x4b, 0x50, 0x54, 0x30, 0x31, 0x01, 0x00, 0x00, 0x00,  // magic, format
+    0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,                          // state, sections
+    0x05, 0x00, 0x00, 0x00, 0x65, 0x6d, 0x70, 0x74, 0x79,                    // "empty"
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // len 0, crc 0
+    0x05, 0x00, 0x00, 0x00, 0x73, 0x65, 0x76, 0x65, 0x6e,                    // "seven"
+    0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbb, 0xab, 0x91, 0xc2,  // len 7, crc
+    0x11, 0x94, 0x17, 0x9a, 0x1d, 0xa0, 0x23,                                // payload
+    0x08, 0x00, 0x00, 0x00, 0x62, 0x75, 0x6c, 0x6b, 0x2e, 0x37, 0x30, 0x6b,  // "bulk.70k"
+    0x00, 0x18, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe4, 0xea, 0xa5, 0x1e,  // len, crc
+};
+
+std::vector<std::uint8_t> golden_container() {
+  std::vector<std::uint8_t> out(std::begin(kGoldenFraming), std::end(kGoldenFraming));
+  const util::StateWriter bulk = golden_payload(kGoldenBulk, 101);
+  out.insert(out.end(), bulk.bytes().begin(), bulk.bytes().end());
+  return out;
+}
+
+TEST_F(StateCodecTest, WriterReproducesGoldenContainerByteForByte) {
+  CheckpointWriter ck;
+  ck.add("empty", golden_payload(0, 0));
+  ck.add(CheckpointSection("seven", golden_payload(7, 17)));  // sealed ahead of add
+  ck.add("bulk.70k", golden_payload(kGoldenBulk, 101));
+  const std::string p = path("golden.v6ckpt");
+  ck.commit(p);
+  const auto bytes = slurp(p);
+  ASSERT_EQ(bytes.size(), sizeof kGoldenFraming + kGoldenBulk);
+  EXPECT_TRUE(bytes == golden_container()) << "container encoding changed";
+}
+
+TEST_F(StateCodecTest, ReaderLoadsGoldenContainer) {
+  const std::string p = path("golden_in.v6ckpt");
+  spit(p, golden_container());
+  CheckpointReader r(p);
+  EXPECT_EQ(r.names(), (std::vector<std::string>{"empty", "seven", "bulk.70k"}));
+  r.section("empty").expect_end();
+  for (const auto& [name, n, salt] :
+       {std::tuple{"seven", std::size_t{7}, 17u}, std::tuple{"bulk.70k", kGoldenBulk, 101u}}) {
+    auto s = r.section(name);
+    const util::StateWriter want = golden_payload(n, salt);
+    ASSERT_EQ(s.remaining(), n) << name;
+    std::vector<std::uint8_t> got(n);
+    s.raw(got.data(), n);
+    s.expect_end();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.bytes().begin())) << name;
+  }
+}
 
 TEST_F(StateCodecTest, RoundtripSectionsAndValues) {
   const std::string p = write_sample("rt.v6ckpt");
@@ -237,7 +307,7 @@ TEST_F(StateCodecTest, ReaderBoundsChecks) {
   // and absurd element counts must throw before any allocation.
   util::StateWriter w;
   w.u32(5);
-  const std::vector<std::uint8_t> bytes = std::move(w).take();
+  const std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
   {
     util::StateReader r(bytes);
     (void)r.u32();
@@ -250,7 +320,7 @@ TEST_F(StateCodecTest, ReaderBoundsChecks) {
   {
     util::StateWriter huge;
     huge.u64(UINT64_MAX);  // count prefix claiming ~2^64 elements
-    const std::vector<std::uint8_t> hb = std::move(huge).take();
+    const std::vector<std::uint8_t> hb(huge.bytes().begin(), huge.bytes().end());
     util::StateReader r(hb);
     EXPECT_THROW((void)r.count(16), std::runtime_error);
   }

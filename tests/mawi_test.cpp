@@ -1,6 +1,8 @@
 // Tests for the MAWI transit-link simulation and its pcap round trip.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <set>
 
@@ -151,7 +153,8 @@ TEST_F(MawiTest, ThresholdFiveSeesSmallProbers) {
 }
 
 TEST_F(MawiTest, ImportAcceptsPcapng) {
-  const auto dir = std::filesystem::temp_directory_path() / "v6sonar_mawi_ng";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("v6sonar_mawi_ng_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = (dir / "day.pcapng").string();
 
@@ -188,7 +191,8 @@ TEST_F(MawiTest, ImportAcceptsPcapng) {
 }
 
 TEST_F(MawiTest, PcapRoundTripPreservesSummaries) {
-  const auto dir = std::filesystem::temp_directory_path() / "v6sonar_mawi_test";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("v6sonar_mawi_test_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = (dir / "day.pcap").string();
 

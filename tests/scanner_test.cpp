@@ -2,6 +2,8 @@
 // the default cast.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -303,7 +305,8 @@ TEST(Hitlist, CoversDnsAndExternal) {
 
 TEST(Hitlist, SaveLoadRoundTrip) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "v6sonar_hitlist_test";
+  const auto dir =
+      fs::temp_directory_path() / ("v6sonar_hitlist_test_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   const auto path = (dir / "hitlist.txt").string();
 
@@ -319,7 +322,8 @@ TEST(Hitlist, SaveLoadRoundTrip) {
 
 TEST(Hitlist, LoadSkipsCommentsAndRejectsGarbage) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "v6sonar_hitlist_test2";
+  const auto dir =
+      fs::temp_directory_path() / ("v6sonar_hitlist_test2_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   const auto good = (dir / "good.txt").string();
   {

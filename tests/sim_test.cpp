@@ -1,6 +1,8 @@
 // Tests for sim: AS registry, stream merging, and binary log I/O.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "sim/as_registry.hpp"
@@ -141,7 +143,8 @@ TEST(Merge, DrainCollectsAll) {
 class LogIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "v6sonar_logio_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("v6sonar_logio_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

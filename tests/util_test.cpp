@@ -1,12 +1,19 @@
 // Tests for util: RNG determinism, stats, entropy, histograms, tables,
-// and the simulation time base.
+// the simulation time base, the CRC-32 and the state encoding.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/crc32.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
+#include "util/state_io.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timebase.hpp"
@@ -261,6 +268,144 @@ TEST(Timebase, DatetimeFormatting) {
   EXPECT_EQ(format_datetime(kWindowStart), "2021-01-01 00:00:00");
   EXPECT_EQ(format_datetime(kWindowStart + 3'661), "2021-01-01 01:01:01");
   EXPECT_EQ(format_date(time_of(CivilDate{2021, 12, 24})), "2021-12-24");
+}
+
+// ---- CRC-32 ----------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition itself,
+/// independent of any table the implementation under test builds.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? 0xEDB88320u : 0);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32("", 0, 0xCBF43926u), 0xCBF43926u) << "empty input leaves the seed alone";
+  const std::vector<std::uint8_t> zeros(1 << 20, 0);
+  EXPECT_EQ(crc32(zeros.data(), zeros.size()), 0xA738EA1Cu);
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf(1024 + 8);
+  Xoshiro256 rng(7);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 1024; ++len)
+      ASSERT_EQ(crc32(buf.data() + off, len), crc32_reference(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+}
+
+TEST(Crc32, IncrementalChainingEqualsOneShot) {
+  std::vector<std::uint8_t> buf(4099);
+  Xoshiro256 rng(11);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, crc32_reference(buf.data(), buf.size()));
+  for (const std::size_t cut : {0, 1, 7, 8, 9, 63, 64, 1000, 4095, 4099}) {
+    const std::uint32_t head = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole) << "cut " << cut;
+  }
+  // Many small odd-sized pieces, so chunk edges land on every alignment.
+  std::uint32_t c = 0;
+  for (std::size_t at = 0, step = 1; at < buf.size(); at += step, step = step % 13 + 1)
+    c = crc32(buf.data() + at, std::min(step, buf.size() - at), c);
+  EXPECT_EQ(c, whole);
+}
+
+// ---- StateWriter encoding --------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes bytes_of(const StateWriter& w) { return {w.bytes().begin(), w.bytes().end()}; }
+
+TEST(StateWriterGolden, EveryPrimitiveIsLittleEndian) {
+  const auto enc = [](auto&& write) {
+    StateWriter w;
+    write(w);
+    return bytes_of(w);
+  };
+  EXPECT_EQ(enc([](StateWriter& w) { w.u8(0); }), (Bytes{0x00}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u8(0xFF); }), (Bytes{0xFF}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u16(0x1234); }), (Bytes{0x34, 0x12}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u16(0xFFFF); }), (Bytes{0xFF, 0xFF}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u32(0x12345678); }), (Bytes{0x78, 0x56, 0x34, 0x12}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u32(0); }), (Bytes{0, 0, 0, 0}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u32(UINT32_MAX); }), (Bytes{0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u64(0x0123456789ABCDEFULL); }),
+            (Bytes{0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.u64(UINT64_MAX); }), Bytes(8, 0xFF));
+  EXPECT_EQ(enc([](StateWriter& w) { w.i32(-1); }), (Bytes{0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.i32(INT32_MIN); }), (Bytes{0x00, 0x00, 0x00, 0x80}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.i32(INT32_MAX); }), (Bytes{0xFF, 0xFF, 0xFF, 0x7F}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.i64(-2); }),
+            (Bytes{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.i64(INT64_MIN); }), (Bytes{0, 0, 0, 0, 0, 0, 0, 0x80}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.i64(INT64_MAX); }),
+            (Bytes{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.f64(1.0); }), (Bytes{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.f64(-0.0); }), (Bytes{0, 0, 0, 0, 0, 0, 0, 0x80}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.f64(std::numeric_limits<double>::infinity()); }),
+            (Bytes{0, 0, 0, 0, 0, 0, 0xF0, 0x7F}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.str(""); }), (Bytes{0, 0, 0, 0}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.str("ab"); }), (Bytes{0x02, 0, 0, 0, 'a', 'b'}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.pod(std::array<std::uint8_t, 3>{1, 2, 3}); }),
+            (Bytes{1, 2, 3}));
+  EXPECT_EQ(enc([](StateWriter& w) { w.raw(nullptr, 0); }), Bytes{});
+}
+
+TEST(StateWriterGolden, MixedSequenceConcatenatesAndRoundTrips) {
+  StateWriter w;
+  w.u8(0xAB);
+  w.u16(0xBEEF);
+  w.u32(0xDEADBEEF);
+  w.u64(42);
+  w.i32(-7);
+  w.i64(-9);
+  w.f64(0.5);
+  w.str("v6");
+  w.pod(std::uint8_t{0x5A});
+  const Bytes expect{0xAB, 0xEF, 0xBE, 0xEF, 0xBE, 0xAD, 0xDE, 42, 0, 0, 0, 0, 0, 0, 0,
+                     0xF9, 0xFF, 0xFF, 0xFF, 0xF7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                     0, 0, 0, 0, 0, 0, 0xE0, 0x3F, 2, 0, 0, 0, 'v', '6', 0x5A};
+  EXPECT_EQ(bytes_of(w), expect);
+  EXPECT_EQ(w.size(), expect.size());
+
+  StateReader r(w.bytes());
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0xBEEF);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 42u);
+  EXPECT_EQ(r.i32(), -7);
+  EXPECT_EQ(r.i64(), -9);
+  EXPECT_EQ(r.f64(), 0.5);
+  EXPECT_EQ(r.str(), "v6");
+  EXPECT_EQ(r.pod<std::uint8_t>(), 0x5A);
+  r.expect_end();
+}
+
+TEST(StateWriterGolden, GrowthKeepsEveryByteAndMoveEmptiesTheSource) {
+  StateWriter w;
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    w.u64(i * 0x9E3779B97F4A7C15ULL);
+    w.u8(static_cast<std::uint8_t>(i));
+  }
+  ASSERT_EQ(w.size(), 900'000u);
+  StateWriter moved(std::move(w));
+  EXPECT_EQ(w.size(), 0u);  // NOLINT(bugprone-use-after-move): moved-from is empty, reusable
+  w.u32(1);
+  EXPECT_EQ(bytes_of(w), (Bytes{1, 0, 0, 0}));
+  StateReader r(moved.bytes());
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    ASSERT_EQ(r.u64(), i * 0x9E3779B97F4A7C15ULL);
+    ASSERT_EQ(r.u8(), static_cast<std::uint8_t>(i));
+  }
+  r.expect_end();
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // byte order and truncation handling.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +18,8 @@ namespace {
 class PcapTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "v6sonar_pcap_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("v6sonar_pcap_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -1,6 +1,8 @@
 // Tests for the pcapng reader/writer and format detection.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -14,7 +16,8 @@ namespace {
 class PcapngTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "v6sonar_pcapng_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("v6sonar_pcapng_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

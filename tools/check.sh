@@ -8,11 +8,14 @@
 # build-asan/) with -DV6SONAR_SANITIZE=<kind>, build the relevant test
 # binaries, and run them under the sanitizer. `thread` covers the
 # concurrency-sensitive targets (SPSC ring, parallel pipeline, batch
-# feed, the daemon's snapshot seam and socket server); `address`
-# additionally covers the mmap log reader, the arena-backed flat
-# containers, and the daemon's framing/tailing paths, whose bugs are
-# memory bugs rather than races. `metrics` builds the instrumented targets with warnings as
-# errors (-DV6SONAR_WERROR=ON), generates a small world, runs
+# feed, the daemon's snapshot seam and socket server, and the sharded
+# checkpoint resume, whose sections are sealed on the worker threads);
+# `address` additionally covers the mmap log reader, the arena-backed
+# flat containers, the daemon's framing/tailing paths, and the
+# checkpoint byte handling (CRC-32, StateWriter, container reader),
+# whose bugs are memory bugs rather than races. `metrics` builds the
+# instrumented targets with warnings as errors (-DV6SONAR_WERROR=ON),
+# generates a small world, runs
 # `v6sonar detect --mmap --threads 4 --metrics=…`, and validates the
 # JSON snapshot (nonzero ingestion/feed counters, per-shard ring
 # gauges, full guard-fallback breakdown). `perf` builds the release
@@ -613,7 +616,8 @@ case "$kind" in
   thread)
     tree=build-tsan
     targets=(util_spsc_ring_test core_parallel_pipeline_test core_batch_feed_test
-             util_flat_hash_fuzz_test daemon_snapshot_test daemon_server_test)
+             util_flat_hash_fuzz_test daemon_snapshot_test daemon_server_test
+             core_checkpoint_resume_test)
     ;;
   address)
     tree=build-asan
@@ -621,7 +625,8 @@ case "$kind" in
              sim_test util_flat_hash_test util_flat_hash_fuzz_test
              core_event_sink_test core_event_io_test analysis_streaming_test
              daemon_framing_test daemon_tail_test daemon_snapshot_test
-             daemon_server_test util_signal_test)
+             daemon_server_test util_signal_test util_test
+             core_state_codec_test core_checkpoint_resume_test)
     ;;
 esac
 

@@ -460,17 +460,22 @@ void write_sharded_detect_checkpoint(const std::string& path, std::uint64_t fed,
                                      bool full_report, core::ParallelScanPipeline& pipeline,
                                      std::vector<std::unique_ptr<ShardChain>>& chains) {
   const std::size_t n = chains.size();
-  std::vector<util::StateWriter> det_w(n), an_w(n);
+  std::vector<core::CheckpointSection> det_sec(n), an_sec(n);
   // Each visitor runs on its own worker thread while that worker is
   // quiesced — shard s's chain is only ever written by worker s, so
-  // serializing it here is race-free.
+  // serializing it here is race-free, and sealing here puts the
+  // sections' CRC work on the workers too.
   pipeline.with_shard_state(
       [&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-        det.save(det_w[s]);
+        const std::string shard = "shard" + std::to_string(s);
+        util::StateWriter dw, aw;
+        det.save(dw);
         if (full_report)
-          chains[s]->report->save(an_w[s]);
+          chains[s]->report->save(aw);
         else
-          chains[s]->sources_only.save(an_w[s]);
+          chains[s]->sources_only.save(aw);
+        det_sec[s] = core::CheckpointSection(shard + ".detector", std::move(dw));
+        an_sec[s] = core::CheckpointSection(shard + ".analyzers", std::move(aw));
       });
   DetectMeta meta;
   meta.sharded = 1;
@@ -482,8 +487,8 @@ void write_sharded_detect_checkpoint(const std::string& path, std::uint64_t fed,
   save_detect_meta(mw, meta);
   ck.add("meta", std::move(mw));
   for (std::size_t s = 0; s < n; ++s) {
-    ck.add("shard" + std::to_string(s) + ".detector", std::move(det_w[s]));
-    ck.add("shard" + std::to_string(s) + ".analyzers", std::move(an_w[s]));
+    ck.add(std::move(det_sec[s]));
+    ck.add(std::move(an_sec[s]));
   }
   ck.commit(path);
 }
