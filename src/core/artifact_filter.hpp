@@ -8,6 +8,11 @@
 // Streaming with one-day buffering: records are held until their day
 // completes, then flagged sources' records are discarded and the rest
 // released in order.
+//
+// A day's verdicts depend on that day's records alone, so whole days
+// can be filtered independently: filter_stream() cuts a stream at day
+// boundaries and filters the days on worker threads, with output
+// identical to one serial ArtifactFilter.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,7 @@
 
 #include "core/state_codec.hpp"
 #include "net/prefix.hpp"
+#include "sim/log_io.hpp"
 #include "sim/record.hpp"
 #include "util/arena.hpp"
 #include "util/flat_hash.hpp"
@@ -34,6 +40,12 @@ struct ArtifactFilterConfig {
   /// Aggregation for the source accounting (paper: /64).
   int source_prefix_len = 64;
 };
+
+/// The UTC day (days since the epoch) a timestamp falls in: the unit
+/// the filter decides on. Truncates like sim::seconds_of.
+[[nodiscard]] constexpr std::int64_t day_of(sim::TimeUs ts) noexcept {
+  return sim::seconds_of(ts) / 86'400;
+}
 
 /// Per-day summary of what the filter removed — Appendix A.1's table.
 struct FilterDayStats {
@@ -150,6 +162,26 @@ class ArtifactFilter : public StateCodec {
   std::vector<std::size_t> batch_key_hashes_;
   std::vector<std::size_t> batch_flow_hashes_;
 };
+
+/// Filter a whole time-ordered stream with the paper's configuration
+/// into `out`, then close `out` (header backpatch + fsync). Output and
+/// the `stats` sequence equal a serial ArtifactFilter's for every
+/// worker count: a reader thread cuts
+/// the input at day boundaries into work items of whole days (merged
+/// up to ~64 k records), `workers` threads (0 counts as 1) each run one
+/// reused ArtifactFilter over an item at a time, and the calling thread
+/// appends finished items in input order and delivers `stats` in day
+/// order. At most 2 × workers items are in flight, so memory is bounded
+/// by the item size and the largest day, never by the input's length;
+/// an empty input starts no thread.
+///
+/// Reading stops early, as at end of input, once
+/// util::ShutdownSignal::requested(); every record read is still
+/// filtered and written. Out-of-order input throws the serial filter's
+/// std::invalid_argument after writing the days the serial filter would
+/// have released, leaving `out` open.
+void filter_stream(sim::RecordStream& in, sim::LogWriter& out, unsigned workers,
+                   const ArtifactFilter::StatsSink& stats = {});
 
 /// Proto-qualified port key used in FilterDayStats::dropped_by_port.
 [[nodiscard]] constexpr std::uint32_t proto_port_key(wire::IpProto proto,

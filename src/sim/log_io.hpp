@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "sim/record.hpp"
@@ -46,7 +47,9 @@ void encode_record(const LogRecord& r, std::uint8_t* out) noexcept;
 /// invalid encodings, so this cannot fail.
 [[nodiscard]] LogRecord decode_record(const std::uint8_t* p) noexcept;
 
-/// Streaming writer. Throws std::runtime_error on I/O errors.
+/// Streaming writer. Throws std::runtime_error on I/O errors. Starts
+/// the disk writeback of what it has written every few MiB, so the
+/// fsync in close() waits only for the tail.
 class LogWriter {
  public:
   explicit LogWriter(const std::string& path);
@@ -55,7 +58,10 @@ class LogWriter {
   LogWriter& operator=(const LogWriter&) = delete;
 
   void write(const LogRecord& r);
-  /// Finalize the header (record count) and close.
+  /// Append a run of records: encoded into one staging buffer and
+  /// handed to stdio with a single fwrite.
+  void write(std::span<const LogRecord> records);
+  /// Finalize the header (record count), fsync, and close.
   void close();
 
   [[nodiscard]] std::uint64_t written() const noexcept { return count_; }

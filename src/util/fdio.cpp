@@ -25,6 +25,14 @@ bool flush_to_disk(std::FILE* f) noexcept {
   return sync_fd(::fileno(f));
 }
 
+bool start_writeback(std::FILE* f) noexcept {
+  if (std::fflush(f) != 0) return false;
+#ifdef __linux__
+  (void)::sync_file_range(::fileno(f), 0, 0, SYNC_FILE_RANGE_WRITE);
+#endif
+  return true;
+}
+
 bool sync_fd(int fd) noexcept {
   int rc;
   do {

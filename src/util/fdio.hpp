@@ -51,6 +51,13 @@ bool set_nonblocking(int fd, bool on) noexcept;
 /// loss can still drop them after close() returned success.
 bool flush_to_disk(std::FILE* f) noexcept;
 
+/// fflush a stdio stream, then start writeback of the file's dirty
+/// pages without waiting for it (sync_file_range on Linux; elsewhere
+/// just the fflush), so a later fsync waits only for what was written
+/// since. Returns false (with errno set) if the fflush fails; the
+/// writeback is a hint, and its failure leaves the work to the fsync.
+bool start_writeback(std::FILE* f) noexcept;
+
 /// fsync a descriptor. Returns false on failure.
 bool sync_fd(int fd) noexcept;
 

@@ -36,8 +36,6 @@ struct Shard {
 };
 
 struct Registry {
-  std::atomic<bool> enabled{false};
-
   std::mutex mu;
   std::vector<Descriptor> descriptors;
   std::unordered_map<std::string, std::uint32_t> by_name;  ///< name -> descriptor index
@@ -106,9 +104,7 @@ void append_json_entry(std::string& out, bool& first, const std::string& name) {
 
 }  // namespace
 
-bool enabled() noexcept { return reg().enabled.load(std::memory_order_relaxed); }
-
-void enable(bool on) noexcept { reg().enabled.store(on, std::memory_order_relaxed); }
+void enable(bool on) noexcept { detail::recording.store(on, std::memory_order_relaxed); }
 
 MetricId register_metric(std::string_view name, Kind kind) {
   Registry& r = reg();

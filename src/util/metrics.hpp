@@ -35,6 +35,7 @@
 // JSON schema of the snapshot.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -51,8 +52,16 @@ struct MetricId {
   Kind kind = Kind::kCounter;
 };
 
+namespace detail {
+/// The process-wide recording switch. Inline, so every gate compiles to
+/// one relaxed load with no call (FlatMap probes check it per lookup).
+inline std::atomic<bool> recording{false};
+}  // namespace detail
+
 /// Whether recording is on. One relaxed atomic load.
-[[nodiscard]] bool enabled() noexcept;
+[[nodiscard]] inline bool enabled() noexcept {
+  return detail::recording.load(std::memory_order_relaxed);
+}
 /// Turn recording on/off (process-wide). Registration and snapshots
 /// work regardless; only record calls are gated.
 void enable(bool on) noexcept;

@@ -208,7 +208,7 @@ TEST(ParallelScanPipeline, FilterStatsBeforeFlushThrows) {
   // Pre-flush the per-shard stats are still being written by workers;
   // reading them would race, so the accessor refuses.
   ParallelScanPipeline pipe({}, ArtifactFilterConfig{}, {.threads = 2}, [](ScanEvent&&) {});
-  EXPECT_THROW(pipe.filter_stats(), std::logic_error);
+  EXPECT_THROW((void)pipe.filter_stats(), std::logic_error);
   pipe.flush();
   EXPECT_TRUE(pipe.filter_stats().empty());  // empty stream, but now readable
 }
@@ -537,7 +537,7 @@ TEST(ParallelIds, BlocklistBeforeFlushThrows) {
   // The merger thread mutates the tracker during barrier passes, so a
   // pre-flush read would race; the accessor refuses.
   ParallelIds ids({}, {.threads = 2}, [](const IdsAlert&) {});
-  EXPECT_THROW(ids.blocklist(), std::logic_error);
+  EXPECT_THROW((void)ids.blocklist(), std::logic_error);
   ids.flush();
   EXPECT_TRUE(ids.blocklist().empty());
 }

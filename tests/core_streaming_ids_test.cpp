@@ -96,7 +96,9 @@ TEST(StreamingIds, SpreadActorEscalatesWithEscalationAlert) {
   for (const auto& a : alerts) {
     if (a.attribution.level == 32) {
       saw32_alert = true;
-      if (earlier_finer) EXPECT_FALSE(a.is_new);
+      if (earlier_finer) {
+        EXPECT_FALSE(a.is_new);
+      }
     } else if (!saw32_alert) {
       earlier_finer = true;
     }

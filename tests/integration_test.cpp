@@ -127,8 +127,9 @@ TEST_F(IntegrationTest, As18OnlyFullyVisibleWhenAggregated) {
 
 TEST_F(IntegrationTest, As18IsSinglePortEverythingElseMostlyIsnt) {
   for (const auto& ev : at64()) {
-    if (ev.src_asn == shared().asn18)
+    if (ev.src_asn == shared().asn18) {
       EXPECT_EQ(analysis::classify_ports(ev), analysis::PortBucket::kSingle);
+    }
   }
   // §3.3/Fig. 4: the >100-port scanners dominate packets. (At this
   // suite's 1/256 megascanner thinning the share is deflated; the

@@ -3,7 +3,10 @@
 
 #include <unistd.h>
 
+#include <array>
+#include <cstdio>
 #include <filesystem>
+#include <span>
 
 #include "sim/as_registry.hpp"
 #include "sim/log_io.hpp"
@@ -183,6 +186,59 @@ TEST_F(LogIoTest, RoundTripPreservesEveryField) {
     EXPECT_EQ(*got, want);
   }
   EXPECT_FALSE(reader.next().has_value());
+}
+
+/// The exact wire bytes of one record, boundary values in every field:
+/// pins the little-endian layout that log files and the daemon's
+/// ingest frames share, independent of the encode/decode fast paths.
+TEST(LogRecordEncoding, GoldenBytes) {
+  LogRecord r;
+  r.ts_us = 0x0102'0304'0506'0708;
+  r.src = Ipv6Address{0x2001'0db8'0000'0001, 0x1122'3344'5566'7788};
+  r.dst = Ipv6Address{0xfe80'0000'0000'0000, 0x99aa'bbcc'ddee'ff00};
+  r.src_asn = 0xdead'beef;
+  r.src_port = 65'535;
+  r.dst_port = 65'534;
+  r.frame_len = 65'535;
+  r.proto = static_cast<wire::IpProto>(0x8b);  // odd, unnamed protocol number
+  r.dst_in_dns = true;
+  const std::array<std::uint8_t, kLogRecordBytes> golden = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // ts
+      0x01, 0x00, 0x00, 0x00, 0xb8, 0x0d, 0x01, 0x20,  // src hi
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // src lo
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xfe,  // dst hi
+      0x00, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99,  // dst lo
+      0xef, 0xbe, 0xad, 0xde,                          // src asn
+      0xff, 0xff, 0xfe, 0xff, 0xff, 0xff,              // src port, dst port, frame len
+      0x8b, 0x01};                                     // proto, dst in DNS
+  std::array<std::uint8_t, kLogRecordBytes> got{};
+  encode_record(r, got.data());
+  EXPECT_EQ(got, golden);
+  EXPECT_EQ(decode_record(golden.data()), r);
+}
+
+TEST_F(LogIoTest, BulkWriteMatchesRecordAtATime) {
+  std::vector<LogRecord> recs;
+  for (TimeUs t = 0; t < 300; ++t) recs.push_back(rec(t * 7));
+  {
+    LogWriter one(path("one.bin"));
+    for (const auto& r : recs) one.write(r);
+    one.close();
+    LogWriter bulk(path("bulk.bin"));
+    bulk.write(std::span<const LogRecord>(recs).first(100));
+    bulk.write(std::span<const LogRecord>{});
+    bulk.write(std::span<const LogRecord>(recs).subspan(100));
+    EXPECT_EQ(bulk.written(), recs.size());
+    bulk.close();
+  }
+  const auto bytes = [](const std::string& p) {
+    std::FILE* f = std::fopen(p.c_str(), "rb");
+    std::vector<char> b(std::filesystem::file_size(p));
+    EXPECT_EQ(std::fread(b.data(), 1, b.size(), f), b.size());
+    std::fclose(f);
+    return b;
+  };
+  EXPECT_EQ(bytes(path("one.bin")), bytes(path("bulk.bin")));
 }
 
 TEST_F(LogIoTest, ReaderIsARecordStream) {

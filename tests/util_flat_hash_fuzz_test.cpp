@@ -67,7 +67,9 @@ void fuzz_map(std::uint64_t seed, SlabPool* pool) {
           (step & 1) != 0 ? flat.find(k) : flat.find_hashed(k, Hash{}(k));
       const auto it = ref.find(k);
       ASSERT_EQ(p != nullptr, it != ref.end()) << k;
-      if (p != nullptr) EXPECT_EQ(*p, it->second) << k;
+      if (p != nullptr) {
+        EXPECT_EQ(*p, it->second) << k;
+      }
     } else if (roll < 970) {
       const bool erased =
           (step & 1) != 0 ? flat.erase(k) : flat.erase_hashed(k, Hash{}(k));

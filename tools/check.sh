@@ -8,17 +8,19 @@
 # build-asan/) with -DV6SONAR_SANITIZE=<kind>, build the relevant test
 # binaries, and run them under the sanitizer. `thread` covers the
 # concurrency-sensitive targets (SPSC ring, parallel pipeline, batch
-# feed, the daemon's snapshot seam and socket server, and the sharded
-# checkpoint resume, whose sections are sealed on the worker threads);
+# feed, the daemon's snapshot seam and socket server, the sharded
+# checkpoint resume, whose sections are sealed on the worker threads,
+# and the day-parallel artifact filter);
 # `address` additionally covers the mmap log reader, the arena-backed
 # flat containers, the daemon's framing/tailing paths, and the
 # checkpoint byte handling (CRC-32, StateWriter, container reader),
-# whose bugs are memory bugs rather than races. `metrics` builds the
-# instrumented targets with warnings as errors (-DV6SONAR_WERROR=ON),
+# whose bugs are memory bugs rather than races. `metrics` builds every
+# target, tests included, with warnings as errors (-DV6SONAR_WERROR=ON),
 # generates a small world, runs
 # `v6sonar detect --mmap --threads 4 --metrics=…`, and validates the
 # JSON snapshot (nonzero ingestion/feed counters, per-shard ring
-# gauges, full guard-fallback breakdown). `perf` builds the release
+# gauges, full guard-fallback breakdown), then runs `v6sonar filter`
+# and checks its read/work/write timers cover >= 95 % of its wall time. `perf` builds the release
 # bench tree and runs `bench_parallel_pipeline` on a small record
 # count (V6SONAR_PIPELINE_RECORDS) in a scratch directory, verifying
 # the speedup and bulk-consumption fields land in the
@@ -561,11 +563,10 @@ fi
 
 if [[ "$kind" == metrics ]]; then
   tree=build-metrics
-  # Targets touched by the observability layer: a fresh warning in any
-  # of them fails the build via -Werror before the smoke test runs.
-  targets=(v6sonar util_metrics_test core_metrics_test)
+  # Every target, tests included: a fresh warning anywhere fails the
+  # build via -Werror before the smoke test runs.
   cmake -B "$tree" -S . -DV6SONAR_WERROR=ON > /dev/null
-  cmake --build "$tree" -j"$(nproc)" --target "${targets[@]}"
+  cmake --build "$tree" -j"$(nproc)"
 
   "$tree/tests/util_metrics_test" > /dev/null
   "$tree/tests/core_metrics_test" > /dev/null
@@ -608,6 +609,33 @@ print(f"metrics snapshot ok: {len(counters)} counters, {len(gauges)} gauges, "
       f"{counters['detector.events.emitted']} events")
 PY
 
+  # The day-parallel filter's stage timers must account for its wall
+  # time (process start and exit aside): read + work + write >= 95 %.
+  python3 - "$tree/tools/v6sonar" "$work" <<'PY'
+import json, os, subprocess, sys, time
+
+v6sonar, work = sys.argv[1], sys.argv[2]
+snap_path = os.path.join(work, "filter_metrics.json")
+t0 = time.perf_counter()
+subprocess.run([v6sonar, "filter", os.path.join(work, "world.v6slog"),
+                os.path.join(work, "clean.v6slog"), f"--metrics={snap_path}"],
+               check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+wall_us = (time.perf_counter() - t0) * 1e6
+with open(snap_path) as fh:
+    hists = json.load(fh)["histograms"]
+stages = {name: hists.get(f"filter.{name}_us", {"count": 0, "sum": 0})
+          for name in ("read", "work", "write")}
+failures = [f"filter.{name}_us has no samples" for name, h in stages.items() if h["count"] == 0]
+covered = sum(h["sum"] for h in stages.values()) / wall_us
+if covered < 0.95:
+    failures.append(f"filter stage timers cover {covered:.1%} of the wall time, want >= 95%")
+if failures:
+    print("filter metrics check FAILED:", *failures, sep="\n  ", file=sys.stderr)
+    sys.exit(1)
+print(f"filter stage timers cover {covered:.1%} of {wall_us / 1e6:.2f} s: " +
+      ", ".join(f"{name} {h['sum'] / 1e6:.3f} s" for name, h in stages.items()))
+PY
+
   echo "check.sh: metrics smoke check passed (-Werror build + JSON validation)"
   exit 0
 fi
@@ -617,7 +645,7 @@ case "$kind" in
     tree=build-tsan
     targets=(util_spsc_ring_test core_parallel_pipeline_test core_batch_feed_test
              util_flat_hash_fuzz_test daemon_snapshot_test daemon_server_test
-             core_checkpoint_resume_test)
+             core_checkpoint_resume_test core_filter_stream_test)
     ;;
   address)
     tree=build-asan
@@ -626,7 +654,8 @@ case "$kind" in
              core_event_sink_test core_event_io_test analysis_streaming_test
              daemon_framing_test daemon_tail_test daemon_snapshot_test
              daemon_server_test util_signal_test util_test
-             core_state_codec_test core_checkpoint_resume_test)
+             core_state_codec_test core_checkpoint_resume_test
+             core_filter_stream_test)
     ;;
 esac
 

@@ -860,18 +860,11 @@ int cmd_filter(const std::string& in, const std::string& out) {
   sim::LogReader reader(in);
   sim::LogWriter writer(out);
   std::uint64_t dropped = 0;
-  core::ArtifactFilter filter(
-      {}, [&](const sim::LogRecord& r) { writer.write(r); },
-      [&](const core::FilterDayStats& s) { dropped += s.packets_dropped; });
-  std::uint64_t seen = 0;
-  while (auto r = reader.next()) {
-    // Drain check every 4096 records: a Ctrl-C stops the feed and the
-    // flush/close below still writes a finalized (fsync'd) output.
-    if ((++seen & 0xFFF) == 0 && util::ShutdownSignal::requested()) break;
-    filter.feed(*r);
-  }
-  filter.flush();
-  writer.close();
+  // Whole days filter independently, so every hardware thread gets
+  // days; a Ctrl-C stops the reading, and everything read is still
+  // filtered and written to a finalized (fsync'd) output.
+  core::filter_stream(reader, writer, std::thread::hardware_concurrency(),
+                      [&](const core::FilterDayStats& s) { dropped += s.packets_dropped; });
   std::printf("kept %llu records, dropped %llu 5-duplicate artifact records -> %s\n",
               static_cast<unsigned long long>(writer.written()),
               static_cast<unsigned long long>(dropped), out.c_str());
