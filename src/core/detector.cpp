@@ -135,6 +135,11 @@ void ScanDetector::feed_one(const sim::LogRecord& r, const net::Ipv6Prefix& key,
   SourceState& st = *slot;
   st.last_us = r.ts_us;
   ++st.packets;
+  if (config_.summary_only) {
+    // A qualified source stays qualified: its set stops growing.
+    if (st.dsts.size() < config_.min_destinations) st.dsts.insert(r.dst);
+    return;
+  }
   if (st.dsts.insert(r.dst) && r.dst_in_dns) ++st.dsts_in_dns;
   ++st.ports[r.dst_port];
   if (r.ts_us >= st.week_next_us || st.week_slot == nullptr) {
@@ -431,6 +436,12 @@ bool ScanDetector::feed_grouped(std::span<const sim::LogRecord> batch) {
     st.packets += run.len;
     const BatchEntry* e = batch_entries_.data() + run.offset;
     const BatchEntry* const end = e + run.len;
+    if (config_.summary_only) {
+      // A qualified source stays qualified: its set stops growing.
+      for (; e != end && st.dsts.size() < config_.min_destinations; ++e)
+        st.dsts.insert_hashed(e->dst, e->dst_hash);
+      continue;
+    }
     if (st.week_slot != nullptr && run.last_ts < st.week_next_us) {
       *st.week_slot += run.len;
     } else {
@@ -463,6 +474,8 @@ bool ScanDetector::feed_grouped(std::span<const sim::LogRecord> batch) {
 }
 
 void ScanDetector::finalize(const net::Ipv6Prefix& key, SourceState& st) {
+  // Summary-only states never fill ports or weekly, so their events
+  // carry empty vectors and a distinct_dsts capped at the threshold.
   if (st.dsts.size() < config_.min_destinations) return;
   ScanEvent ev;
   ev.source = key;
@@ -808,6 +821,12 @@ void ScanDetector::load(util::StateReader& r) {
       throw std::runtime_error("ScanDetector::load: bad prefix length");
     return net::Ipv6Prefix(net::Ipv6Address{hi, lo}, len);
   };
+  // A summary-only detector loads full-mode state by keeping what it
+  // would have tracked itself: the first min_destinations destinations
+  // (a full set has no duplicates, so qualification carries over) and
+  // no port, weekly or DNS counts.
+  const bool summary = config_.summary_only;
+  const std::uint64_t dst_cap = summary ? config_.min_destinations : UINT64_MAX;
   // The reminder heaps are rebuilt, not restored: one entry per live
   // source at its exact current due time. The original heap may have
   // held earlier (stale) reminders, but those are interim alarms that
@@ -825,25 +844,29 @@ void ScanDetector::load(util::StateReader& r) {
     st->first_us = r.i64();
     st->last_us = r.i64();
     st->packets = r.u64();
-    st->dsts_in_dns = r.u32();
+    const std::uint32_t in_dns = r.u32();
+    st->dsts_in_dns = summary ? 0 : in_dns;
     st->asn = r.u32();
     const std::uint64_t n_dsts = r.count(16);
-    st->dsts.reserve(static_cast<std::size_t>(n_dsts));
+    st->dsts.reserve(static_cast<std::size_t>(std::min(n_dsts, dst_cap)));
     for (std::uint64_t d = 0; d < n_dsts; ++d) {
       const std::uint64_t hi = r.u64();
-      st->dsts.insert(net::Ipv6Address{hi, r.u64()});
+      const net::Ipv6Address a{hi, r.u64()};
+      if (st->dsts.size() < dst_cap) st->dsts.insert(a);
     }
     const std::uint64_t n_ports = r.count(12);
-    st->ports.reserve(static_cast<std::size_t>(n_ports));
+    if (!summary) st->ports.reserve(static_cast<std::size_t>(n_ports));
     for (std::uint64_t d = 0; d < n_ports; ++d) {
       const std::uint32_t port = r.u32();
-      st->ports[port] = r.u64();
+      const std::uint64_t n = r.u64();
+      if (!summary) st->ports[port] = n;
     }
     const std::uint64_t n_weeks = r.count(12);
-    st->weekly.reserve(static_cast<std::size_t>(n_weeks));
+    if (!summary) st->weekly.reserve(static_cast<std::size_t>(n_weeks));
     for (std::uint64_t d = 0; d < n_weeks; ++d) {
       const std::uint32_t week = r.u32();
-      st->weekly[week] = r.u64();
+      const std::uint64_t n = r.u64();
+      if (!summary) st->weekly[week] = n;
     }
     expiries_.push(Expiry{st->last_us + config_.timeout_us, key, key_hash});
     if (config_.demote_idle_us > 0)
@@ -861,25 +884,29 @@ void ScanDetector::load(util::StateReader& r) {
     cs->first_us = r.i64();
     cs->last_us = r.i64();
     cs->packets = r.u64();
-    cs->dsts_in_dns = r.u32();
+    const std::uint32_t in_dns = r.u32();
+    cs->dsts_in_dns = summary ? 0 : in_dns;
     cs->asn = r.u32();
     const std::uint64_t n_dsts = r.count(16);
-    cs->dsts.reserve(static_cast<std::size_t>(n_dsts));
+    cs->dsts.reserve(static_cast<std::size_t>(std::min(n_dsts, dst_cap)));
     for (std::uint64_t d = 0; d < n_dsts; ++d) {
       const std::uint64_t hi = r.u64();
-      cs->dsts.emplace_back(net::Ipv6Address{hi, r.u64()});
+      const net::Ipv6Address a{hi, r.u64()};
+      if (cs->dsts.size() < dst_cap) cs->dsts.push_back(a);
     }
     const std::uint64_t n_ports = r.count(12);
-    cs->ports.reserve(static_cast<std::size_t>(n_ports));
+    if (!summary) cs->ports.reserve(static_cast<std::size_t>(n_ports));
     for (std::uint64_t d = 0; d < n_ports; ++d) {
       const std::uint32_t port = r.u32();
-      cs->ports.emplace_back(port, r.u64());
+      const std::uint64_t n = r.u64();
+      if (!summary) cs->ports.emplace_back(port, n);
     }
     const std::uint64_t n_weeks = r.count(12);
-    cs->weekly.reserve(static_cast<std::size_t>(n_weeks));
+    if (!summary) cs->weekly.reserve(static_cast<std::size_t>(n_weeks));
     for (std::uint64_t d = 0; d < n_weeks; ++d) {
       const std::uint32_t week = r.u32();
-      cs->weekly.emplace_back(week, r.u64());
+      const std::uint64_t n = r.u64();
+      if (!summary) cs->weekly.emplace_back(week, n);
     }
     expiries_.push(Expiry{cs->last_us + config_.timeout_us, key, key_hash});
     cold_.insert_hashed(key, key_hash) = cs.release();

@@ -45,6 +45,18 @@ struct DetectorConfig {
   /// next packet are output-invisible: emitted events, their order,
   /// and every counter are byte-identical to an untiered run.
   sim::TimeUs demote_idle_us = 0;
+  /// Track per source only what attribution reads: first/last time,
+  /// packets and ASN, plus the destination set until it holds
+  /// min_destinations entries — no port map, weekly map or DNS count.
+  /// Qualification is monotone (a source past min_destinations
+  /// qualifies whatever arrives later), so the emitted events and
+  /// their order are unchanged in source, first_us, last_us, packets
+  /// and src_asn; distinct_dsts becomes min(true count,
+  /// min_destinations), distinct_dsts_in_dns is 0, and the port and
+  /// weekly vectors are empty. The IDS ladder sets it; detect and the
+  /// daemon, whose analyzers read those fields, do not. save() keeps
+  /// the full layout, so either mode loads the other's state.
+  bool summary_only = false;
 };
 
 class ScanDetector : public StateCodec {

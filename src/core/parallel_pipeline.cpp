@@ -371,6 +371,9 @@ class EventMerger {
         fbest = s;
     }
     if (fbest == SIZE_MAX) return false;
+    // Flush events finalize after every barrier: a pending pass must
+    // not see them, however far the other levels lag.
+    if (gate != INT64_MAX) return false;
     emit_(l, std::move(buf(fbest, l).front().ev));
     buf(fbest, l).pop_front();
     --buffered_;
@@ -953,14 +956,11 @@ struct ParallelIds::Impl {
             shards, cfg.adaptive.ladder.size(), cfg.timeout_us,
             [this](std::size_t level, ScanEvent&& ev) { events[level].push_back(std::move(ev)); },
             barriers.get(),
-            [this](sim::TimeUs t) {
-              tracker.update(attribute_adaptive(events, cfg.adaptive), t, sink);
-            },
+            [this](sim::TimeUs t) { tracker.run_pass(events, cfg.adaptive, t, sink); },
             "ids.pipeline");
         merger.run();
         // The final pass the serial front end runs from flush().
-        tracker.update(attribute_adaptive(events, cfg.adaptive),
-                       final_now.load(std::memory_order_acquire), sink);
+        tracker.run_pass(events, cfg.adaptive, final_now.load(std::memory_order_acquire), sink);
       } catch (...) {
         merger_error = std::current_exception();
         discard_outputs(shards);
@@ -994,18 +994,16 @@ struct ParallelIds::Impl {
       dets.reserve(config.adaptive.ladder.size());
       for (std::size_t i = 0; i < config.adaptive.ladder.size(); ++i)
         dets.push_back(std::make_unique<ScanDetector>(
-            DetectorConfig{.source_prefix_len = config.adaptive.ladder[i],
-                           .min_destinations = config.min_destinations,
-                           .timeout_us = config.timeout_us},
+            ladder_detector_config(config, i),
             collect ? ScanDetector::EventFn([&sh, collect, &flushing, i](ScanEvent&& ev) {
               ++sh.events_emitted;
               (*collect)[i].push_back(
-                  OutItem{slim_scan_event(ev), static_cast<std::uint16_t>(i), flushing});
+                  OutItem{std::move(ev), static_cast<std::uint16_t>(i), flushing});
             })
                     : ScanDetector::EventFn([&sh, &out_buf, &flushing, i](ScanEvent&& ev) {
                         ++sh.events_emitted;
                         out_buf.push_back(
-                            OutItem{slim_scan_event(ev), static_cast<std::uint16_t>(i), flushing});
+                            OutItem{std::move(ev), static_cast<std::uint16_t>(i), flushing});
                       })));
 
       std::vector<InItem> chunk(kWorkerChunk);
@@ -1087,7 +1085,7 @@ struct ParallelIds::Impl {
       // events order-insensitively (per-source sums; last-wins ASN is
       // restored by the re-merge above), so the blocklist matches the
       // serial one exactly; only the mid-stream alert cadence is lost.
-      tracker.update(attribute_adaptive(events, cfg.adaptive), next_pass, sink);
+      tracker.run_pass(events, cfg.adaptive, next_pass, sink);
     }
     report_ring_stats(shards, "ids.pipeline");
     rethrow_first(shards, merger_error);

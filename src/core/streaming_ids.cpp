@@ -1,5 +1,6 @@
 #include "core/streaming_ids.hpp"
 
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +19,7 @@ struct IdsMetrics {
   util::metrics::Counter alerts_new{"ids.alerts.new"};
   util::metrics::Counter alerts_escalated{"ids.alerts.escalated"};
   util::metrics::Gauge blocklist_size{"ids.blocklist.size_hw"};
+  util::metrics::Histogram attribute_us{"ids.attribute_us"};
 };
 
 IdsMetrics& im() {
@@ -26,6 +28,13 @@ IdsMetrics& im() {
 }
 
 }  // namespace
+
+DetectorConfig ladder_detector_config(const IdsConfig& config, std::size_t level) {
+  return DetectorConfig{.source_prefix_len = config.adaptive.ladder[level],
+                        .min_destinations = config.min_destinations,
+                        .timeout_us = config.timeout_us,
+                        .summary_only = true};
+}
 
 ScanEvent slim_scan_event(const ScanEvent& ev) {
   ScanEvent slim;
@@ -62,6 +71,16 @@ void AlertTracker::update(std::vector<Attribution> attributions, sim::TimeUs now
   }
 }
 
+void AlertTracker::run_pass(const std::vector<std::vector<ScanEvent>>& events_per_level,
+                            const AdaptiveConfig& adaptive, sim::TimeUs now,
+                            const AlertSink& sink) {
+  const auto t0 = std::chrono::steady_clock::now();
+  update(attribute_adaptive(events_per_level, adaptive), now, sink);
+  im().attribute_us.observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t0)
+          .count()));
+}
+
 StreamingIds::StreamingIds(const IdsConfig& config, AlertSink sink)
     : config_(config), sink_(std::move(sink)) {
   if (!sink_) throw std::invalid_argument("StreamingIds: null sink");
@@ -70,10 +89,8 @@ StreamingIds::StreamingIds(const IdsConfig& config, AlertSink sink)
   events_.resize(config_.adaptive.ladder.size());
   for (std::size_t i = 0; i < config_.adaptive.ladder.size(); ++i) {
     detectors_.push_back(std::make_unique<ScanDetector>(
-        DetectorConfig{.source_prefix_len = config_.adaptive.ladder[i],
-                       .min_destinations = config_.min_destinations,
-                       .timeout_us = config_.timeout_us},
-        [this, i](ScanEvent&& ev) { events_[i].push_back(slim_scan_event(ev)); }));
+        ladder_detector_config(config_, i),
+        [this, i](ScanEvent&& ev) { events_[i].push_back(std::move(ev)); }));
   }
 }
 
@@ -119,7 +136,7 @@ void StreamingIds::flush() {
 }
 
 void StreamingIds::reattribute(sim::TimeUs now) {
-  tracker_.update(attribute_adaptive(events_, config_.adaptive), now, sink_);
+  tracker_.run_pass(events_, config_.adaptive, now, sink_);
 }
 
 void AlertTracker::save(util::StateWriter& w) const {

@@ -41,9 +41,16 @@ struct IdsAlert {
   sim::TimeUs at_us = 0;
 };
 
+/// The detector configuration of ladder level `level`: the IDS
+/// thresholds at that aggregation, summary-only — attribution reads
+/// source, packets and ASN, so the ladder tracks nothing else, and its
+/// events arrive as slim as slim_scan_event() would make them.
+[[nodiscard]] DetectorConfig ladder_detector_config(const IdsConfig& config, std::size_t level);
+
 /// Strip a scan event down to the fields the attribution pass reads
-/// (source/times/packets/dsts/asn) — events carry heavy per-port and
-/// per-week vectors that the IDS never looks at.
+/// (source/times/packets/dsts/asn), for callers that attribute the
+/// events of full detectors (the daemon): those carry heavy per-port
+/// and per-week vectors that attribution never looks at.
 [[nodiscard]] ScanEvent slim_scan_event(const ScanEvent& ev);
 
 /// The alert-diff state machine shared by the serial and the sharded
@@ -56,6 +63,11 @@ class AlertTracker {
 
   /// Diff `attributions` against everything alerted so far.
   void update(std::vector<Attribution> attributions, sim::TimeUs now, const AlertSink& sink);
+
+  /// One attribution pass: attribute_adaptive() over the per-level
+  /// events, then update(). Timed as one `ids.attribute_us` sample.
+  void run_pass(const std::vector<std::vector<ScanEvent>>& events_per_level,
+                const AdaptiveConfig& adaptive, sim::TimeUs now, const AlertSink& sink);
 
   [[nodiscard]] const std::vector<Attribution>& blocklist() const noexcept {
     return blocklist_;

@@ -12,6 +12,7 @@
 #include "core/artifact_filter.hpp"
 #include "core/detector.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/streaming_ids.hpp"
 #include "sim/log_io.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -197,6 +198,39 @@ TEST_F(CoreMetricsTest, ParallelPipelineReportsShardTelemetry) {
   // The workers' private detectors route through the same counters.
   EXPECT_GT(counter(snap, "detector.events.emitted"), 0u);
   EXPECT_EQ(counter(snap, "detector.events.emitted"), events);
+}
+
+TEST_F(CoreMetricsTest, IdsAttributionTimerSamplesEveryPass) {
+  // One ids.attribute_us sample per attribution pass, in the serial
+  // front end and in both ParallelIds order modes.
+  IdsConfig cfg;
+  cfg.min_destinations = 3;
+  cfg.timeout_us = 900 * kSec;
+  cfg.reattribution_period_us = 600 * kSec;
+  std::vector<sim::LogRecord> recs;
+  const sim::TimeUs t0 = sim::us_from_seconds(util::kWindowStart);
+  for (int i = 0; i < 400; ++i) recs.push_back(rec(t0 + i * 10 * kSec, i % 5, i));
+  const auto samples = [] {
+    const auto h = m::snapshot().histogram("ids.attribute_us");
+    return h ? h->count : 0;
+  };
+
+  StreamingIds serial(cfg, [](const IdsAlert&) {});
+  serial.feed_batch(recs);
+  serial.flush();
+  const std::uint64_t passes = counter(m::snapshot(), "ids.reattribution.passes");
+  EXPECT_EQ(passes, 7u);  // at 600, 1200, ..., 3600 s, plus the flush pass
+  EXPECT_EQ(samples(), passes);
+
+  for (const OrderMode order : {OrderMode::kTotal, OrderMode::kSharded}) {
+    m::reset();
+    ParallelIds ids(cfg, {.threads = 2}, [](const IdsAlert&) {}, order);
+    ids.feed_batch(recs);
+    ids.flush();
+    const std::uint64_t n = counter(m::snapshot(), "ids.reattribution.passes");
+    EXPECT_EQ(n, order == OrderMode::kTotal ? passes : 1u);
+    EXPECT_EQ(samples(), n);
+  }
 }
 
 TEST_F(CoreMetricsTest, DisabledRegistryStaysSilent) {

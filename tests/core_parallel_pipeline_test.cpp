@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/reports.hpp"
@@ -495,6 +497,44 @@ TEST(ParallelIds, MatchesSerialAlertsAndBlocklist) {
       EXPECT_EQ(serial_alerts[i].at_us, parallel_alerts[i].at_us) << "alert " << i;
     }
     EXPECT_TRUE(serial.blocklist() == ids.blocklist()) << threads << " threads";
+  }
+}
+
+TEST(ParallelIds, StalledMergerKeepsFlushEventsOutOfPendingPasses) {
+  // The alert sink runs on the merger thread. Sleeping in it once per
+  // pass stalls the merger, so the workers run ahead, finish and flush
+  // while attribution passes are still pending. Flush-time events must
+  // still wait for every pass before them, as in the serial order.
+  const auto records = workload();
+  IdsConfig cfg;
+  cfg.reattribution_period_us = 6LL * 3'600 * kSec;
+
+  std::vector<IdsAlert> serial_alerts;
+  StreamingIds serial(cfg, [&](const IdsAlert& a) { serial_alerts.push_back(a); });
+  serial.feed_batch(records);
+  serial.flush();
+
+  for (const int threads : {2, 8}) {
+    std::vector<IdsAlert> alerts;
+    sim::TimeUs last_pass = INT64_MIN;
+    ParallelIds ids(cfg, {.threads = threads}, [&](const IdsAlert& a) {
+      if (a.at_us != last_pass) {
+        last_pass = a.at_us;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+      alerts.push_back(a);
+    });
+    ids.feed_batch(records);
+    ids.flush();
+
+    ASSERT_EQ(alerts.size(), serial_alerts.size()) << threads << " threads";
+    for (std::size_t i = 0; i < alerts.size(); ++i) {
+      EXPECT_TRUE(alerts[i].attribution == serial_alerts[i].attribution)
+          << "alert " << i << ", " << threads << " threads";
+      EXPECT_EQ(alerts[i].is_new, serial_alerts[i].is_new) << "alert " << i;
+      EXPECT_EQ(alerts[i].at_us, serial_alerts[i].at_us) << "alert " << i;
+    }
+    EXPECT_TRUE(ids.blocklist() == serial.blocklist()) << threads << " threads";
   }
 }
 

@@ -14,7 +14,8 @@
 # `address` additionally covers the mmap log reader, the arena-backed
 # flat containers, the daemon's framing/tailing paths, and the
 # checkpoint byte handling (CRC-32, StateWriter, container reader),
-# whose bugs are memory bugs rather than races. `metrics` builds every
+# and the IDS ladder (streaming IDS, summary-only detector state and
+# its cross-mode loads), whose bugs are memory bugs rather than races. `metrics` builds every
 # target, tests included, with warnings as errors (-DV6SONAR_WERROR=ON),
 # generates a small world, runs
 # `v6sonar detect --mmap --threads 4 --metrics=…`, and validates the
@@ -655,7 +656,8 @@ case "$kind" in
              daemon_framing_test daemon_tail_test daemon_snapshot_test
              daemon_server_test util_signal_test util_test
              core_state_codec_test core_checkpoint_resume_test
-             core_filter_stream_test)
+             core_filter_stream_test core_streaming_ids_test
+             core_detector_summary_test)
     ;;
 esac
 

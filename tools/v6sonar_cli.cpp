@@ -214,8 +214,9 @@ std::vector<sim::LogRecord> load_records(const std::string& path) {
 /// Stream every record of `path` through `fn`, batch by batch,
 /// without materializing the log: --mmap uses the zero-copy mapped
 /// reader, otherwise the buffered log reader streams in chunks. pcap
-/// inputs have no streaming parser and fall back to one in-memory
-/// pass (fed as a single batch).
+/// inputs have no streaming parser: they are parsed in one in-memory
+/// pass and fed in slices of the same batch size, so no consumer
+/// sizes its per-batch scratch to the whole capture.
 /// Streaming loops check the drain signal between batches: on
 /// SIGINT/SIGTERM the feed stops early and the caller's normal
 /// flush/finalize path runs over what was read so far — spill files
@@ -223,13 +224,17 @@ std::vector<sim::LogRecord> load_records(const std::string& path) {
 /// main() then maps the partial run to exit code 128+signo.
 template <typename Fn>
 void for_each_record_batch(const std::string& path, bool use_mmap, Fn&& fn) {
+  constexpr std::size_t kBatch = 4'096;
   if (ends_with(path, ".pcap") || ends_with(path, ".cap")) {
     const auto records = load_records(path);
-    if (util::ShutdownSignal::requested()) return;
-    fn(std::span<const sim::LogRecord>{records});
+    const std::span<const sim::LogRecord> all{records};
+    for (std::size_t i = 0; i < all.size(); i += kBatch) {
+      if (util::ShutdownSignal::requested()) return;
+      fn(all.subspan(i, std::min(kBatch, all.size() - i)));
+    }
     return;
   }
-  std::array<sim::LogRecord, 4'096> batch;
+  std::array<sim::LogRecord, kBatch> batch;
   if (use_mmap) {
     sim::MappedLogReader reader(path);
     for (std::size_t n; (n = reader.next_batch(batch.data(), batch.size())) > 0;) {
@@ -872,20 +877,22 @@ int cmd_filter(const std::string& in, const std::string& out) {
 }
 
 int cmd_adaptive(const std::string& path) {
-  const auto records = load_records(path);
-  const std::vector<int> ladder = {128, 64, 48, 32};
-  std::vector<std::vector<core::ScanEvent>> events(ladder.size());
+  // The IDS ladder at its default thresholds, summary-only: streamed
+  // batch by batch, so memory is bounded by the active sources.
+  const core::IdsConfig ids;
+  std::vector<std::vector<core::ScanEvent>> events(ids.adaptive.ladder.size());
   {
     std::vector<std::unique_ptr<core::ScanDetector>> detectors;
-    for (std::size_t i = 0; i < ladder.size(); ++i)
+    for (std::size_t i = 0; i < events.size(); ++i)
       detectors.push_back(std::make_unique<core::ScanDetector>(
-          core::DetectorConfig{.source_prefix_len = ladder[i]},
+          core::ladder_detector_config(ids, i),
           [&events, i](core::ScanEvent&& ev) { events[i].push_back(std::move(ev)); }));
-    for (const auto& r : records)
-      for (auto& d : detectors) d->feed(r);
+    for_each_record_batch(path, false, [&](std::span<const sim::LogRecord> batch) {
+      for (auto& d : detectors) d->feed_batch(batch);
+    });
     for (auto& d : detectors) d->flush();
   }
-  const auto attributions = core::attribute_adaptive(events, {});
+  const auto attributions = core::attribute_adaptive(events, ids.adaptive);
   util::TextTable table({"attributed prefix", "level", "packets", "covered sources"});
   for (const auto& a : attributions) {
     // Built with += (not operator+) to dodge GCC 12's -Wrestrict false
