@@ -3,10 +3,8 @@
 // through the batched feed path. Prints a speedup table (the
 // acceptance target is >=3x at 8 threads), writes the serial rate and
 // per-thread-count speedups to BENCH_pipeline.json (section
-// "parallel_pipeline_bulk"), races the two event-delivery disciplines
-// (total-order merger vs sharded ownership, section
-// "parallel_pipeline_sharded"), then runs the google-benchmark
-// kernels for items/sec detail.
+// "parallel_pipeline_bulk"), then runs the google-benchmark kernels
+// for items/sec detail.
 
 #include <benchmark/benchmark.h>
 
@@ -58,26 +56,9 @@ std::uint64_t run_serial(const std::vector<sim::LogRecord>& traffic) {
   return events;
 }
 
-std::uint64_t run_parallel(const std::vector<sim::LogRecord>& traffic, int threads,
-                           std::size_t batch = 0) {
-  std::uint64_t events = 0;
-  core::ParallelScanPipeline pipe({.source_prefix_len = 64}, {.threads = threads},
-                                  [&](core::ScanEvent&&) { ++events; });
-  if (batch == 0) {
-    for (const auto& r : traffic) pipe.feed(r);
-  } else {
-    const std::span<const sim::LogRecord> all(traffic);
-    for (std::size_t i = 0; i < all.size(); i += batch)
-      pipe.feed_batch(all.subspan(i, std::min(batch, all.size() - i)));
-  }
-  pipe.flush();
-  return events;
-}
-
-/// Minimal per-shard sink for sharded-ownership runs: counts its
-/// shard's events on the worker thread, no rendezvous until the sum at
-/// the end — the cheapest possible stand-in for a per-shard analyzer
-/// chain.
+/// Per-shard sink: counts its shard's events on the worker thread, no
+/// rendezvous until the sum at the end — the cheapest possible
+/// stand-in for a per-shard analyzer chain.
 class CountingSink final : public core::EventSink {
  public:
   void on_event(core::ScanEvent&&) override { ++events_; }
@@ -87,8 +68,8 @@ class CountingSink final : public core::EventSink {
   std::uint64_t events_ = 0;
 };
 
-std::uint64_t run_sharded(const std::vector<sim::LogRecord>& traffic, int threads,
-                          std::size_t batch = 0) {
+std::uint64_t run_parallel(const std::vector<sim::LogRecord>& traffic, int threads,
+                           std::size_t batch = 0) {
   std::vector<std::unique_ptr<CountingSink>> sinks;
   core::ParallelScanPipeline pipe(
       {.source_prefix_len = 64}, {.threads = threads},
@@ -176,86 +157,26 @@ void print_speedup_table() {
   const std::uint64_t in_hw = snap.gauge_max_of("pipeline.shard");
   const std::uint64_t blocked = snap.counter("pipeline.in_ring.producer_blocked").value_or(0);
   const std::uint64_t parks = snap.counter("pipeline.in_ring.producer_parks").value_or(0);
-  const std::uint64_t merger_hw = snap.gauge("pipeline.merger.queue_depth_hw").value_or(0);
-  // Bulk-consumption telemetry: mean records per worker chunk pop and
-  // mean events per merger drain — how much batching actually survived
-  // the ring crossings during the instrumented pass.
-  const auto hist_mean = [&](const char* name) {
-    const auto h = snap.histogram(name);
-    return h && h->count > 0 ? static_cast<double>(h->sum) / static_cast<double>(h->count)
-                             : 0.0;
-  };
-  const double worker_batch_mean = hist_mean("pipeline.worker.batch_size");
-  const double merger_drain_mean = hist_mean("pipeline.merger.drain_size");
+  // Bulk-consumption telemetry: mean records per worker chunk pop —
+  // how much batching actually survived the ring crossing during the
+  // instrumented pass.
+  const auto h = snap.histogram("pipeline.worker.batch_size");
+  const double worker_batch_mean =
+      h && h->count > 0 ? static_cast<double>(h->sum) / static_cast<double>(h->count) : 0.0;
   std::printf("  8t batched telemetry: ring occupancy hw %llu, producer blocked %llu, "
-              "parks %llu, merger depth hw %llu\n",
+              "parks %llu\n",
               static_cast<unsigned long long>(in_hw),
               static_cast<unsigned long long>(blocked),
-              static_cast<unsigned long long>(parks),
-              static_cast<unsigned long long>(merger_hw));
-  std::printf("  8t bulk consumption: mean worker chunk %.1f records, "
-              "mean merger drain %.1f events\n\n",
-              worker_batch_mean, merger_drain_mean);
+              static_cast<unsigned long long>(parks));
+  std::printf("  8t bulk consumption: mean worker chunk %.1f records\n\n", worker_batch_mean);
   json << ", \"ring_occupancy_hw_8t\": " << in_hw << ", \"producer_blocked_8t\": " << blocked
-       << ", \"producer_parks_8t\": " << parks << ", \"merger_depth_hw_8t\": " << merger_hw;
-  char bulk[96];
-  std::snprintf(bulk, sizeof bulk,
-                ", \"worker_batch_mean_8t\": %.1f, \"merger_drain_mean_8t\": %.1f",
-                worker_batch_mean, merger_drain_mean);
+       << ", \"producer_parks_8t\": " << parks;
+  char bulk[64];
+  std::snprintf(bulk, sizeof bulk, ", \"worker_batch_mean_8t\": %.1f", worker_batch_mean);
   json << bulk;
 
   json << "}";
   benchx::update_bench_json("BENCH_pipeline.json", "parallel_pipeline_bulk", json.str());
-}
-
-/// Head-to-head of the two event-delivery disciplines on the batched
-/// feed path: total-order (merger thread funnels every event) vs
-/// sharded ownership (per-shard sinks, rendezvous only at flush).
-/// Events must agree with serial in both modes — sharded as a sum over
-/// the per-shard counts. Results land in the "parallel_pipeline_sharded"
-/// JSON section; docs/BENCHMARKS.md explains how to read it.
-void print_sharded_table() {
-  constexpr std::size_t kBatch = 4'096;
-  const auto traffic = synthetic_traffic(table_records(), 20'000);
-  const auto time = [](auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t events = fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::pair{std::chrono::duration<double>(t1 - t0).count(), events};
-  };
-
-  const auto [serial_s, serial_events] = time([&] { return run_serial(traffic); });
-  std::printf("order modes head to head — %zu records, batched feed\n", traffic.size());
-  std::printf("  %-20s %10s %9s  %s\n", "config", "seconds", "speedup", "events");
-  std::printf("  %-20s %10.3f %9s  %llu\n", "serial", serial_s, "1.00x",
-              static_cast<unsigned long long>(serial_events));
-
-  std::ostringstream json;
-  json << "{\"records\": " << traffic.size() << ", \"serial_s\": ";
-  char val[32];
-  std::snprintf(val, sizeof val, "%.3f", serial_s);
-  json << val;
-  for (const int threads : {1, 2, 3, 8}) {
-    for (const bool sharded : {false, true}) {
-      const auto [par_s, par_events] = time([&] {
-        return sharded ? run_sharded(traffic, threads, kBatch)
-                       : run_parallel(traffic, threads, kBatch);
-      });
-      char label[32];
-      std::snprintf(label, sizeof label, "%d threads %s", threads,
-                    sharded ? "sharded" : "total");
-      std::printf("  %-20s %10.3f %8.2fx  %llu%s\n", label, par_s, serial_s / par_s,
-                  static_cast<unsigned long long>(par_events),
-                  par_events == serial_events ? "" : "  EVENT MISMATCH");
-      char key[56];
-      std::snprintf(key, sizeof key, ", \"speedup_%s_%dt\": %.2f",
-                    sharded ? "sharded" : "total", threads, serial_s / par_s);
-      json << key;
-    }
-  }
-  std::printf("\n");
-  json << "}";
-  benchx::update_bench_json("BENCH_pipeline.json", "parallel_pipeline_sharded", json.str());
 }
 
 void BM_SerialDetector(benchmark::State& state) {
@@ -279,7 +200,6 @@ BENCHMARK(BM_ParallelPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::
 
 int main(int argc, char** argv) {
   print_speedup_table();
-  print_sharded_table();
   // Smoke runs (V6SONAR_PIPELINE_RECORDS set) only need the speedup
   // table and its JSON section; skip the google-benchmark kernels.
   if (std::getenv("V6SONAR_PIPELINE_RECORDS")) return 0;

@@ -153,8 +153,9 @@ DurationStats DurationAnalyzer::stats() const {
     const auto rank =
         static_cast<std::uint64_t>(std::floor(static_cast<double>(events_ - 1) * q));
     std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < hist_.bins(); ++b) {
-      cum += hist_.at(b);
+    const auto& counts = hist_.counts();
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      cum += counts[b];
       if (cum > rank) return static_cast<double>(b);
     }
     return static_cast<double>(hist_.bins() - 1);

@@ -145,9 +145,11 @@ class DurationAnalyzer final : public Analyzer {
   void load(util::StateReader& r) override;
 
  private:
-  /// One bin per second for a week: 604800 bins (~4.6 MB) — the
-  /// timeout-carved events the detector emits essentially never span
-  /// longer, and the edge bin plus the exact max cover those that do.
+  /// One bin per second for a week: 604800 bins — the timeout-carved
+  /// events the detector emits essentially never span longer, and the
+  /// edge bin plus the exact max cover those that do. Storage grows
+  /// only to the longest duration seen, so each of a parallel run's
+  /// per-shard bundles starts empty.
   static constexpr std::size_t kBins = 7 * 24 * 3600;
 
   void consume(const core::ScanEvent& ev) override;

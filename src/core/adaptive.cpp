@@ -1,46 +1,25 @@
 #include "core/adaptive.hpp"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace v6sonar::core {
 
-namespace {
-
-struct LevelSource {
-  std::uint64_t packets = 0;
-  std::uint32_t asn = 0;
-};
-
-using LevelMap = std::map<net::Ipv6Prefix, LevelSource>;
-
-LevelMap fold(const std::vector<ScanEvent>& events) {
-  LevelMap m;
-  for (const auto& ev : events) {
-    auto& s = m[ev.source];
-    s.packets += ev.packets;
-    s.asn = ev.src_asn;
-  }
-  return m;
+void fold_event(LevelTally& level, const ScanEvent& ev) {
+  auto& s = level[ev.source];
+  s.packets += ev.packets;
+  s.asn = ev.src_asn;
 }
 
-}  // namespace
-
-std::vector<Attribution> attribute_adaptive(
-    const std::vector<std::vector<ScanEvent>>& events_per_level,
-    const AdaptiveConfig& config) {
-  if (events_per_level.size() != config.ladder.size())
-    throw std::invalid_argument("attribute_adaptive: one event list per ladder level required");
+void validate_ladder(const AdaptiveConfig& config) {
+  if (config.ladder.empty()) throw std::invalid_argument("adaptive: empty aggregation ladder");
   for (std::size_t i = 1; i < config.ladder.size(); ++i)
     if (config.ladder[i] >= config.ladder[i - 1])
       throw std::invalid_argument("attribute_adaptive: ladder must go finest to coarsest");
+}
 
+void attribute_tallies(std::span<const TallyRange> levels, const AdaptiveConfig& config,
+                       std::vector<Attribution>& out) {
   // Start with every finest-level source attributed to itself.
-  std::vector<LevelMap> levels;
-  levels.reserve(events_per_level.size());
-  for (const auto& evs : events_per_level) levels.push_back(fold(evs));
-
   std::map<net::Ipv6Prefix, Attribution> current;
   for (const auto& [src, s] : levels.front()) {
     Attribution a;
@@ -103,9 +82,25 @@ std::vector<Attribution> attribute_adaptive(
     current = std::move(next);
   }
 
-  std::vector<Attribution> out;
-  out.reserve(current.size());
   for (auto& [src, a] : current) out.push_back(a);
+}
+
+std::vector<Attribution> attribute_adaptive(
+    const std::vector<std::vector<ScanEvent>>& events_per_level,
+    const AdaptiveConfig& config) {
+  if (events_per_level.size() != config.ladder.size())
+    throw std::invalid_argument("attribute_adaptive: one event list per ladder level required");
+  validate_ladder(config);
+
+  std::vector<LevelTally> levels(events_per_level.size());
+  std::vector<TallyRange> ranges;
+  ranges.reserve(levels.size());
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    for (const auto& ev : events_per_level[i]) fold_event(levels[i], ev);
+    ranges.emplace_back(levels[i]);
+  }
+  std::vector<Attribution> out;
+  attribute_tallies(ranges, config, out);
   return out;
 }
 

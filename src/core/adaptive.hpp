@@ -14,6 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "core/scan_event.hpp"
@@ -45,9 +48,41 @@ struct Attribution {
   friend bool operator==(const Attribution&, const Attribution&) = default;
 };
 
+/// What attribution reads of one source at one ladder level: the
+/// packets of all its events and the ASN of the last one.
+struct SourceTally {
+  std::uint64_t packets = 0;
+  std::uint32_t asn = 0;
+};
+
+/// One ladder level's tallies, in prefix order.
+using LevelTally = std::map<net::Ipv6Prefix, SourceTally>;
+
+/// A run of one level's tallies: the whole level, or the sources under
+/// one coarsest-rung prefix.
+using TallyRange = std::ranges::subrange<LevelTally::const_iterator>;
+
+/// The fold step: add one event to its level's tally. Folding a
+/// level's events in arrival order gives attribute_adaptive's input.
+void fold_event(LevelTally& level, const ScanEvent& ev);
+
+/// Throws std::invalid_argument unless the ladder is non-empty and
+/// runs strictly finest to coarsest.
+void validate_ladder(const AdaptiveConfig& config);
+
+/// The attribution walk over folded tallies, `levels[i]` at
+/// `config.ladder[i]` (a validated ladder). Appends the chosen
+/// attributions to `out`, sorted by source prefix. Every parent the
+/// walk considers lies at or below the coarsest rung, so walking the
+/// tallies under each coarsest-rung prefix on its own, in prefix
+/// order, appends exactly what one walk over whole levels does.
+void attribute_tallies(std::span<const TallyRange> levels, const AdaptiveConfig& config,
+                       std::vector<Attribution>& out);
+
 /// `events_per_level[i]` are the scan events detected at
 /// `config.ladder[i]`. Returns the chosen attribution set, sorted by
-/// source prefix.
+/// source prefix: fold_event() over every list, then
+/// attribute_tallies() over whole levels.
 [[nodiscard]] std::vector<Attribution> attribute_adaptive(
     const std::vector<std::vector<ScanEvent>>& events_per_level,
     const AdaptiveConfig& config);

@@ -105,6 +105,10 @@ class ScanDetector : public StateCodec {
   /// Finalize all in-flight events. Call once after the last record.
   void flush();
 
+  /// The detector clock: the time of the last record fed or advanced
+  /// to (INT64_MIN before either).
+  [[nodiscard]] sim::TimeUs clock() const noexcept { return last_ts_; }
+
   /// Freeze/thaw (core::StateCodec): save() serializes configuration
   /// fingerprint plus every live source (hot and cold tier alike);
   /// load() reconstructs into a freshly constructed, identically

@@ -1,7 +1,9 @@
 #include "core/event_io.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "util/fdio.hpp"
 #include "util/metrics.hpp"
@@ -23,6 +25,7 @@ struct File {
   File(const std::string& path, const char* mode) : f(std::fopen(path.c_str(), mode)) {
     if (!f) throw std::runtime_error("event_io: cannot open " + path);
   }
+  explicit File(std::FILE* owned) : f(owned) {}
   ~File() {
     if (f) std::fclose(f);
   }
@@ -37,6 +40,22 @@ void put_v(std::FILE* f, T v) {
   put(f, &v, sizeof v);
 }
 
+/// Append the bytes of `v` to an encode buffer.
+template <typename T>
+void append(std::vector<unsigned char>& buf, T v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(&v);
+  buf.insert(buf.end(), p, p + sizeof v);
+}
+
+/// Decode the next `T` of a read buffer.
+template <typename T>
+T take(const unsigned char*& p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  p += sizeof v;
+  return v;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ //
@@ -48,17 +67,42 @@ struct EventWriter::Impl {
   /// (never via ftell) so checkpoint_sync() can seek back after the
   /// header backpatch and offset() is cheap.
   std::uint64_t pos = 0;
+  bool durable = true;  ///< false for scratch spills: close() skips the fsync
+  std::vector<unsigned char> buf;  ///< one event's encoding, written with one fwrite
   Impl(const std::string& p, const char* mode) : file(p, mode), path(p) {}
+  explicit Impl(std::FILE* owned) : file(owned), path("scratch spill"), durable(false) {}
+
+  void start() {
+    // Scratch spills hold one shard's events each: a smaller buffer
+    // keeps N of them from adding N MB to a parallel run's footprint.
+    std::setvbuf(file.f, nullptr, _IOFBF, durable ? 1 << 20 : 1 << 16);
+    put_v(file.f, kMagic);
+    // Count placeholder; close() backpatches the real value, so an
+    // interrupted run is detectable (count 0 with trailing bytes).
+    put_v<std::uint64_t>(file.f, 0);
+    pos = kHeaderBytes;
+  }
+
+  /// Backpatch the header count, then flush: all the way to stable
+  /// storage for a durable file.
+  [[nodiscard]] bool finalize(std::uint64_t count) {
+    return std::fseek(file.f, 8, SEEK_SET) == 0 &&
+           std::fwrite(&count, 1, sizeof count, file.f) == sizeof count &&
+           (durable ? util::flush_to_disk(file.f) : std::fflush(file.f) == 0);
+  }
 };
 
 EventWriter::EventWriter(const std::string& path)
     : impl_(std::make_unique<Impl>(path, "wb")) {
-  std::setvbuf(impl_->file.f, nullptr, _IOFBF, 1 << 20);
-  put_v(impl_->file.f, kMagic);
-  // Count placeholder; close() backpatches the real value, so an
-  // interrupted run is detectable (count 0 with trailing bytes).
-  put_v<std::uint64_t>(impl_->file.f, 0);
-  impl_->pos = kHeaderBytes;
+  impl_->start();
+}
+
+EventWriter::EventWriter(const Scratch& scratch) {
+  std::FILE* f = util::open_scratch_file(scratch.dir);
+  if (f == nullptr)
+    throw std::runtime_error("event_io: cannot create a scratch file in " + scratch.dir);
+  impl_ = std::make_unique<Impl>(f);
+  impl_->start();
 }
 
 EventWriter::EventWriter(const std::string& path, std::uint64_t resume_count,
@@ -88,29 +132,30 @@ EventWriter::~EventWriter() {
 
 void EventWriter::on_event(ScanEvent&& ev) {
   if (!impl_) throw std::runtime_error("event_io: writer closed");
-  std::FILE* f = impl_->file.f;
-  put_v(f, ev.source.address().hi());
-  put_v(f, ev.source.address().lo());
-  put_v<std::int32_t>(f, ev.source.length());
-  put_v(f, ev.first_us);
-  put_v(f, ev.last_us);
-  put_v(f, ev.packets);
-  put_v(f, ev.distinct_dsts);
-  put_v(f, ev.distinct_dsts_in_dns);
-  put_v(f, ev.src_asn);
-  put_v<std::uint32_t>(f, static_cast<std::uint32_t>(ev.port_packets.size()));
+  std::vector<unsigned char>& b = impl_->buf;
+  b.clear();
+  append(b, ev.source.address().hi());
+  append(b, ev.source.address().lo());
+  append<std::int32_t>(b, ev.source.length());
+  append(b, ev.first_us);
+  append(b, ev.last_us);
+  append(b, ev.packets);
+  append(b, ev.distinct_dsts);
+  append(b, ev.distinct_dsts_in_dns);
+  append(b, ev.src_asn);
+  append<std::uint32_t>(b, static_cast<std::uint32_t>(ev.port_packets.size()));
   for (const auto& [port, n] : ev.port_packets) {
-    put_v(f, port);
-    put_v(f, n);
+    append(b, port);
+    append(b, n);
   }
-  put_v<std::uint32_t>(f, static_cast<std::uint32_t>(ev.weekly_packets.size()));
+  append<std::uint32_t>(b, static_cast<std::uint32_t>(ev.weekly_packets.size()));
   for (const auto& [week, n] : ev.weekly_packets) {
-    put_v(f, week);
-    put_v(f, n);
+    append(b, week);
+    append(b, n);
   }
+  put(impl_->file.f, b.data(), b.size());
   ++count_;
-  impl_->pos += kFixedEventBytes + ev.port_packets.size() * kPortEntryBytes +
-                ev.weekly_packets.size() * kWeekEntryBytes;
+  impl_->pos += b.size();
 }
 
 std::uint64_t EventWriter::offset() const noexcept { return impl_ ? impl_->pos : 0; }
@@ -133,9 +178,7 @@ void EventWriter::close() {
   // stream) in page cache, where a crash after close() returned
   // success could still drop it — leaving a header that claims N
   // events backed by nothing.
-  if (std::fseek(impl->file.f, 8, SEEK_SET) != 0 ||
-      std::fwrite(&count_, 1, sizeof count_, impl->file.f) != sizeof count_ ||
-      !util::flush_to_disk(impl->file.f))
+  if (!impl->finalize(count_))
     throw std::runtime_error("event_io: header finalize failed for " + impl->path);
   std::FILE* f = impl->file.f;
   impl->file.f = nullptr;  // File dtor must not double-close
@@ -155,7 +198,9 @@ struct EventReader::Impl {
   /// indistinguishable from a corrupt count.
   std::uint64_t pos = 0;
   util::metrics::Histogram batch_size{"report.reader.batch_size"};
+  std::vector<unsigned char> buf;  ///< one event's list bytes, read with one fread
   explicit Impl(const std::string& p) : file(p, "rb"), path(p) {}
+  Impl(std::FILE* owned, std::string p) : file(owned), path(std::move(p)) {}
 
   /// Read exactly n bytes. Distinguishes an I/O error (ferror) from
   /// running out of file (truncation) in the thrown message.
@@ -182,8 +227,22 @@ struct EventReader::Impl {
 };
 
 EventReader::EventReader(const std::string& path) : impl_(std::make_unique<Impl>(path)) {
+  std::setvbuf(impl_->file.f, nullptr, _IOFBF, 1 << 20);
+  open_header();
+}
+
+EventReader::EventReader(EventWriter& scratch) {
+  if (!scratch.impl_) throw std::runtime_error("event_io: scratch writer already closed");
+  auto w = std::move(scratch.impl_);
+  if (!w->finalize(scratch.written()))
+    throw std::runtime_error("event_io: header finalize failed for " + w->path);
+  impl_ = std::make_unique<Impl>(std::exchange(w->file.f, nullptr), w->path);
+  open_header();
+}
+
+void EventReader::open_header() {
+  const std::string& path = impl_->path;
   std::FILE* f = impl_->file.f;
-  std::setvbuf(f, nullptr, _IOFBF, 1 << 20);
   long size = 0;
   if (std::fseek(f, 0, SEEK_END) != 0 || (size = std::ftell(f)) < 0 ||
       std::fseek(f, 0, SEEK_SET) != 0)
@@ -210,40 +269,49 @@ bool EventReader::next(ScanEvent& out) {
   if (read_ >= total_) return false;
   Impl& im = *impl_;
   ScanEvent ev;
-  const auto hi = im.get<std::uint64_t>();
-  const auto lo = im.get<std::uint64_t>();
-  const auto len = im.get<std::int32_t>();
+  // The fixed header up to and including the port count, in one read.
+  unsigned char head[kFixedEventBytes - 4];
+  im.read_bytes(head, sizeof head);
+  const unsigned char* p = head;
+  const auto hi = take<std::uint64_t>(p);
+  const auto lo = take<std::uint64_t>(p);
+  const auto len = take<std::int32_t>(p);
   if (len < 0 || len > 128)
     throw std::runtime_error("event_io: corrupt prefix length in " + im.path);
   ev.source = net::Ipv6Prefix{net::Ipv6Address{hi, lo}, len};
-  ev.first_us = im.get<sim::TimeUs>();
-  ev.last_us = im.get<sim::TimeUs>();
-  ev.packets = im.get<std::uint64_t>();
-  ev.distinct_dsts = im.get<std::uint32_t>();
-  ev.distinct_dsts_in_dns = im.get<std::uint32_t>();
-  ev.src_asn = im.get<std::uint32_t>();
+  ev.first_us = take<sim::TimeUs>(p);
+  ev.last_us = take<sim::TimeUs>(p);
+  ev.packets = take<std::uint64_t>(p);
+  ev.distinct_dsts = take<std::uint32_t>(p);
+  ev.distinct_dsts_in_dns = take<std::uint32_t>(p);
+  ev.src_asn = take<std::uint32_t>(p);
   // Bound each list length by the bytes actually left in the file, so
   // a corrupt length throws instead of reserving gigabytes. remaining()
   // is derived from the tracked offset, never from ftell — an I/O
   // failure surfaces from read_bytes() as "read failed", and can no
   // longer masquerade as a corrupt count.
-  const auto nports = im.get<std::uint32_t>();
+  const auto nports = take<std::uint32_t>(p);
   if (nports > im.remaining() / kPortEntryBytes)
     throw std::runtime_error("event_io: corrupt port count in " + im.path);
+  // The port list plus the week count after it, in one read.
+  im.buf.resize(nports * kPortEntryBytes + 4);
+  im.read_bytes(im.buf.data(), im.buf.size());
+  p = im.buf.data();
   ev.port_packets.reserve(nports);
-  for (std::uint32_t p = 0; p < nports; ++p) {
-    const auto port = im.get<std::uint16_t>();
-    const auto n = im.get<std::uint64_t>();
-    ev.port_packets.emplace_back(port, n);
+  for (std::uint32_t i = 0; i < nports; ++i) {
+    const auto port = take<std::uint16_t>(p);
+    ev.port_packets.emplace_back(port, take<std::uint64_t>(p));
   }
-  const auto nweeks = im.get<std::uint32_t>();
+  const auto nweeks = take<std::uint32_t>(p);
   if (nweeks > im.remaining() / kWeekEntryBytes)
     throw std::runtime_error("event_io: corrupt week count in " + im.path);
+  im.buf.resize(nweeks * kWeekEntryBytes);
+  if (nweeks != 0) im.read_bytes(im.buf.data(), im.buf.size());
+  p = im.buf.data();
   ev.weekly_packets.reserve(nweeks);
-  for (std::uint32_t w = 0; w < nweeks; ++w) {
-    const auto week = im.get<std::int32_t>();
-    const auto n = im.get<std::uint64_t>();
-    ev.weekly_packets.emplace_back(week, n);
+  for (std::uint32_t i = 0; i < nweeks; ++i) {
+    const auto week = take<std::int32_t>(p);
+    ev.weekly_packets.emplace_back(week, take<std::uint64_t>(p));
   }
   ++read_;
   out = std::move(ev);

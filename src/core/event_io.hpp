@@ -44,6 +44,14 @@ class EventWriter final : public EventSink {
   EventWriter(const std::string& path, std::uint64_t resume_count,
               std::uint64_t resume_offset);
 
+  /// An anonymous scratch spill in directory `dir`: the file has no
+  /// name, is never fsync'd, and vanishes once closed. Read it back
+  /// with EventReader(EventWriter&).
+  struct Scratch {
+    std::string dir;
+  };
+  explicit EventWriter(const Scratch& scratch);
+
   /// Closes (best effort — errors are swallowed; call close() first
   /// if you need them reported).
   ~EventWriter() override;
@@ -53,7 +61,8 @@ class EventWriter final : public EventSink {
   void on_event(ScanEvent&& ev) override;
   /// Sink-contract flush: finalize the header count and close.
   void flush() override { close(); }
-  /// Idempotent close; throws on finalize failure.
+  /// Idempotent close; throws on finalize failure. A durable writer
+  /// fsyncs the finished file; a scratch writer does not.
   void close();
 
   /// Make everything written so far durable without closing:
@@ -69,6 +78,7 @@ class EventWriter final : public EventSink {
   [[nodiscard]] std::uint64_t offset() const noexcept;
 
  private:
+  friend class EventReader;
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::uint64_t count_ = 0;
@@ -81,6 +91,9 @@ class EventWriter final : public EventSink {
 class EventReader final {
  public:
   explicit EventReader(const std::string& path);
+  /// Read a scratch writer's events back from the start. Finalizes the
+  /// writer's header and takes its file over.
+  explicit EventReader(EventWriter& scratch);
   ~EventReader();
   EventReader(const EventReader&) = delete;
   EventReader& operator=(const EventReader&) = delete;
@@ -95,6 +108,8 @@ class EventReader final {
   [[nodiscard]] std::uint64_t total_events() const noexcept { return total_; }
 
  private:
+  void open_header();
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::uint64_t total_ = 0;

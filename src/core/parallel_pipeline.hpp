@@ -5,34 +5,25 @@
 // of one aggregated source visits exactly one worker, and each worker
 // runs a private, completely ordinary serial detector over its shard.
 // The feeder thread hash-partitions records across bounded SPSC rings
-// (util/spsc_ring.hpp). Two event-delivery disciplines are offered:
+// (util/spsc_ring.hpp). Each worker owns its slice of state end to
+// end: detection, artifact filtering, expiry, and a caller-supplied
+// per-shard EventSink chain, all on the worker thread. Workers never
+// rendezvous with each other; each shard's own event stream stays in
+// serial order. Mergeable sinks (analysis::Analyzer::merge) recover
+// bit-identical *reports* at flush, and merge_shard_events() recovers
+// the serial event *stream* from per-shard streams (docs/
+// ARCHITECTURE.md §3 has the argument).
 //
-//   OrderMode::kTotal — a merger thread k-way merges the finalized
-//   events of all shards back into one stream ordered by event
-//   end-time: byte-identical, ordering included, to what the
-//   single-threaded detector would have produced. Downstream code
-//   cannot tell the difference, at the cost of every event funneling
-//   through one thread.
-//
-//   OrderMode::kSharded — each worker owns its slice of state end to
-//   end: detection, artifact filtering, expiry, and a caller-supplied
-//   per-shard EventSink chain, all on the worker thread. Workers
-//   never rendezvous until flush(). Event total order across shards
-//   is relaxed (each shard's own stream stays serial-ordered);
-//   mergeable sinks (analysis::Analyzer::merge) recover bit-identical
-//   *reports* at flush. docs/ARCHITECTURE.md §3.5 has the argument.
-//
-// Three front ends are provided, mirroring the serial ones:
+// Two front ends are provided, mirroring the serial ones:
 //   ParallelScanPipeline           ==  ScanDetector
 //   ParallelScanPipeline(+filter)  ==  ArtifactFilter -> ScanDetector
 //   ParallelIds                    ==  StreamingIds
 //
 // Threading contract: feed()/flush() must be called from one thread;
-// in total-order mode the event/alert sink runs on the internal
-// merger thread, in sharded mode each per-shard sink runs on its
-// worker thread (sinks must not call back into the pipeline). flush()
-// joins all threads and rethrows the first worker or sink exception,
-// if any.
+// each per-shard event sink runs on its worker thread (sinks must not
+// call back into the pipeline); ParallelIds delivers alerts on the
+// calling thread, from feed()/flush(). flush() joins all threads and
+// rethrows the first worker exception, if any.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +39,12 @@
 
 namespace v6sonar::core {
 
-/// Event-delivery discipline of the parallel front ends (see the file
-/// comment). kTotal restores the serial total order through a merger
-/// thread; kSharded keeps events on their worker and rendezvouses
-/// only at flush.
-enum class OrderMode { kTotal, kSharded };
+/// Kept only because perfbench/pbtool.cpp names it when it constructs
+/// a ParallelIds, and perfbench changes only with the benchmark
+/// definition. Sharded ownership is the one mode left; ParallelIds
+/// accepts and ignores this argument. The next benchmark change drops
+/// both.
+enum class OrderMode { kSharded };
 
 struct ParallelConfig {
   /// Worker threads (shards). 0 = one per hardware thread.
@@ -61,20 +53,13 @@ struct ParallelConfig {
   /// Must be at least 8 — the ring's own capacity floor; pipeline
   /// constructors throw std::invalid_argument on smaller values.
   std::size_t ring_capacity = 1 << 14;
-  /// Broadcast a clock tick to every shard after this much stream
-  /// time, so shards that receive no traffic still advance and the
-  /// merger's reorder buffer stays bounded. 0 = one detection timeout.
-  sim::TimeUs tick_interval_us = 0;
 };
 
 /// Sharded equivalent of one ScanDetector (optionally fronted by the
-/// §2.1 artifact filter): same events, same order, N cores.
+/// §2.1 artifact filter): the same events, N cores.
 class ParallelScanPipeline {
  public:
-  /// Legacy callable sink; wrapped in a FunctionSink internally.
-  using EventFn = ScanDetector::EventFn;
-
-  /// Sharded-ownership sink factory: called once per shard, on the
+  /// Per-shard sink factory: called once per shard, on the
   /// constructing thread, before any worker starts. The returned sink
   /// is borrowed (must outlive the pipeline), receives that shard's
   /// events on the worker thread in the shard's serial order, and is
@@ -82,31 +67,14 @@ class ParallelScanPipeline {
   /// chains after ParallelScanPipeline::flush() returns.
   using ShardSinkFactory = std::function<EventSink&(std::size_t shard)>;
 
-  /// Plain sharded detection. `sink` is borrowed (must outlive the
-  /// pipeline), receives events on the internal merger thread, and is
-  /// never flush()ed by the pipeline — flush it after
-  /// ParallelScanPipeline::flush() returns.
+  /// Plain sharded detection.
   ParallelScanPipeline(const DetectorConfig& config, const ParallelConfig& parallel,
-                       EventSink& sink);
+                       ShardSinkFactory per_shard);
 
   /// Sharded ArtifactFilter -> ScanDetector chain. Each shard filters
   /// its own sources (the 5-duplicate rule is per-source, so per-shard
   /// filtering decides exactly as the serial filter does); per-day
   /// filter statistics are summed across shards.
-  ParallelScanPipeline(const DetectorConfig& config, const ArtifactFilterConfig& filter,
-                       const ParallelConfig& parallel, EventSink& sink);
-
-  /// Legacy adapters: wrap `fn` in an owned FunctionSink.
-  ParallelScanPipeline(const DetectorConfig& config, const ParallelConfig& parallel, EventFn fn);
-  ParallelScanPipeline(const DetectorConfig& config, const ArtifactFilterConfig& filter,
-                       const ParallelConfig& parallel, EventFn fn);
-
-  /// Sharded-ownership mode (OrderMode::kSharded): no merger thread;
-  /// each worker drives its own sink from `per_shard`. Event total
-  /// order across shards is relaxed — pair with mergeable sinks
-  /// (analysis::Analyzer) when downstream output must match serial.
-  ParallelScanPipeline(const DetectorConfig& config, const ParallelConfig& parallel,
-                       ShardSinkFactory per_shard);
   ParallelScanPipeline(const DetectorConfig& config, const ArtifactFilterConfig& filter,
                        const ParallelConfig& parallel, ShardSinkFactory per_shard);
 
@@ -128,25 +96,41 @@ class ParallelScanPipeline {
   /// Feed a whole batch (same contract). The feeder partitions the
   /// batch into per-shard runs and publishes each run to its ring with
   /// a single producer release — identical per-ring sequences to
-  /// feeding one record at a time, so the output (order included) is
-  /// unchanged; only the synchronization per record is cheaper.
+  /// feeding one record at a time; only the synchronization per record
+  /// is cheaper.
   void feed_batch(std::span<const sim::LogRecord> batch);
 
   /// Close the shards, join all threads, rethrow any worker/sink
-  /// error. The sink has received every event once this returns.
+  /// error. Every shard sink has received all its events once this
+  /// returns. Every shard's detector ends at the serial detector's
+  /// final clock (the last record in plain mode, the last record any
+  /// shard's filter released in filtered mode) before it flushes, so
+  /// each shard times out and flushes exactly the events the serial
+  /// detector would.
   void flush();
 
-  /// Checkpoint rendezvous (sharded-ownership mode only): publish any
-  /// staged records, push a barrier through every shard's ring, and
-  /// run `fn(shard, detector, filter)` on each worker thread once that
-  /// worker has consumed everything fed before the barrier. Blocks the
-  /// feeding thread until every shard has run the visitor, then
-  /// rethrows the first visitor exception, if any. Used both to save
-  /// per-shard state mid-stream (checkpoint) and to load it before the
-  /// first record (resume). Throws std::logic_error in total-order
-  /// mode — the merger holds in-flight events there, so a quiesced
-  /// point that captures all state does not exist — and after flush().
+  /// Checkpoint rendezvous: publish any staged records, push a barrier
+  /// through every shard's ring, and run `fn(shard, detector, filter)`
+  /// on each worker thread once that worker has consumed everything
+  /// fed before the barrier. Blocks the feeding thread until every
+  /// shard has run the visitor, then rethrows the first visitor
+  /// exception, if any. Used both to save per-shard state mid-stream
+  /// (checkpoint) and to load it before the first record (resume).
+  /// Throws std::logic_error after flush().
   void with_shard_state(const ShardStateFn& fn);
+
+  /// Pulls shard `shard`'s next event, in the order its sink received
+  /// them, into `out`; returns false once that shard has no more.
+  using ShardEventPull = std::function<bool(std::size_t shard, ScanEvent& out)>;
+
+  /// After flush(): stream the serial detector's event order into
+  /// `out`, rebuilt from the per-shard streams `pull` yields. Each
+  /// shard's stream is its timed-out run in (last_us, source) order,
+  /// then its flushed run in source order, split exactly where the
+  /// serial detector splits (see flush()). So the serial stream is a
+  /// k-way merge of the timed-out runs by (last_us, source), then of
+  /// the flushed runs by source. Holds one event per shard at a time.
+  void merge_shard_events(const ShardEventPull& pull, EventSink& out) const;
 
   [[nodiscard]] int threads() const noexcept;
   /// Records fed into the pipeline (pre-filter).
@@ -162,38 +146,41 @@ class ParallelScanPipeline {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Sharded equivalent of StreamingIds: the ladder detectors shard by
-/// the coarsest ladder prefix. In total-order mode the periodic
-/// attribution pass runs on the merger thread at exactly the serial
-/// trigger points, and the alert stream (order, is_new flags,
-/// timestamps) is identical. In sharded mode workers accumulate their
-/// slim events privately and one attribution pass runs at flush():
-/// the final blocklist() is identical to serial, but the mid-stream
-/// alert cadence is traded away — every alert is emitted from the
-/// single flush-time pass.
+/// Sharded equivalent of StreamingIds. The ladder detectors shard by
+/// the coarsest ladder prefix, and attribution never looks across one
+/// (core::Attributor), so each worker runs its own IdsCore over its
+/// prefixes. At every serial pass trigger the feeder puts a pass tick
+/// into every ring; each worker attributes its dirty groups on it and
+/// hands the pass's alerts back without waiting. Once every shard has
+/// finished a pass, feed()/flush() merge its alerts by prefix — the
+/// serial alert order — and deliver them to the sink on the calling
+/// thread. Alerts (order, is_new flags, timestamps) and the blocklist
+/// are identical to StreamingIds.
 class ParallelIds {
  public:
-  using AlertSink = AlertTracker::AlertSink;
+  using AlertSink = core::AlertSink;
 
+  /// `order` is ignored (see OrderMode).
   ParallelIds(const IdsConfig& config, const ParallelConfig& parallel, AlertSink sink,
-              OrderMode order = OrderMode::kTotal);
+              OrderMode order = OrderMode::kSharded);
 
   ~ParallelIds();
   ParallelIds(const ParallelIds&) = delete;
   ParallelIds& operator=(const ParallelIds&) = delete;
 
   void feed(const sim::LogRecord& r);
-  /// Batched feed; same output (attribution barriers trigger at the
-  /// same records) with per-shard run publication as in
+  /// Batched feed; same output (pass ticks follow the same records)
+  /// with per-shard run publication as in
   /// ParallelScanPipeline::feed_batch.
   void feed_batch(std::span<const sim::LogRecord> batch);
   void flush();
 
   [[nodiscard]] int threads() const noexcept;
-  /// Final blocklist. Only valid after flush() — the merger thread
-  /// mutates the tracker during barrier passes before that, so this
-  /// throws std::logic_error on a pre-flush call instead of racing.
-  [[nodiscard]] const std::vector<Attribution>& blocklist() const;
+  /// Final blocklist in prefix order: the union of the shards'
+  /// blocklists. Only valid after flush() — the workers own their
+  /// attributors before that, so this throws std::logic_error on a
+  /// pre-flush call instead of racing.
+  [[nodiscard]] std::vector<Attribution> blocklist() const;
 
  private:
   struct Impl;

@@ -10,9 +10,10 @@ namespace v6sonar::core {
 
 namespace {
 
-/// IDS telemetry (names in docs/OBSERVABILITY.md). AlertTracker is the
-/// state machine both the serial and the sharded front ends funnel
-/// through, so counting here covers StreamingIds and ParallelIds alike.
+/// IDS telemetry (names in docs/OBSERVABILITY.md). Alerts and pass
+/// timings are counted in the Attributor, which both the serial and
+/// the sharded front ends run; logical passes are counted by the
+/// front ends through note_ids_pass().
 struct IdsMetrics {
   util::metrics::Counter passes{"ids.reattribution.passes"};
   util::metrics::Counter alerts{"ids.alerts.total"};
@@ -47,56 +48,181 @@ ScanEvent slim_scan_event(const ScanEvent& ev) {
   return slim;
 }
 
-void AlertTracker::update(std::vector<Attribution> attributions, sim::TimeUs now,
-                          const AlertSink& sink) {
+void note_ids_pass(std::size_t blocklist_size) {
   im().passes.add();
-  blocklist_ = std::move(attributions);
-  im().blocklist_size.note(blocklist_.size());
-  for (const auto& a : blocklist_) {
-    const auto it = alerted_.find(a.source);
-    if (it != alerted_.end() && it->second == a.level) continue;  // already known
-    IdsAlert alert;
-    alert.attribution = a;
-    alert.at_us = now;
-    // Escalation: a previously alerted finer prefix is now covered by
-    // this coarser attribution.
-    bool covers_known = false;
-    for (const auto& [prefix, level] : alerted_)
-      covers_known |= a.source != prefix && a.source.contains(prefix);
-    alert.is_new = !covers_known && it == alerted_.end();
-    alerted_[a.source] = a.level;
-    im().alerts.add();
-    (alert.is_new ? im().alerts_new : im().alerts_escalated).add();
-    sink(alert);
-  }
+  im().blocklist_size.note(blocklist_size);
 }
 
-void AlertTracker::run_pass(const std::vector<std::vector<ScanEvent>>& events_per_level,
-                            const AdaptiveConfig& adaptive, sim::TimeUs now,
-                            const AlertSink& sink) {
+// ------------------------------------------------------------------ //
+
+Attributor::Attributor(const AdaptiveConfig& config) : config_(config) {
+  validate_ladder(config_);
+  levels_.resize(config_.ladder.size());
+}
+
+void Attributor::add(std::size_t level, const ScanEvent& ev) {
+  fold_event(levels_[level], ev);
+  dirty_.insert(group_of(ev.source));
+}
+
+void Attributor::pass(sim::TimeUs now, const AlertSink& sink) {
   const auto t0 = std::chrono::steady_clock::now();
-  update(attribute_adaptive(events_per_level, adaptive), now, sink);
+  std::vector<TallyRange> ranges(levels_.size());
+  std::vector<Attribution> fresh;
+  for (const net::Ipv6Prefix& group : dirty_) {
+    // A group's tallies are one contiguous run per level: prefixes
+    // order by address first, and the group covers one address range.
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      const auto lo = levels_[l].lower_bound(group);
+      auto hi = lo;
+      while (hi != levels_[l].end() && group.contains(hi->first)) ++hi;
+      ranges[l] = TallyRange(lo, hi);
+    }
+    fresh.clear();
+    attribute_tallies(ranges, config_, fresh);
+    if (sink)
+      for (const auto& a : fresh) alert(a, now, sink);
+    auto& slot = attributed_[group];
+    attributed_count_ = attributed_count_ - slot.size() + fresh.size();
+    if (fresh.empty())
+      attributed_.erase(group);
+    else
+      slot = fresh;
+  }
+  dirty_.clear();
   im().attribute_us.observe(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t0)
           .count()));
 }
 
+void Attributor::alert(const Attribution& a, sim::TimeUs now, const AlertSink& sink) {
+  const auto it = alerted_.find(a.source);
+  if (it != alerted_.end() && it->second == a.level) return;  // already known
+  // Escalation: a previously alerted finer prefix is now covered by
+  // this coarser attribution. Prefixes order by address, then length,
+  // so everything a prefix covers sorts right after it: the next
+  // alerted entry decides.
+  const auto next = alerted_.upper_bound(a.source);
+  const bool covers_known = next != alerted_.end() && a.source.contains(next->first);
+  IdsAlert alert;
+  alert.attribution = a;
+  alert.at_us = now;
+  alert.is_new = !covers_known && it == alerted_.end();
+  alerted_[a.source] = a.level;
+  im().alerts.add();
+  (alert.is_new ? im().alerts_new : im().alerts_escalated).add();
+  sink(alert);
+}
+
+std::vector<Attribution> Attributor::blocklist() const {
+  std::vector<Attribution> out;
+  out.reserve(attributed_count_);
+  for (const auto& [group, attributions] : attributed_)
+    out.insert(out.end(), attributions.begin(), attributions.end());
+  return out;
+}
+
+void Attributor::save_level(util::StateWriter& w, std::size_t level) const {
+  w.u64(levels_[level].size());
+  for (const auto& [source, tally] : levels_[level]) {
+    ScanEvent folded;
+    folded.source = source;
+    folded.packets = tally.packets;
+    folded.src_asn = tally.asn;
+    save_scan_event(w, folded);
+  }
+}
+
+void Attributor::load_level(util::StateReader& r, std::size_t level) {
+  const std::uint64_t n = r.count(47);
+  for (std::uint64_t i = 0; i < n; ++i) add(level, load_scan_event(r));
+}
+
+void Attributor::save_alerts(util::StateWriter& w) const {
+  w.u64(attributed_count_);
+  for (const auto& [group, attributions] : attributed_)
+    for (const auto& a : attributions) save_attribution(w, a);
+  // std::map iterates in key order, so this part is deterministic.
+  w.u64(alerted_.size());
+  for (const auto& [prefix, level] : alerted_) {
+    save_prefix(w, prefix);
+    w.i32(level);
+  }
+}
+
+void Attributor::load_alerts(util::StateReader& r) {
+  const std::uint64_t n_block = r.count(41);
+  for (std::uint64_t i = 0; i < n_block; ++i) {
+    const Attribution a = load_attribution(r);
+    attributed_[group_of(a.source)].push_back(a);
+    ++attributed_count_;
+  }
+  const std::uint64_t n_alerted = r.count(24);
+  for (std::uint64_t i = 0; i < n_alerted; ++i) {
+    const net::Ipv6Prefix prefix = load_prefix(r);
+    alerted_[prefix] = r.i32();
+  }
+}
+
+// ------------------------------------------------------------------ //
+
+IdsCore::IdsCore(const IdsConfig& config) : attributor_(config.adaptive) {
+  for (std::size_t i = 0; i < config.adaptive.ladder.size(); ++i)
+    detectors_.push_back(std::make_unique<ScanDetector>(
+        ladder_detector_config(config, i),
+        [this, i](ScanEvent&& ev) {
+          ++events_;
+          attributor_.add(i, ev);
+        }));
+}
+
+void IdsCore::feed(const sim::LogRecord& r) {
+  for (auto& d : detectors_) d->feed(r);
+}
+
+void IdsCore::feed_batch(std::span<const sim::LogRecord> batch) {
+  // Detectors are independent, so feeding d1 the whole batch before d2
+  // produces the same per-level event streams as interleaving record
+  // by record.
+  for (auto& d : detectors_) d->feed_batch(batch);
+}
+
+void IdsCore::advance(sim::TimeUs now) {
+  for (auto& d : detectors_) d->advance(now);
+}
+
+void IdsCore::flush() {
+  for (auto& d : detectors_) d->flush();
+}
+
+void IdsCore::save(util::StateWriter& w) const {
+  for (std::size_t i = 0; i < detectors_.size(); ++i) {
+    detectors_[i]->save(w);
+    attributor_.save_level(w, i);
+  }
+  attributor_.save_alerts(w);
+}
+
+void IdsCore::load(util::StateReader& r) {
+  for (std::size_t i = 0; i < detectors_.size(); ++i) {
+    detectors_[i]->load(r);
+    attributor_.load_level(r, i);
+  }
+  attributor_.load_alerts(r);
+}
+
+// ------------------------------------------------------------------ //
+
 StreamingIds::StreamingIds(const IdsConfig& config, AlertSink sink)
-    : config_(config), sink_(std::move(sink)) {
+    : config_(config), sink_(std::move(sink)), core_(config_) {
   if (!sink_) throw std::invalid_argument("StreamingIds: null sink");
   if (config_.reattribution_period_us <= 0)
     throw std::invalid_argument("StreamingIds: bad reattribution period");
-  events_.resize(config_.adaptive.ladder.size());
-  for (std::size_t i = 0; i < config_.adaptive.ladder.size(); ++i) {
-    detectors_.push_back(std::make_unique<ScanDetector>(
-        ladder_detector_config(config_, i),
-        [this, i](ScanEvent&& ev) { events_[i].push_back(std::move(ev)); }));
-  }
 }
 
 void StreamingIds::feed(const sim::LogRecord& r) {
   if (next_pass_us_ == 0) next_pass_us_ = r.ts_us + config_.reattribution_period_us;
-  for (auto& d : detectors_) d->feed(r);
+  core_.feed(r);
   if (r.ts_us >= next_pass_us_) {
     reattribute(r.ts_us);
     next_pass_us_ = r.ts_us + config_.reattribution_period_us;
@@ -108,9 +234,7 @@ void StreamingIds::feed_batch(std::span<const sim::LogRecord> batch) {
   // triggering record is fed to every detector and before the next
   // record is fed to any, exactly as the record-at-a-time loop does.
   // Records within a slice never trigger, so each slice can take the
-  // detectors' batched fast path. Detectors are independent, so
-  // feeding d1 the whole slice before d2 produces the same per-level
-  // event streams as interleaving record by record.
+  // detectors' batched fast path.
   while (!batch.empty()) {
     if (next_pass_us_ == 0) next_pass_us_ = batch[0].ts_us + config_.reattribution_period_us;
     std::size_t cut = batch.size();
@@ -120,8 +244,7 @@ void StreamingIds::feed_batch(std::span<const sim::LogRecord> batch) {
         break;
       }
     }
-    const std::span<const sim::LogRecord> slice = batch.first(cut);
-    for (auto& d : detectors_) d->feed_batch(slice);
+    core_.feed_batch(batch.first(cut));
     if (batch[cut - 1].ts_us >= next_pass_us_) {
       reattribute(batch[cut - 1].ts_us);
       next_pass_us_ = batch[cut - 1].ts_us + config_.reattribution_period_us;
@@ -131,34 +254,13 @@ void StreamingIds::feed_batch(std::span<const sim::LogRecord> batch) {
 }
 
 void StreamingIds::flush() {
-  for (auto& d : detectors_) d->flush();
+  core_.flush();
   reattribute(next_pass_us_);
 }
 
 void StreamingIds::reattribute(sim::TimeUs now) {
-  tracker_.run_pass(events_, config_.adaptive, now, sink_);
-}
-
-void AlertTracker::save(util::StateWriter& w) const {
-  w.u64(blocklist_.size());
-  for (const auto& a : blocklist_) save_attribution(w, a);
-  // std::map iterates in key order, so this part is deterministic.
-  w.u64(alerted_.size());
-  for (const auto& [prefix, level] : alerted_) {
-    save_prefix(w, prefix);
-    w.i32(level);
-  }
-}
-
-void AlertTracker::load(util::StateReader& r) {
-  const std::uint64_t n_block = r.count(41);
-  blocklist_.reserve(static_cast<std::size_t>(n_block));
-  for (std::uint64_t i = 0; i < n_block; ++i) blocklist_.push_back(load_attribution(r));
-  const std::uint64_t n_alerted = r.count(24);
-  for (std::uint64_t i = 0; i < n_alerted; ++i) {
-    const net::Ipv6Prefix prefix = load_prefix(r);
-    alerted_[prefix] = r.i32();
-  }
+  core_.attributor().pass(now, sink_);
+  note_ids_pass(core_.attributor().blocklist_size());
 }
 
 void StreamingIds::save(util::StateWriter& w) const {
@@ -170,12 +272,7 @@ void StreamingIds::save(util::StateWriter& w) const {
   w.i64(config_.timeout_us);
   w.i64(config_.reattribution_period_us);
   w.i64(next_pass_us_);
-  for (std::size_t i = 0; i < detectors_.size(); ++i) {
-    detectors_[i]->save(w);
-    w.u64(events_[i].size());
-    for (const auto& ev : events_[i]) save_scan_event(w, ev);
-  }
-  tracker_.save(w);
+  core_.save(w);
 }
 
 void StreamingIds::load(util::StateReader& r) {
@@ -194,13 +291,7 @@ void StreamingIds::load(util::StateReader& r) {
               r.i64() == config_.reattribution_period_us;
   if (!config_ok) throw std::runtime_error("StreamingIds::load: configuration mismatch");
   next_pass_us_ = r.i64();
-  for (std::size_t i = 0; i < detectors_.size(); ++i) {
-    detectors_[i]->load(r);
-    const std::uint64_t n_events = r.count(47);
-    events_[i].reserve(static_cast<std::size_t>(n_events));
-    for (std::uint64_t e = 0; e < n_events; ++e) events_[i].push_back(load_scan_event(r));
-  }
-  tracker_.load(r);
+  core_.load(r);
   // No expect_end(): the outermost section consumer asserts it.
 }
 

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -47,45 +48,110 @@ struct IdsAlert {
 /// events arrive as slim as slim_scan_event() would make them.
 [[nodiscard]] DetectorConfig ladder_detector_config(const IdsConfig& config, std::size_t level);
 
-/// Strip a scan event down to the fields the attribution pass reads
-/// (source/times/packets/dsts/asn), for callers that attribute the
-/// events of full detectors (the daemon): those carry heavy per-port
-/// and per-week vectors that attribution never looks at.
+/// Strip a scan event down to the source, times, packets, destination
+/// count and ASN, for callers that collect the events of full
+/// detectors for attribution: those carry heavy per-port and per-week
+/// vectors that attribution never looks at.
 [[nodiscard]] ScanEvent slim_scan_event(const ScanEvent& ev);
 
-/// The alert-diff state machine shared by the serial and the sharded
-/// IDS front ends: given a fresh attribution set, emit one IdsAlert
-/// per prefix that is new or escalated since the previous pass, and
-/// remember the current blocklist.
-class AlertTracker {
+using AlertSink = std::function<void(const IdsAlert&)>;
+
+/// Count one logical attribution pass and note the blocklist size it
+/// left (ids.reattribution.passes, ids.blocklist.size_hw). The front
+/// ends call it once per pass; ParallelIds, whose shards each run
+/// their part of the pass, calls it once with the summed size.
+void note_ids_pass(std::size_t blocklist_size);
+
+/// Incremental adaptive attribution plus the alert diff. Events fold
+/// into per-(level, source) tallies as they arrive (fold_event), and
+/// the coarsest-rung prefix (/32) each falls under is marked dirty. A
+/// pass re-runs attribute_tallies() over each dirty group alone, in
+/// prefix order: attribution never looks across a coarsest-rung
+/// prefix, and a group with no new events re-derives attributions
+/// that were all alerted already, so this is exactly the full refold
+/// of attribute_adaptive() followed by the full-list diff.
+class Attributor {
  public:
-  using AlertSink = std::function<void(const IdsAlert&)>;
+  /// Throws std::invalid_argument on a bad ladder (validate_ladder).
+  explicit Attributor(const AdaptiveConfig& config);
 
-  /// Diff `attributions` against everything alerted so far.
-  void update(std::vector<Attribution> attributions, sim::TimeUs now, const AlertSink& sink);
+  /// Fold one event detected at ladder level `level`.
+  void add(std::size_t level, const ScanEvent& ev);
 
-  /// One attribution pass: attribute_adaptive() over the per-level
-  /// events, then update(). Timed as one `ids.attribute_us` sample.
-  void run_pass(const std::vector<std::vector<ScanEvent>>& events_per_level,
-                const AdaptiveConfig& adaptive, sim::TimeUs now, const AlertSink& sink);
+  /// One attribution pass at stream time `now`. With a `sink`, emits
+  /// one IdsAlert per prefix that is new or escalated to a coarser
+  /// level since it was last alerted, in prefix order; without one,
+  /// only the blocklist is refreshed. Timed as one ids.attribute_us
+  /// sample.
+  void pass(sim::TimeUs now, const AlertSink& sink);
 
-  [[nodiscard]] const std::vector<Attribution>& blocklist() const noexcept {
-    return blocklist_;
+  /// The attribution set as of the last pass, in prefix order.
+  [[nodiscard]] std::vector<Attribution> blocklist() const;
+  [[nodiscard]] std::size_t blocklist_size() const noexcept { return attributed_count_; }
+
+  /// Checkpoint pieces. A level saves as one folded event per source
+  /// (its packet sum and last ASN, the only fields attribution reads)
+  /// in the event-list layout; loading folds whatever list it finds,
+  /// so a list of unfolded events loads to the same tallies. Loaded
+  /// sources mark their groups dirty.
+  void save_level(util::StateWriter& w, std::size_t level) const;
+  void load_level(util::StateReader& r, std::size_t level);
+  /// The blocklist and the already-alerted map, so a resumed IDS does
+  /// not re-alert known actors.
+  void save_alerts(util::StateWriter& w) const;
+  void load_alerts(util::StateReader& r);
+
+ private:
+  [[nodiscard]] net::Ipv6Prefix group_of(const net::Ipv6Prefix& source) const noexcept {
+    return source.parent(config_.ladder.back());
   }
+  void alert(const Attribution& a, sim::TimeUs now, const AlertSink& sink);
 
-  /// Freeze/thaw the diff state (blocklist + already-alerted map) so a
-  /// resumed IDS does not re-emit alerts for known actors.
+  AdaptiveConfig config_;
+  std::vector<LevelTally> levels_;
+  std::set<net::Ipv6Prefix> dirty_;  ///< groups with events since their last pass
+  std::map<net::Ipv6Prefix, std::vector<Attribution>> attributed_;  ///< group -> attributions
+  std::size_t attributed_count_ = 0;
+  std::map<net::Ipv6Prefix, int> alerted_;  ///< prefix -> level already alerted
+};
+
+/// The IDS core both front ends run: one summary-only detector per
+/// ladder level, each folding its events into one Attributor.
+/// StreamingIds drives it over the whole stream; each ParallelIds
+/// worker drives one over its shard of coarsest-rung prefixes.
+class IdsCore {
+ public:
+  explicit IdsCore(const IdsConfig& config);
+  IdsCore(const IdsCore&) = delete;
+  IdsCore& operator=(const IdsCore&) = delete;
+
+  /// Feed every ladder level (time-ordered, as ScanDetector).
+  void feed(const sim::LogRecord& r);
+  void feed_batch(std::span<const sim::LogRecord> batch);
+  /// Advance every level's clock: finalizes the events due before `now`.
+  void advance(sim::TimeUs now);
+  /// Finalize every in-flight event.
+  void flush();
+
+  /// Events the ladder detectors emitted (all levels).
+  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+  [[nodiscard]] Attributor& attributor() noexcept { return attributor_; }
+  [[nodiscard]] const Attributor& attributor() const noexcept { return attributor_; }
+
+  /// Per level: detector state, then its folded tallies; then the
+  /// alert state.
   void save(util::StateWriter& w) const;
   void load(util::StateReader& r);
 
  private:
-  std::vector<Attribution> blocklist_;
-  std::map<net::Ipv6Prefix, int> alerted_;  ///< prefix -> level already alerted
+  Attributor attributor_;
+  std::vector<std::unique_ptr<ScanDetector>> detectors_;
+  std::uint64_t events_ = 0;
 };
 
 class StreamingIds : public StateCodec {
  public:
-  using AlertSink = AlertTracker::AlertSink;
+  using AlertSink = core::AlertSink;
 
   StreamingIds(const IdsConfig& config, AlertSink sink);
 
@@ -104,14 +170,13 @@ class StreamingIds : public StateCodec {
   void flush();
 
   /// Current blocklist: attributed scanning prefixes at their chosen
-  /// aggregation level.
-  [[nodiscard]] const std::vector<Attribution>& blocklist() const noexcept {
-    return tracker_.blocklist();
+  /// aggregation level, in prefix order.
+  [[nodiscard]] std::vector<Attribution> blocklist() const {
+    return core_.attributor().blocklist();
   }
 
-  /// Freeze/thaw (core::StateCodec): per-level detector state, the
-  /// accumulated slim events awaiting the next attribution pass, the
-  /// alert tracker, and the pass clock.
+  /// Freeze/thaw (core::StateCodec): the configuration, the pass
+  /// clock, then the IdsCore state.
   void save(util::StateWriter& w) const override;
   void load(util::StateReader& r) override;
 
@@ -120,9 +185,7 @@ class StreamingIds : public StateCodec {
 
   IdsConfig config_;
   AlertSink sink_;
-  std::vector<std::unique_ptr<ScanDetector>> detectors_;
-  std::vector<std::vector<ScanEvent>> events_;  ///< accumulated per ladder level
-  AlertTracker tracker_;
+  IdsCore core_;
   sim::TimeUs next_pass_us_ = 0;
 };
 

@@ -195,7 +195,9 @@ struct Daemon::Impl {
   std::string ingest_error;  ///< guarded by error_mu
 
   std::vector<std::unique_ptr<Client>> clients;
-  std::vector<core::ScanEvent> slim_events;  ///< blocklist input (server thread)
+  /// Blocklist state (server thread): the IDS attributor on a
+  /// one-rung ladder at the detector's aggregation.
+  core::Attributor attributor{core::AdaptiveConfig{.ladder = {opts.detector.source_prefix_len}}};
   std::uint64_t events_seen = 0;
   bool draining = false;
 
@@ -369,7 +371,7 @@ struct Daemon::Impl {
                                                std::move(w));
           chains[s]->publisher.flush();
         });
-    deliver_events();  // barrier-pushed events -> slim_events + spill
+    deliver_events();  // barrier-pushed events -> attributor + spill
     hub.drain();       // barrier-published deltas -> master
     core::CheckpointWriter ck;
     util::StateWriter meta;
@@ -395,8 +397,7 @@ struct Daemon::Impl {
     hub.save_master(mw);
     ck.add("master", std::move(mw));
     util::StateWriter ew;
-    ew.u64(slim_events.size());
-    for (const auto& ev : slim_events) core::save_scan_event(ew, ev);
+    attributor.save_level(ew, 0);
     ck.add("events", std::move(ew));
     ck.commit(path);
     server_metrics().checkpoints.add();
@@ -423,18 +424,15 @@ struct Daemon::Impl {
     hub.restore_master(mr);
     mr.expect_end();
     auto er = ck.section("events");
-    const std::uint64_t n = er.count(47);
-    slim_events.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-      slim_events.push_back(core::load_scan_event(er));
+    attributor.load_level(er, 0);
     er.expect_end();
     ingested.store(meta_ingested, std::memory_order_relaxed);
     events_seen = meta_events_seen;
   }
 
   [[nodiscard]] std::string render_blocklist_now() {
-    const core::AdaptiveConfig cfg{.ladder = {opts.detector.source_prefix_len}};
-    return analysis::render_blocklist(core::attribute_adaptive({slim_events}, cfg));
+    attributor.pass(0, {});  // re-attributes only the sources with new events
+    return analysis::render_blocklist(attributor.blocklist());
   }
 
   /// Periodic pass (poll-loop housekeeping): recompute the cached
@@ -725,7 +723,7 @@ struct Daemon::Impl {
           try_send(*c);
         }
       }
-      slim_events.push_back(core::slim_scan_event(ev));
+      attributor.add(0, ev);
       if (spill) spill->on_event(std::move(ev));  // last use
     }
   }

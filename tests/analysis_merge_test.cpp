@@ -2,7 +2,7 @@
 // stream split into N parts through N analyzers and merge()ing them
 // must produce results identical to feeding one analyzer the whole
 // stream — the property the sharded-ownership pipeline mode
-// (core/parallel_pipeline, OrderMode::kSharded) relies on to recover
+// (core/parallel_pipeline, per-shard sinks) relies on to recover
 // serial reports at flush. Checked across split points (empty, single
 // event, thirds, halves), across multi-way partitions (contiguous,
 // per-source hash as the pipeline shards, round-robin interleave), and

@@ -15,6 +15,7 @@
 #include "core/streaming_ids.hpp"
 #include "util/rng.hpp"
 #include "util/timebase.hpp"
+#include "shard_collector.hpp"
 
 namespace v6sonar::core {
 namespace {
@@ -180,14 +181,13 @@ TEST(BatchFeed, ParallelScanPipelineMatchesSerialAcrossBatchSizes) {
 
   for (const int threads : {1, 2, 3, 8}) {
     for (const std::size_t batch : kBatchSizes) {
-      std::vector<ScanEvent> events;
-      ParallelScanPipeline pipe(cfg, {.threads = threads},
-                                [&](ScanEvent&& ev) { events.push_back(std::move(ev)); });
+      testing::ShardCollector shards;
+      ParallelScanPipeline pipe(cfg, {.threads = threads}, shards.factory());
       feed_in_batches(records, batch, [&](std::span<const sim::LogRecord> s) {
         pipe.feed_batch(s);
       });
       pipe.flush();
-      EXPECT_TRUE(events == serial) << threads << " threads, batch size " << batch;
+      EXPECT_TRUE(shards.merged(pipe) == serial) << threads << " threads, batch size " << batch;
     }
   }
 }
@@ -204,9 +204,8 @@ TEST(BatchFeed, ParallelPipelineMixedFeedAndFeedBatch) {
     det.flush();
   }
 
-  std::vector<ScanEvent> events;
-  ParallelScanPipeline pipe(cfg, {.threads = 3},
-                            [&](ScanEvent&& ev) { events.push_back(std::move(ev)); });
+  testing::ShardCollector shards;
+  ParallelScanPipeline pipe(cfg, {.threads = 3}, shards.factory());
   const std::span<const sim::LogRecord> all(records);
   std::size_t i = 0;
   for (std::size_t run = 1; i < all.size(); run = run % 97 + 13) {
@@ -218,7 +217,7 @@ TEST(BatchFeed, ParallelPipelineMixedFeedAndFeedBatch) {
     i += n;
   }
   pipe.flush();
-  EXPECT_TRUE(events == serial);
+  EXPECT_TRUE(shards.merged(pipe) == serial);
 }
 
 TEST(BatchFeed, StreamingIdsAndParallelIdsMatchRecordAtATime) {

@@ -385,15 +385,6 @@ TEST(CheckpointResume, ShardedPipelineAcrossThreadCounts) {
   }
 }
 
-TEST(CheckpointResume, TotalOrderModeRefusesShardState) {
-  std::vector<ScanEvent> sink;
-  ParallelScanPipeline p(detector_config(), ParallelConfig{.threads = 2, .ring_capacity = 64},
-                         [&](ScanEvent&& ev) { sink.push_back(std::move(ev)); });
-  EXPECT_THROW(
-      p.with_shard_state([](std::size_t, ScanDetector&, ArtifactFilter*) {}),
-      std::logic_error);
-}
-
 TEST(CheckpointResume, LoadRejectsMismatchedConfigAndFedInstances) {
   const auto recs = workload();
   util::StateWriter w;

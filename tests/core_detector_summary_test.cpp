@@ -4,8 +4,9 @@
 // emit the same events, in the same order, as a full detector in every
 // field attribution reads (source, first_us, last_us, packets,
 // src_asn). Its state must load from a full-mode save and vice versa,
-// and StreamingIds built on it must alert exactly like a reference IDS
-// built from full detectors + slim_scan_event + attribute_adaptive.
+// and StreamingIds built on it must alert exactly like the IDS oracle
+// (tests/ids_oracle.hpp: full detectors + slim_scan_event +
+// attribute_adaptive).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/state_io.hpp"
+#include "ids_oracle.hpp"
 
 namespace v6sonar::core {
 namespace {
@@ -302,46 +304,6 @@ TEST(SummaryOnly, LoadsFullModeStateAndFinishesIdentically) {
   }
 }
 
-/// The IDS as it ran before the ladder went summary-only: full
-/// detectors, events slimmed on arrival, attribute_adaptive at the
-/// same pass cadence as StreamingIds::feed().
-class ReferenceIds {
- public:
-  ReferenceIds(const IdsConfig& cfg, AlertTracker::AlertSink sink)
-      : cfg_(cfg), sink_(std::move(sink)), events_(cfg.adaptive.ladder.size()) {
-    for (std::size_t i = 0; i < cfg.adaptive.ladder.size(); ++i)
-      detectors_.push_back(std::make_unique<ScanDetector>(
-          DetectorConfig{.source_prefix_len = cfg.adaptive.ladder[i],
-                         .min_destinations = cfg.min_destinations,
-                         .timeout_us = cfg.timeout_us},
-          [this, i](ScanEvent&& ev) { events_[i].push_back(slim_scan_event(ev)); }));
-  }
-
-  void feed(const LogRecord& r) {
-    if (next_pass_ == 0) next_pass_ = r.ts_us + cfg_.reattribution_period_us;
-    for (auto& d : detectors_) d->feed(r);
-    if (r.ts_us >= next_pass_) {
-      tracker_.update(attribute_adaptive(events_, cfg_.adaptive), r.ts_us, sink_);
-      next_pass_ = r.ts_us + cfg_.reattribution_period_us;
-    }
-  }
-
-  void flush() {
-    for (auto& d : detectors_) d->flush();
-    tracker_.update(attribute_adaptive(events_, cfg_.adaptive), next_pass_, sink_);
-  }
-
-  [[nodiscard]] const std::vector<Attribution>& blocklist() const { return tracker_.blocklist(); }
-
- private:
-  IdsConfig cfg_;
-  AlertTracker::AlertSink sink_;
-  std::vector<std::unique_ptr<ScanDetector>> detectors_;
-  std::vector<std::vector<ScanEvent>> events_;
-  AlertTracker tracker_;
-  TimeUs next_pass_ = 0;
-};
-
 TEST(SummaryOnly, StreamingIdsMatchesFullDetectorReference) {
   IdsConfig cfg;
   cfg.min_destinations = 20;
@@ -350,7 +312,7 @@ TEST(SummaryOnly, StreamingIdsMatchesFullDetectorReference) {
   for (const std::uint64_t seed : {41, 42}) {
     const auto records = random_traffic(seed, 40'000);
     std::vector<IdsAlert> expected;
-    ReferenceIds reference(cfg, [&](const IdsAlert& a) { expected.push_back(a); });
+    testing::OracleIds reference(cfg, [&](const IdsAlert& a) { expected.push_back(a); });
     for (const auto& r : records) reference.feed(r);
     reference.flush();
     ASSERT_FALSE(expected.empty()) << "seed " << seed << " raised no alerts";

@@ -17,6 +17,7 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/timebase.hpp"
+#include "shard_collector.hpp"
 
 namespace v6sonar::core {
 namespace {
@@ -177,9 +178,11 @@ TEST_F(CoreMetricsTest, ParallelPipelineReportsShardTelemetry) {
   pc.threads = 4;
   std::size_t events = 0;
   {
-    ParallelScanPipeline pipe(det_config(), pc, [&](ScanEvent&&) { ++events; });
+    testing::ShardCollector shards;
+    ParallelScanPipeline pipe(det_config(), pc, shards.factory());
     pipe.feed_batch(records);
     pipe.flush();
+    events = shards.merged(pipe).size();
   }
 
   const auto snap = m::snapshot();
@@ -193,16 +196,17 @@ TEST_F(CoreMetricsTest, ParallelPipelineReportsShardTelemetry) {
   EXPECT_GT(snap.gauge_max_of("pipeline.shard"), 0u);
   // Aggregate ring counters were registered (values workload-dependent).
   EXPECT_TRUE(snap.counter("pipeline.in_ring.producer_blocked").has_value());
-  EXPECT_TRUE(snap.counter("pipeline.out_ring.producer_parks").has_value());
-  EXPECT_TRUE(snap.gauge("pipeline.merger.queue_depth_hw").has_value());
+  EXPECT_TRUE(snap.counter("pipeline.in_ring.producer_parks").has_value());
   // The workers' private detectors route through the same counters.
   EXPECT_GT(counter(snap, "detector.events.emitted"), 0u);
   EXPECT_EQ(counter(snap, "detector.events.emitted"), events);
 }
 
 TEST_F(CoreMetricsTest, IdsAttributionTimerSamplesEveryPass) {
-  // One ids.attribute_us sample per attribution pass, in the serial
-  // front end and in both ParallelIds order modes.
+  // ids.reattribution.passes counts logical passes, in the serial and
+  // the sharded front end alike; ids.attribute_us takes one sample per
+  // pass in the serial front end, and one per shard per pass in
+  // ParallelIds, where every shard attributes its own prefixes.
   IdsConfig cfg;
   cfg.min_destinations = 3;
   cfg.timeout_us = 900 * kSec;
@@ -222,14 +226,13 @@ TEST_F(CoreMetricsTest, IdsAttributionTimerSamplesEveryPass) {
   EXPECT_EQ(passes, 7u);  // at 600, 1200, ..., 3600 s, plus the flush pass
   EXPECT_EQ(samples(), passes);
 
-  for (const OrderMode order : {OrderMode::kTotal, OrderMode::kSharded}) {
+  for (const int threads : {1, 2, 3}) {
     m::reset();
-    ParallelIds ids(cfg, {.threads = 2}, [](const IdsAlert&) {}, order);
+    ParallelIds ids(cfg, {.threads = threads}, [](const IdsAlert&) {});
     ids.feed_batch(recs);
     ids.flush();
-    const std::uint64_t n = counter(m::snapshot(), "ids.reattribution.passes");
-    EXPECT_EQ(n, order == OrderMode::kTotal ? passes : 1u);
-    EXPECT_EQ(samples(), n);
+    EXPECT_EQ(counter(m::snapshot(), "ids.reattribution.passes"), passes) << threads << " threads";
+    EXPECT_EQ(samples(), passes * static_cast<std::uint64_t>(threads)) << threads << " threads";
   }
 }
 

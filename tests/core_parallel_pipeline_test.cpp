@@ -1,17 +1,15 @@
 // Determinism tests for the sharded pipeline: across 1/2/3/8 worker
 // threads, every front end must produce byte-identical output —
 // events, ordering, filter statistics, IDS alerts — to its serial
-// counterpart on a seeded multi-day workload. Total-order mode must
-// match event for event; sharded-ownership mode must recover the
-// serial event multiset and byte-identical rendered reports through
-// analyzer merges.
+// counterpart on a seeded multi-day workload. Per-shard event streams
+// merged by the library merge must match the serial detector event
+// for event; per-shard analyzers must merge into byte-identical
+// rendered reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/reports.hpp"
@@ -22,6 +20,7 @@
 #include "core/streaming_ids.hpp"
 #include "util/rng.hpp"
 #include "util/timebase.hpp"
+#include "shard_collector.hpp"
 
 namespace v6sonar::core {
 namespace {
@@ -62,7 +61,7 @@ std::vector<sim::LogRecord> workload(std::size_t records = 200'000, std::uint64_
 /// sources send in rounds with sub-timeout pauses, and later rounds
 /// drop sources at random — so the expiry heap accumulates stale
 /// entries whose push order inverts the true end-time order, the exact
-/// shape the merger's (end-time, source) contract must survive.
+/// shape the merge's (end-time, source) contract must survive.
 std::vector<sim::LogRecord> gap_workload(std::uint64_t seed = 11) {
   constexpr sim::TimeUs kTimeout = 900 * kSec;
   constexpr std::size_t kSources = 48;
@@ -111,26 +110,23 @@ std::vector<ScanEvent> run_serial(const DetectorConfig& cfg,
 
 std::vector<ScanEvent> run_parallel(const DetectorConfig& cfg, int threads,
                                     const std::vector<sim::LogRecord>& records) {
-  std::vector<ScanEvent> events;
-  ParallelScanPipeline pipe(cfg, {.threads = threads},
-                            [&](ScanEvent&& ev) { events.push_back(std::move(ev)); });
+  testing::ShardCollector shards;
+  ParallelScanPipeline pipe(cfg, {.threads = threads}, shards.factory());
   for (const auto& r : records) pipe.feed(r);
   pipe.flush();
-  return events;
+  return shards.merged(pipe);
 }
 
 TEST(ParallelScanPipeline, RejectsBadConfigAndInput) {
-  const auto sink = [](ScanEvent&&) {};
-  EXPECT_THROW(ParallelScanPipeline({.source_prefix_len = 129}, {.threads = 2}, sink),
+  testing::ShardCollector sink;
+  EXPECT_THROW(ParallelScanPipeline({.source_prefix_len = 129}, {.threads = 2}, sink.factory()),
                std::invalid_argument);
-  EXPECT_THROW(ParallelScanPipeline({.min_destinations = 0}, {.threads = 2}, sink),
-               std::invalid_argument);
-  EXPECT_THROW(ParallelScanPipeline({}, {.threads = 2}, ParallelScanPipeline::EventFn{}),
+  EXPECT_THROW(ParallelScanPipeline({.min_destinations = 0}, {.threads = 2}, sink.factory()),
                std::invalid_argument);
   EXPECT_THROW(ParallelScanPipeline({}, {.threads = 2}, ParallelScanPipeline::ShardSinkFactory{}),
                std::invalid_argument);
 
-  ParallelScanPipeline pipe({}, {.threads = 2}, sink);
+  ParallelScanPipeline pipe({}, {.threads = 2}, sink.factory());
   sim::LogRecord r;
   r.ts_us = 100;
   pipe.feed(r);
@@ -144,24 +140,24 @@ TEST(ParallelScanPipeline, RejectsBadConfigAndInput) {
 TEST(ParallelScanPipeline, RejectsBadRingCapacity) {
   // Degenerate ring capacities are configuration errors, not silent
   // round-ups: a 0- or 4-slot ring would deadlock or thrash.
-  const auto sink = [](ScanEvent&&) {};
-  EXPECT_THROW(ParallelScanPipeline({}, {.threads = 2, .ring_capacity = 0}, sink),
+  testing::ShardCollector sink;
+  EXPECT_THROW(ParallelScanPipeline({}, {.threads = 2, .ring_capacity = 0}, sink.factory()),
                std::invalid_argument);
-  EXPECT_THROW(ParallelScanPipeline({}, {.threads = 2, .ring_capacity = 4}, sink),
+  EXPECT_THROW(ParallelScanPipeline({}, {.threads = 2, .ring_capacity = 4}, sink.factory()),
                std::invalid_argument);
   EXPECT_THROW(ParallelIds({}, {.threads = 2, .ring_capacity = 7}, [](const IdsAlert&) {}),
                std::invalid_argument);
   // 8 is the documented floor and must be accepted.
-  ParallelScanPipeline ok({}, {.threads = 2, .ring_capacity = 8}, sink);
+  ParallelScanPipeline ok({}, {.threads = 2, .ring_capacity = 8}, sink.factory());
   ok.flush();
 }
 
 TEST(ParallelScanPipeline, EmptyStreamEmitsNothing) {
-  std::size_t events = 0;
-  ParallelScanPipeline pipe({}, {.threads = 4}, [&](ScanEvent&&) { ++events; });
+  testing::ShardCollector shards;
+  ParallelScanPipeline pipe({}, {.threads = 4}, shards.factory());
   pipe.flush();
   pipe.flush();  // idempotent
-  EXPECT_EQ(events, 0u);
+  EXPECT_TRUE(shards.merged(pipe).empty());
 }
 
 TEST(ParallelScanPipeline, MatchesSerialByteForByte) {
@@ -185,7 +181,7 @@ TEST(ParallelScanPipeline, MatchesSerialAcrossQuietGaps) {
   // far below the 1 h timeout), so it mostly exercises flush(). This
   // one is the opposite: a short 900 s timeout and quiet gaps beyond
   // it, so the timed-out emission path, stale expiry-heap entries, and
-  // the merger's watermark gating carry the byte-identical guarantee.
+  // the merge of the timed-out runs carry the byte-identical guarantee.
   const auto records = gap_workload();
   const DetectorConfig cfg{
       .source_prefix_len = 64, .min_destinations = 10, .timeout_us = 900 * kSec};
@@ -206,10 +202,84 @@ TEST(ParallelScanPipeline, MatchesSerialAcrossQuietGaps) {
   }
 }
 
+/// End-of-stream probe, one scan event per source. Thirty sources
+/// send once early and go quiet, later senders from lower addresses,
+/// so their end-time order is the reverse of their source order. Every
+/// early event is due (last + timeout) before the last record, so the
+/// serial detector times it out there, while most shards never see a
+/// record that late. Five sources send once in the middle, due just
+/// after the last scanning record; two more send twice, late. With
+/// `artifact_tail`, a duplicate-heavy source sends the stream's last
+/// records: the artifact filter drops them, so the serial filtered
+/// detector ends at the last *kept* record and flushes the middle
+/// events, which the unfiltered one times out.
+std::vector<sim::LogRecord> end_of_stream_workload(bool artifact_tail) {
+  const sim::TimeUs t0 = sim::us_from_seconds(util::kWindowStart);
+  const auto rec = [](sim::TimeUs ts, std::uint64_t src, std::uint64_t dst) {
+    sim::LogRecord r;
+    r.ts_us = ts;
+    r.src = net::Ipv6Address{0x2A10'0000'0000'0000ULL | src << 16, 1};
+    r.dst = net::Ipv6Address{0x2600ULL << 48, dst};
+    r.dst_port = 80;
+    r.src_asn = static_cast<std::uint32_t>(src + 1);
+    return r;
+  };
+  std::vector<sim::LogRecord> out;
+  for (std::uint64_t s = 0; s < 30; ++s) out.push_back(rec(t0 + (60 + s) * kSec, 59 - 2 * s, s));
+  for (std::uint64_t s = 0; s < 5; ++s) out.push_back(rec(t0 + (125 + s) * kSec, 100 + s, s));
+  for (std::uint64_t s = 0; s < 2; ++s) out.push_back(rec(t0 + (150 + s) * kSec, 2 * s, s));
+  for (std::uint64_t s = 0; s < 2; ++s) out.push_back(rec(t0 + (218 + s) * kSec, 2 * s, 100 + s));
+  if (artifact_tail)
+    for (int i = 0; i < 10; ++i) out.push_back(rec(t0 + (230 + i) * kSec, 99, 7));
+  return out;
+}
+
+TEST(ParallelScanPipeline, EndOfStreamMatchesSerial) {
+  // Regression: a shard whose last record came less than one timeout
+  // before the stream end used to flush events the serial detector
+  // had timed out at its last record, so they left the timed-out run.
+  const DetectorConfig cfg{
+      .source_prefix_len = 64, .min_destinations = 1, .timeout_us = 100 * kSec};
+  for (const bool tail : {false, true}) {
+    const auto records = end_of_stream_workload(tail);
+    const auto serial = run_serial(cfg, records);
+    ASSERT_EQ(serial.size(), tail ? 38u : 37u);
+    for (const int threads : {2, 8})
+      EXPECT_TRUE(run_parallel(cfg, threads, records) == serial)
+          << threads << " threads, artifact tail " << tail;
+  }
+}
+
+TEST(ParallelScanPipeline, FilteredEndOfStreamMatchesSerial) {
+  const DetectorConfig dcfg{
+      .source_prefix_len = 64, .min_destinations = 1, .timeout_us = 100 * kSec};
+  const ArtifactFilterConfig fcfg{};
+  for (const bool tail : {false, true}) {
+    const auto records = end_of_stream_workload(tail);
+    std::vector<ScanEvent> serial;
+    {
+      ScanDetector det(dcfg, [&](ScanEvent&& ev) { serial.push_back(std::move(ev)); });
+      ArtifactFilter filter(fcfg, [&](const sim::LogRecord& r) { det.feed(r); });
+      for (const auto& r : records) filter.feed(r);
+      filter.flush();
+      det.flush();
+    }
+    ASSERT_EQ(serial.size(), 37u) << "the artifact tail must be filtered out";
+    for (const int threads : {2, 8}) {
+      testing::ShardCollector shards;
+      ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads}, shards.factory());
+      pipe.feed_batch(records);
+      pipe.flush();
+      EXPECT_TRUE(shards.merged(pipe) == serial) << threads << " threads, artifact tail " << tail;
+    }
+  }
+}
+
 TEST(ParallelScanPipeline, FilterStatsBeforeFlushThrows) {
   // Pre-flush the per-shard stats are still being written by workers;
   // reading them would race, so the accessor refuses.
-  ParallelScanPipeline pipe({}, ArtifactFilterConfig{}, {.threads = 2}, [](ScanEvent&&) {});
+  testing::ShardCollector shards;
+  ParallelScanPipeline pipe({}, ArtifactFilterConfig{}, {.threads = 2}, shards.factory());
   EXPECT_THROW((void)pipe.filter_stats(), std::logic_error);
   pipe.flush();
   EXPECT_TRUE(pipe.filter_stats().empty());  // empty stream, but now readable
@@ -221,12 +291,11 @@ TEST(ParallelScanPipeline, MatchesSerialWithTinyRings) {
   const auto records = workload(30'000);
   const DetectorConfig cfg{.source_prefix_len = 64};
   const auto serial = run_serial(cfg, records);
-  std::vector<ScanEvent> parallel;
-  ParallelScanPipeline pipe(cfg, {.threads = 4, .ring_capacity = 8},
-                            [&](ScanEvent&& ev) { parallel.push_back(std::move(ev)); });
+  testing::ShardCollector shards;
+  ParallelScanPipeline pipe(cfg, {.threads = 4, .ring_capacity = 8}, shards.factory());
   for (const auto& r : records) pipe.feed(r);
   pipe.flush();
-  EXPECT_TRUE(serial == parallel);
+  EXPECT_TRUE(serial == shards.merged(pipe));
 }
 
 TEST(ParallelScanPipeline, FilteredChainMatchesSerialChain) {
@@ -251,12 +320,11 @@ TEST(ParallelScanPipeline, FilteredChainMatchesSerialChain) {
   ASSERT_GT(serial_dropped, 0u) << "workload exercised no filtering";
 
   for (const int threads : {1, 2, 8}) {
-    std::vector<ScanEvent> parallel_events;
-    ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads},
-                              [&](ScanEvent&& ev) { parallel_events.push_back(std::move(ev)); });
+    testing::ShardCollector shards;
+    ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads}, shards.factory());
     for (const auto& r : records) pipe.feed(r);
     pipe.flush();
-    EXPECT_TRUE(serial_events == parallel_events) << threads << " threads";
+    EXPECT_TRUE(serial_events == shards.merged(pipe)) << threads << " threads";
 
     // Per-day statistics must sum across shards to the serial values.
     const auto& stats = pipe.filter_stats();
@@ -273,10 +341,10 @@ TEST(ParallelScanPipeline, FilteredChainMatchesSerialChain) {
 }
 
 TEST(ParallelScanPipeline, FilteredChainMatchesSerialAcrossBatchSizes) {
-  // The bulk data plane has three batch boundaries — feeder runs,
-  // worker chunk pops, merger drains — and none of them may show
-  // through: every feed batch size must yield the serial chain's exact
-  // events and day statistics at every thread count.
+  // The bulk data plane has two batch boundaries — feeder runs and
+  // worker chunk pops — and neither may show through: every feed
+  // batch size must yield the serial chain's exact events and day
+  // statistics at every thread count.
   const auto records = workload(60'000);
   const DetectorConfig dcfg{.source_prefix_len = 64};
   const ArtifactFilterConfig fcfg{};
@@ -299,13 +367,12 @@ TEST(ParallelScanPipeline, FilteredChainMatchesSerialAcrossBatchSizes) {
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}, records.size()}) {
     for (const int threads : {1, 2, 3, 8}) {
-      std::vector<ScanEvent> parallel_events;
-      ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads},
-                                [&](ScanEvent&& ev) { parallel_events.push_back(std::move(ev)); });
+      testing::ShardCollector shards;
+      ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads}, shards.factory());
       for (std::size_t i = 0; i < records.size(); i += batch)
         pipe.feed_batch({records.data() + i, std::min(batch, records.size() - i)});
       pipe.flush();
-      EXPECT_TRUE(serial_events == parallel_events)
+      EXPECT_TRUE(serial_events == shards.merged(pipe))
           << "batch " << batch << ", " << threads << " threads";
 
       const auto& stats = pipe.filter_stats();
@@ -450,15 +517,15 @@ TEST(ParallelScanPipeline, ShardedFilteredChainMatchesSerialChain) {
 TEST(ParallelScanPipeline, ValidationErrorsNameTheCliFlags) {
   // The config fields surface as --threads / --ring-cap on the CLI;
   // the messages must name the flags so failures are actionable.
-  const auto sink = [](ScanEvent&&) {};
+  testing::ShardCollector sink;
   try {
-    ParallelScanPipeline({}, {.threads = -1}, sink);
+    ParallelScanPipeline({}, {.threads = -1}, sink.factory());
     FAIL() << "negative thread count accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos) << e.what();
   }
   try {
-    ParallelScanPipeline({}, {.threads = 2, .ring_capacity = 4}, sink);
+    ParallelScanPipeline({}, {.threads = 2, .ring_capacity = 4}, sink.factory());
     FAIL() << "tiny ring accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--ring-cap"), std::string::npos) << e.what();
@@ -500,33 +567,27 @@ TEST(ParallelIds, MatchesSerialAlertsAndBlocklist) {
   }
 }
 
-TEST(ParallelIds, StalledMergerKeepsFlushEventsOutOfPendingPasses) {
-  // The alert sink runs on the merger thread. Sleeping in it once per
-  // pass stalls the merger, so the workers run ahead, finish and flush
-  // while attribution passes are still pending. Flush-time events must
-  // still wait for every pass before them, as in the serial order.
+TEST(ParallelIds, ShardedBlocklistMatchesSerial) {
+  // Every shard attributes its own prefixes on each pass tick: the
+  // mid-stream alerts and the final blocklist are the serial ones at
+  // every shard count, batched feeding included.
   const auto records = workload();
   IdsConfig cfg;
   cfg.reattribution_period_us = 6LL * 3'600 * kSec;
 
   std::vector<IdsAlert> serial_alerts;
   StreamingIds serial(cfg, [&](const IdsAlert& a) { serial_alerts.push_back(a); });
-  serial.feed_batch(records);
+  for (const auto& r : records) serial.feed(r);
   serial.flush();
+  ASSERT_FALSE(serial.blocklist().empty()) << "workload triggered no attributions";
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 3, 8}) {
     std::vector<IdsAlert> alerts;
-    sim::TimeUs last_pass = INT64_MIN;
-    ParallelIds ids(cfg, {.threads = threads}, [&](const IdsAlert& a) {
-      if (a.at_us != last_pass) {
-        last_pass = a.at_us;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-      alerts.push_back(a);
-    });
+    ParallelIds ids(cfg, {.threads = threads}, [&](const IdsAlert& a) { alerts.push_back(a); });
     ids.feed_batch(records);
     ids.flush();
 
+    EXPECT_TRUE(serial.blocklist() == ids.blocklist()) << threads << " threads";
     ASSERT_EQ(alerts.size(), serial_alerts.size()) << threads << " threads";
     for (std::size_t i = 0; i < alerts.size(); ++i) {
       EXPECT_TRUE(alerts[i].attribution == serial_alerts[i].attribution)
@@ -534,33 +595,6 @@ TEST(ParallelIds, StalledMergerKeepsFlushEventsOutOfPendingPasses) {
       EXPECT_EQ(alerts[i].is_new, serial_alerts[i].is_new) << "alert " << i;
       EXPECT_EQ(alerts[i].at_us, serial_alerts[i].at_us) << "alert " << i;
     }
-    EXPECT_TRUE(ids.blocklist() == serial.blocklist()) << threads << " threads";
-  }
-}
-
-TEST(ParallelIds, ShardedBlocklistMatchesSerial) {
-  // Sharded mode trades the mid-stream alert cadence for a single
-  // flush-time attribution pass: the final blocklist is identical to
-  // serial, and every blocklist entry alerts exactly once, as new.
-  const auto records = workload();
-  IdsConfig cfg;
-  cfg.reattribution_period_us = 6LL * 3'600 * kSec;
-
-  StreamingIds serial(cfg, [](const IdsAlert&) {});
-  for (const auto& r : records) serial.feed(r);
-  serial.flush();
-  ASSERT_FALSE(serial.blocklist().empty()) << "workload triggered no attributions";
-
-  for (const int threads : {1, 2, 3, 8}) {
-    std::vector<IdsAlert> alerts;
-    ParallelIds ids(cfg, {.threads = threads},
-                    [&](const IdsAlert& a) { alerts.push_back(a); }, OrderMode::kSharded);
-    for (const auto& r : records) ids.feed(r);
-    ids.flush();
-
-    EXPECT_TRUE(serial.blocklist() == ids.blocklist()) << threads << " threads";
-    EXPECT_EQ(alerts.size(), ids.blocklist().size()) << threads << " threads";
-    for (const auto& a : alerts) EXPECT_TRUE(a.is_new);
   }
 }
 
@@ -574,7 +608,7 @@ TEST(ParallelIds, EmptyStreamMatchesSerial) {
 }
 
 TEST(ParallelIds, BlocklistBeforeFlushThrows) {
-  // The merger thread mutates the tracker during barrier passes, so a
+  // The workers own their attributors until flush() joins them, so a
   // pre-flush read would race; the accessor refuses.
   ParallelIds ids({}, {.threads = 2}, [](const IdsAlert&) {});
   EXPECT_THROW((void)ids.blocklist(), std::logic_error);

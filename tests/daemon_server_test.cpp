@@ -19,8 +19,11 @@
 #include <vector>
 
 #include "analysis/report_render.hpp"
+#include "core/adaptive.hpp"
 #include "core/detector.hpp"
 #include "core/event_io.hpp"
+#include "core/state_codec.hpp"
+#include "core/streaming_ids.hpp"
 #include "daemon/framing.hpp"
 #include "daemon/protocol.hpp"
 #include "daemon/server.hpp"
@@ -573,6 +576,78 @@ TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {
     resp = c.roundtrip(Verb::kReport, 2);
     EXPECT_EQ(resp.payload, report_before);
     EXPECT_EQ(resp.payload, analysis::render_report(serial.bundle, 10));
+    EXPECT_EQ(rd.stop_and_join(), 0);
+  }
+}
+
+TEST_F(DaemonServerTest, EventListCheckpointRestoresTheSameBlocklist) {
+  // Older daemons wrote every scan event into the `events` section;
+  // today's hold one folded event per source (packet sum, last ASN).
+  // Restoring an event-list section must serve the same blocklist as
+  // the attribute_adaptive() refold of those events always did.
+  std::vector<LogRecord> recs;
+  sim::TimeUs ts = 1'000 * kSec;
+  for (std::uint64_t d = 0; d < 6; ++d)
+    for (std::uint64_t s = 0; s < 4; ++s)
+      recs.push_back(probe(ts += kSec, s, d, static_cast<std::uint16_t>(443 + s)));
+  ts += 100 * kSec;  // past the timeout: source 0 scans again, from another AS
+  for (std::uint64_t d = 0; d < 6; ++d) {
+    LogRecord r = probe(ts += kSec, 0, 10 + d);
+    r.src_asn = 99;
+    recs.push_back(r);
+  }
+  recs.push_back(probe(ts + 200 * kSec, 0x9999, 0));  // sentinel
+  const SerialFold serial = serial_fold(recs);
+  ASSERT_EQ(serial.events.size(), 5u);
+  std::vector<ScanEvent> slim;
+  for (const auto& ev : serial.events) slim.push_back(core::slim_scan_event(ev));
+  const std::string expected = analysis::render_blocklist(
+      core::attribute_adaptive({slim}, {.ladder = {test_detector().source_prefix_len}}));
+
+  const std::string ckpt = (dir_ / "d.v6ckpt").string();
+  {
+    auto opts = options();
+    opts.checkpoint_path = ckpt;
+    RunningDaemon rd(std::move(opts));
+    TestClient c(sock_);
+    ASSERT_GE(c.fd, 0);
+    Frame resp = c.roundtrip(Verb::kIngest, 1, encode_records(recs));
+    ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
+    ASSERT_TRUE(wait_folded(c, serial.events.size()));
+    resp = c.roundtrip(Verb::kCheckpoint, 2);  // also delivers every queued event
+    ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk)) << resp.payload;
+    resp = c.roundtrip(Verb::kBlocklist, 3);
+    EXPECT_EQ(resp.payload, expected);
+    EXPECT_EQ(rd.stop_and_join(), 0);
+  }
+  {
+    // Rewrite the `events` section as the event list older daemons
+    // wrote; every other section stays byte for byte.
+    const core::CheckpointReader folded(ckpt);
+    core::CheckpointWriter old;
+    for (const auto& name : folded.names()) {
+      util::StateWriter w;
+      if (name == "events") {
+        w.u64(slim.size());
+        for (const auto& ev : slim) core::save_scan_event(w, ev);
+      } else {
+        auto r = folded.section(name);
+        std::vector<char> bytes(r.remaining());
+        r.raw(bytes.data(), bytes.size());
+        w.raw(bytes.data(), bytes.size());
+      }
+      old.add(name, std::move(w));
+    }
+    old.commit(ckpt);
+  }
+  {
+    auto opts = options();
+    opts.checkpoint_path = ckpt;
+    RunningDaemon rd(std::move(opts));
+    TestClient c(sock_);
+    ASSERT_GE(c.fd, 0);
+    Frame resp = c.roundtrip(Verb::kBlocklist, 1);
+    EXPECT_EQ(resp.payload, expected);
     EXPECT_EQ(rd.stop_and_join(), 0);
   }
 }

@@ -10,7 +10,8 @@
 # concurrency-sensitive targets (SPSC ring, parallel pipeline, batch
 # feed, the daemon's snapshot seam and socket server, the sharded
 # checkpoint resume, whose sections are sealed on the worker threads,
-# and the day-parallel artifact filter);
+# the day-parallel artifact filter, and the IDS oracle differential,
+# whose shards hand their passes back to the feeding thread);
 # `address` additionally covers the mmap log reader, the arena-backed
 # flat containers, the daemon's framing/tailing paths, and the
 # checkpoint byte handling (CRC-32, StateWriter, container reader),
@@ -37,7 +38,9 @@
 # world, run `detect --mmap --report --events` (analyzer chain inline,
 # event stream spilled), replay the spill with `report`, and assert
 # the two reports are byte-for-byte identical — the sink pipeline's
-# equivalence guarantee. `daemon` is the v6sonard smoke: the daemon
+# equivalence guarantee — then that `--threads 2` reports, the
+# `--threads 3` spill and `ids --threads 3` output are byte-identical
+# to their serial runs. `daemon` is the v6sonard smoke: the daemon
 # tails a log that appears, grows, and rotates underneath it while a
 # subscriber and concurrent query clients are attached; the live
 # report must be byte-identical to a batch `detect --report` over the
@@ -130,12 +133,9 @@ for t in (1, 2, 3, 8):
         if row.get(key, 0) <= 0:
             failures.append(f"field {key} missing or nonpositive")
 # Bulk-consumption telemetry: the instrumented pass must show worker
-# chunk pops actually carrying multiple records. (merger_drain_mean_8t
-# may be 0 here — a 200k-record smoke run emits few or no events.)
+# chunk pops actually carrying multiple records.
 if row.get("worker_batch_mean_8t", 0) <= 1:
     failures.append("worker_batch_mean_8t missing or <=1: bulk pop path not engaged")
-if "merger_drain_mean_8t" not in row:
-    failures.append("merger_drain_mean_8t field missing")
 if row.get("serial_rps", 0) <= 0:
     failures.append("serial_rps missing or zero")
 
@@ -238,7 +238,26 @@ if [[ "$kind" == report ]]; then
     exit 1
   fi
 
-  echo "check.sh: report smoke check passed (inline == spill-replay, serial == parallel)"
+  # A parallel spill merges its per-shard spills into the serial event
+  # order: byte-identical to the serial spill.
+  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 3 \
+      --events "$work/spill3.v6ev" > /dev/null
+  if ! cmp -s "$work/spill.v6ev" "$work/spill3.v6ev"; then
+    echo "report smoke check FAILED: --threads 3 --events spill differs from serial" >&2
+    exit 1
+  fi
+
+  # The parallel IDS prints the serial alerts and blocklist.
+  "$v6sonar" ids "$work/world.v6slog" --mmap --threads 1 > "$work/ids1.txt"
+  "$v6sonar" ids "$work/world.v6slog" --mmap --threads 3 > "$work/ids3.txt"
+  if [[ ! -s "$work/ids1.txt" ]] || ! cmp -s "$work/ids1.txt" "$work/ids3.txt"; then
+    echo "report smoke check FAILED: ids --threads 3 output differs from --threads 1" >&2
+    diff "$work/ids1.txt" "$work/ids3.txt" | head -40 >&2
+    exit 1
+  fi
+
+  echo "check.sh: report smoke check passed (inline == spill-replay, serial == parallel" \
+       "for report, spill and ids)"
   exit 0
 fi
 
@@ -514,10 +533,10 @@ PY
     exit 1
   fi
 
-  # Sharded leg: same kill/resume dance under --threads 2 (sharded
-  # ownership), resuming with the checkpointed worker count.
+  # Sharded leg: same kill/resume dance under --threads 2, resuming
+  # with the checkpointed worker count.
   rm -f "$work/ck2.v6ckpt"
-  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 --order sharded \
+  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
       --checkpoint "$work/ck2.v6ckpt" --checkpoint-every 250000 \
       > /dev/null 2>&1 &
   victim_pid=$!
@@ -533,7 +552,7 @@ PY
     exit 1
   fi
 
-  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 --order sharded \
+  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
       --checkpoint "$work/ck2.v6ckpt" --resume > "$work/resumed_sharded.txt"
   if ! cmp -s "$work/ref_report.txt" "$work/resumed_sharded.txt"; then
     echo "checkpoint smoke FAILED: resumed sharded report differs from uninterrupted run" >&2
@@ -646,7 +665,7 @@ case "$kind" in
     tree=build-tsan
     targets=(util_spsc_ring_test core_parallel_pipeline_test core_batch_feed_test
              util_flat_hash_fuzz_test daemon_snapshot_test daemon_server_test
-             core_checkpoint_resume_test core_filter_stream_test)
+             core_checkpoint_resume_test core_filter_stream_test core_ids_oracle_test)
     ;;
   address)
     tree=build-asan
@@ -657,7 +676,7 @@ case "$kind" in
              daemon_server_test util_signal_test util_test
              core_state_codec_test core_checkpoint_resume_test
              core_filter_stream_test core_streaming_ids_test
-             core_detector_summary_test)
+             core_detector_summary_test core_ids_oracle_test)
     ;;
 esac
 

@@ -18,17 +18,16 @@
 //
 // Options for detect/fh: --agg <len>  --min-dsts <n>  --timeout <sec>  --top <n>
 // detect/ids additionally accept --threads <n> to run the sharded
-// parallel pipeline and --order total|sharded to pick its
-// event-delivery discipline (sharded ownership is the default: each
-// worker owns its slice end to end and state merges at flush; total
-// order funnels every event through a merger thread, matching the
-// serial event stream byte for byte). detect also accepts --report to
-// run the full streaming analyzer chain inline and --events <file> to
-// spill the event stream for later `report` runs. detect/ids/fh/
-// fingerprint accept --mmap to stream a .v6slog through the zero-copy
-// mapped reader in batches instead of materialising every record up
-// front — detection and analysis run in memory bounded by active
-// sources, never by records or events.
+// parallel pipeline: each worker owns its slice end to end, analyzer
+// state merges at flush, per-shard event spills merge into the serial
+// event order on close, and the parallel IDS prints the serial alerts.
+// detect also accepts --report to run the full streaming analyzer
+// chain inline and --events <file> to spill the event stream for
+// later `report` runs. detect/ids/fh/fingerprint accept --mmap to
+// stream a .v6slog through the zero-copy mapped reader in batches
+// instead of materialising every record up front — detection and
+// analysis run in memory bounded by active sources, never by records
+// or events.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -42,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
@@ -89,7 +89,6 @@ struct Options {
   std::size_t top = 20;
   int threads = 1;  ///< 1 = serial; 0 = auto (hardware threads)
   std::size_t ring_cap = 1 << 14;  ///< per-worker ring slots (parallel detect)
-  core::OrderMode order = core::OrderMode::kSharded;  ///< parallel event delivery
   bool mmap = false;
   bool report = false;     ///< detect: render the full analyzer report
   std::string events_out;  ///< detect: spill events here (--events)
@@ -127,14 +126,9 @@ struct Options {
       "  --timeout <sec>   scan inter-packet timeout, detect only (default 3600)\n"
       "  --top <n>         rows to print (default 20)\n"
       "  --threads <n>     detection worker threads, detect/ids only (default 1;\n"
-      "                    0 = one per hardware thread); reports are identical\n"
-      "                    to the serial detector in either --order mode\n"
-      "  --order <mode>    parallel event delivery, detect/ids only:\n"
-      "                    'sharded' (default) keeps each worker's events on\n"
-      "                    its own analyzer chain and merges state at flush;\n"
-      "                    'total' restores the serial event order through a\n"
-      "                    merger thread (needed for a deterministic --events\n"
-      "                    spill; detect falls back to it automatically then)\n"
+      "                    0 = one per hardware thread); reports, --events\n"
+      "                    spills, alerts and blocklists are identical to the\n"
+      "                    serial run\n"
       "  --ring-cap <n>    records buffered per worker ring, parallel detect/ids\n"
       "                    only (default 16384, minimum 8; rounded up to a\n"
       "                    power of two)\n"
@@ -154,8 +148,8 @@ struct Options {
       "                    0 (default) disables tiering\n"
       "  --checkpoint <file>  detect/ids: periodically freeze the complete\n"
       "                    pipeline state to <file> (atomic replace; see\n"
-      "                    docs/CHECKPOINT.md). detect: serial or --order\n"
-      "                    sharded runs only; ids: serial (--threads 1) only\n"
+      "                    docs/CHECKPOINT.md). detect: with --events, serial\n"
+      "                    runs only; ids: serial (--threads 1) only\n"
       "  --checkpoint-every <n>  records between checkpoints (default 1000000)\n"
       "  --resume          restore state from --checkpoint before feeding and\n"
       "                    skip the records it already covers; the completed\n"
@@ -294,16 +288,6 @@ Options parse_options(int argc, char** argv, int first) {
                      o.ring_cap);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--order") == 0) {
-      const char* mode = need_value("--order");
-      if (std::strcmp(mode, "total") == 0) {
-        o.order = core::OrderMode::kTotal;
-      } else if (std::strcmp(mode, "sharded") == 0) {
-        o.order = core::OrderMode::kSharded;
-      } else {
-        std::fprintf(stderr, "error: --order must be 'total' or 'sharded', got '%s'\n", mode);
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--period") == 0) {
       o.period_sec = parse_int<std::int64_t>("--period", need_value("--period"));
       if (o.period_sec < 1) {
@@ -360,22 +344,28 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-/// One shard's private sink chain in sharded-ownership mode: the same
+/// One shard's private sink chain in a parallel run: the same
 /// fan-out/analyzer assembly cmd_detect builds for the whole stream,
-/// instantiated per shard and merged after flush. The bundle itself
+/// instantiated per shard and merged after flush, plus an optional
+/// scratch spill of the shard's events. The bundle itself
 /// (analysis::ReportBundle) and the renderer live in
 /// analysis/report_render.hpp, shared with the v6sonard query plane.
 struct ShardChain {
   core::FanOutSink fan;
   analysis::SourceAnalyzer sources_only;
   std::optional<analysis::ReportBundle> report;
+  std::optional<core::EventWriter> scratch;
 
-  ShardChain(bool full_report, std::size_t top) {
+  ShardChain(bool full_report, std::size_t top, const std::optional<std::string>& scratch_dir) {
     if (full_report) {
       report.emplace(top);
       report->attach(fan);
     } else {
       fan.add(sources_only);
+    }
+    if (scratch_dir) {
+      scratch.emplace(core::EventWriter::Scratch{*scratch_dir});
+      fan.add(*scratch);
     }
   }
 };
@@ -394,7 +384,7 @@ void print_report(const analysis::ReportBundle& a, std::size_t top) {
 // a "meta" section describing the run shape and stream position, plus
 // the serialized state of every stage: "detector"/"analyzers" in
 // serial mode, "shard<i>.detector"/"shard<i>.analyzers" per worker in
-// sharded-ownership mode. `ids` checkpoints hold "meta" + "ids".
+// a parallel run. `ids` checkpoints hold "meta" + "ids".
 
 struct DetectMeta {
   std::uint8_t sharded = 0;
@@ -518,40 +508,34 @@ int cmd_detect(const std::string& path, const Options& o) {
                                  .demote_idle_us = o.cold_after_sec * 1'000'000};
 
   const bool parallel = o.threads != 1;  // 0 = auto resolves inside the pipeline
-  bool sharded = parallel && o.order == core::OrderMode::kSharded;
-  if (sharded && !o.events_out.empty()) {
-    // A deterministic spill file needs the serial event order; state
-    // merging only recovers reports, not the stream itself.
-    std::fprintf(stderr, "note: --events needs the serial event order; using --order total\n");
-    sharded = false;
-  }
   const bool checkpointing = !o.checkpoint.empty();
   if (o.resume && !checkpointing) {
     std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
     return 2;
   }
-  if (checkpointing && parallel && !sharded) {
-    // The total-order merger holds in-flight events between shards and
-    // the sink; there is no quiesced point that captures all state.
+  if (checkpointing && parallel && !o.events_out.empty()) {
+    // A parallel run spills per shard and merges the spills only on
+    // close, so no checkpoint could name a position in the output file.
     std::fprintf(stderr,
-                 "error: --checkpoint needs the serial detector or --order sharded "
-                 "(total-order mode holds in-flight merger state)\n");
+                 "error: --checkpoint with --events needs the serial detector (--threads 1); "
+                 "parallel runs merge their per-shard spills only on close\n");
     return 2;
   }
 
   // Assemble the sink chain. Events stream from the detector straight
   // into the analyzers (and the optional spill writer) — no event set
-  // is ever materialized, so memory is bounded by active sources. In
-  // sharded-ownership mode each worker gets a private copy of the
-  // chain and the analyzer states merge after flush; either way the
-  // rendered report is byte-identical to the serial run.
+  // is ever materialized, so memory is bounded by active sources. In a
+  // parallel run each worker gets a private copy of the chain, the
+  // analyzer states merge after flush, and per-shard scratch spills
+  // merge into the serial event order; either way the rendered report
+  // and the spill are byte-identical to the serial run.
   core::FanOutSink fan;
   analysis::SourceAnalyzer sources_only;
   std::optional<analysis::ReportBundle> report;
   std::optional<core::EventWriter> spill;
   std::vector<std::unique_ptr<ShardChain>> chains;
 
-  if (sharded) {
+  if (parallel) {
     std::optional<core::CheckpointReader> ck;
     std::optional<DetectMeta> resumed;
     int threads = o.threads;
@@ -571,10 +555,15 @@ int cmd_detect(const std::string& path, const Options& o) {
                                  " shards; got --threads " + std::to_string(threads));
       threads = static_cast<int>(resumed->threads);
     }
+    std::optional<std::string> scratch_dir;
+    if (!o.events_out.empty()) {
+      spill.emplace(o.events_out);  // fail on a bad path before the run
+      scratch_dir = std::filesystem::path(o.events_out).parent_path().string();
+    }
     core::ParallelScanPipeline pipeline(
         cfg, {.threads = threads, .ring_capacity = o.ring_cap},
         core::ParallelScanPipeline::ShardSinkFactory([&](std::size_t) -> core::EventSink& {
-          chains.push_back(std::make_unique<ShardChain>(o.report, o.top));
+          chains.push_back(std::make_unique<ShardChain>(o.report, o.top, scratch_dir));
           return chains.back()->fan;
         }));
     if (resumed) {
@@ -613,8 +602,17 @@ int cmd_detect(const std::string& path, const Options& o) {
       }
     });
     pipeline.flush();
+    if (spill) {
+      // The per-shard spills, merged into the serial event order.
+      std::vector<std::unique_ptr<core::EventReader>> shard_spills;
+      for (auto& c : chains)
+        shard_spills.push_back(std::make_unique<core::EventReader>(*c->scratch));
+      pipeline.merge_shard_events(
+          [&](std::size_t s, core::ScanEvent& ev) { return shard_spills[s]->next(ev); }, *spill);
+    }
     // The rendezvous: fold every shard's state into shard 0's chain,
     // then flush that chain once, exactly like the single-chain path.
+    // (Its scratch spill was already read back, which closed it.)
     for (std::size_t s = 1; s < chains.size(); ++s) {
       if (o.report)
         chains[0]->report->merge(std::move(*chains[s]->report));
@@ -652,50 +650,41 @@ int cmd_detect(const std::string& path, const Options& o) {
         spill.emplace(o.events_out);
       fan.add(*spill);
     }
-    if (parallel) {
-      core::ParallelScanPipeline pipeline(
-          cfg, {.threads = o.threads, .ring_capacity = o.ring_cap}, fan);
-      for_each_record_batch(
-          path, o.mmap,
-          [&](std::span<const sim::LogRecord> batch) { pipeline.feed_batch(batch); });
-      pipeline.flush();
-    } else {
-      core::ScanDetector detector(cfg, fan);
-      if (resumed) {
-        auto dr = ck->section("detector");
-        detector.load(dr);
-        dr.expect_end();
-        auto ar = ck->section("analyzers");
-        if (o.report)
-          report->load(ar);
-        else
-          sources_only.load(ar);
-        ar.expect_end();
-      }
-      std::uint64_t skip = resumed ? resumed->records_fed : 0;
-      std::uint64_t fed = skip;
-      std::uint64_t next_ckpt = checkpointing ? fed + o.checkpoint_every : UINT64_MAX;
-      for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
-        if (skip >= batch.size()) {
-          skip -= batch.size();
-          return;
-        }
-        if (skip) {
-          batch = batch.subspan(skip);
-          skip = 0;
-        }
-        detector.feed_batch(batch);
-        fed += batch.size();
-        if (fed >= next_ckpt) {
-          write_serial_detect_checkpoint(o.checkpoint, fed, detector,
-                                         o.report ? &*report : nullptr,
-                                         o.report ? nullptr : &sources_only,
-                                         spill ? &*spill : nullptr);
-          next_ckpt = fed + o.checkpoint_every;
-        }
-      });
-      detector.flush();
+    core::ScanDetector detector(cfg, fan);
+    if (resumed) {
+      auto dr = ck->section("detector");
+      detector.load(dr);
+      dr.expect_end();
+      auto ar = ck->section("analyzers");
+      if (o.report)
+        report->load(ar);
+      else
+        sources_only.load(ar);
+      ar.expect_end();
     }
+    std::uint64_t skip = resumed ? resumed->records_fed : 0;
+    std::uint64_t fed = skip;
+    std::uint64_t next_ckpt = checkpointing ? fed + o.checkpoint_every : UINT64_MAX;
+    for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
+      if (skip >= batch.size()) {
+        skip -= batch.size();
+        return;
+      }
+      if (skip) {
+        batch = batch.subspan(skip);
+        skip = 0;
+      }
+      detector.feed_batch(batch);
+      fed += batch.size();
+      if (fed >= next_ckpt) {
+        write_serial_detect_checkpoint(o.checkpoint, fed, detector,
+                                       o.report ? &*report : nullptr,
+                                       o.report ? nullptr : &sources_only,
+                                       spill ? &*spill : nullptr);
+        next_ckpt = fed + o.checkpoint_every;
+      }
+    });
+    detector.flush();
     fan.flush();
   }
 
@@ -709,11 +698,11 @@ int cmd_detect(const std::string& path, const Options& o) {
   }
 
   if (o.report) {
-    print_report(sharded ? *chains[0]->report : *report, o.top);
+    print_report(parallel ? *chains[0]->report : *report, o.top);
     return 0;
   }
 
-  const analysis::SourceAnalyzer& merged = sharded ? chains[0]->sources_only : sources_only;
+  const analysis::SourceAnalyzer& merged = parallel ? chains[0]->sources_only : sources_only;
   const auto t = merged.totals();
   std::printf("%llu scans from %llu /%d sources (%llu packets attributed)\n",
               static_cast<unsigned long long>(t.scans),
@@ -757,9 +746,7 @@ int cmd_report(const std::string& path, const Options& o) {
 
 /// Streaming multi-level IDS (§5): alert lines as attribution passes
 /// fire, then the final blocklist. --threads selects the parallel
-/// front end; with --order sharded the mid-stream passes are traded
-/// away and every alert comes from the single flush-time pass — the
-/// final blocklist is identical in every mode.
+/// front end, whose output is byte-identical to the serial one.
 int cmd_ids(const std::string& path, const Options& o) {
   core::IdsConfig cfg;
   cfg.min_destinations = o.min_dsts;
@@ -788,8 +775,7 @@ int cmd_ids(const std::string& path, const Options& o) {
 
   std::vector<core::Attribution> blocklist;
   if (o.threads != 1) {  // 0 = auto resolves inside the pipeline
-    core::ParallelIds ids(cfg, {.threads = o.threads, .ring_capacity = o.ring_cap}, sink,
-                          o.order);
+    core::ParallelIds ids(cfg, {.threads = o.threads, .ring_capacity = o.ring_cap}, sink);
     for_each_record_batch(
         path, o.mmap, [&](std::span<const sim::LogRecord> batch) { ids.feed_batch(batch); });
     ids.flush();
