@@ -1,5 +1,5 @@
 // Adaptive-aggregation IDS: the paper's §5 discussion turned into an
-// operational tool. StreamingIds tracks scan detectors at /128, /64,
+// operational tool. ParallelIds tracks scan detectors at /128, /64,
 // /48 and /32 simultaneously over the live packet stream and
 // periodically re-attributes each scanning actor at the aggregation
 // level that captures its traffic without merging unrelated tenants.
@@ -12,8 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <vector>
 
-#include "core/streaming_ids.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "telescope/world.hpp"
 #include "util/table.hpp"
 #include "util/timebase.hpp"
@@ -32,9 +33,18 @@ int main(int argc, char** argv) {
   std::vector<core::IdsAlert> alerts;
   core::IdsConfig ids_config;
   ids_config.reattribution_period_us = 7LL * 86'400 * 1'000'000;  // weekly pass
-  core::StreamingIds ids(ids_config, [&](const core::IdsAlert& a) { alerts.push_back(a); });
+  core::ParallelIds ids(ids_config, {.threads = 1},
+                        [&](const core::IdsAlert& a) { alerts.push_back(a); });
 
-  world.run([&](const sim::LogRecord& r) { ids.feed(r); });
+  std::vector<sim::LogRecord> batch;
+  world.run([&](const sim::LogRecord& r) {
+    batch.push_back(r);
+    if (batch.size() == 4'096) {
+      ids.feed_batch(batch);
+      batch.clear();
+    }
+  });
+  ids.feed_batch(batch);
   ids.flush();
 
   std::printf("=== alert timeline (first 15 of %zu) ===\n", alerts.size());

@@ -25,7 +25,6 @@ struct File {
   File(const std::string& path, const char* mode) : f(std::fopen(path.c_str(), mode)) {
     if (!f) throw std::runtime_error("event_io: cannot open " + path);
   }
-  explicit File(std::FILE* owned) : f(owned) {}
   ~File() {
     if (f) std::fclose(f);
   }
@@ -69,49 +68,29 @@ struct EventWriter::Impl {
   std::uint64_t pos = 0;
   bool durable = true;  ///< false for scratch spills: close() skips the fsync
   std::vector<unsigned char> buf;  ///< one event's encoding, written with one fwrite
-  Impl(const std::string& p, const char* mode) : file(p, mode), path(p) {}
-  explicit Impl(std::FILE* owned) : file(owned), path("scratch spill"), durable(false) {}
-
-  void start() {
+  Impl(const std::string& p, const char* mode, Durability d)
+      : file(p, mode), path(p), durable(d == Durability::kDurable) {
     // Scratch spills hold one shard's events each: a smaller buffer
     // keeps N of them from adding N MB to a parallel run's footprint.
     std::setvbuf(file.f, nullptr, _IOFBF, durable ? 1 << 20 : 1 << 16);
-    put_v(file.f, kMagic);
-    // Count placeholder; close() backpatches the real value, so an
-    // interrupted run is detectable (count 0 with trailing bytes).
-    put_v<std::uint64_t>(file.f, 0);
-    pos = kHeaderBytes;
-  }
-
-  /// Backpatch the header count, then flush: all the way to stable
-  /// storage for a durable file.
-  [[nodiscard]] bool finalize(std::uint64_t count) {
-    return std::fseek(file.f, 8, SEEK_SET) == 0 &&
-           std::fwrite(&count, 1, sizeof count, file.f) == sizeof count &&
-           (durable ? util::flush_to_disk(file.f) : std::fflush(file.f) == 0);
   }
 };
 
-EventWriter::EventWriter(const std::string& path)
-    : impl_(std::make_unique<Impl>(path, "wb")) {
-  impl_->start();
-}
-
-EventWriter::EventWriter(const Scratch& scratch) {
-  std::FILE* f = util::open_scratch_file(scratch.dir);
-  if (f == nullptr)
-    throw std::runtime_error("event_io: cannot create a scratch file in " + scratch.dir);
-  impl_ = std::make_unique<Impl>(f);
-  impl_->start();
+EventWriter::EventWriter(const std::string& path, Durability d)
+    : impl_(std::make_unique<Impl>(path, "wb", d)) {
+  put_v(impl_->file.f, kMagic);
+  // Count placeholder; close() backpatches the real value, so an
+  // interrupted run is detectable (count 0 with trailing bytes).
+  put_v<std::uint64_t>(impl_->file.f, 0);
+  impl_->pos = kHeaderBytes;
 }
 
 EventWriter::EventWriter(const std::string& path, std::uint64_t resume_count,
-                         std::uint64_t resume_offset)
-    : impl_(std::make_unique<Impl>(path, "r+b")), count_(resume_count) {
+                         std::uint64_t resume_offset, Durability d)
+    : impl_(std::make_unique<Impl>(path, "r+b", d)), count_(resume_count) {
   if (resume_offset < kHeaderBytes)
     throw std::runtime_error("event_io: bad resume offset for " + path);
   std::FILE* f = impl_->file.f;
-  std::setvbuf(f, nullptr, _IOFBF, 1 << 20);
   std::uint64_t magic = 0;
   if (std::fread(&magic, 1, sizeof magic, f) != sizeof magic || magic != kMagic)
     throw std::runtime_error("event_io: not an event file: " + path);
@@ -173,14 +152,16 @@ void EventWriter::checkpoint_sync() {
 void EventWriter::close() {
   if (!impl_) return;
   auto impl = std::move(impl_);  // closed even if the finalize throws
-  // Backpatch the count, then push it all the way to stable storage:
-  // an fflush alone leaves the header (and the tail of the event
-  // stream) in page cache, where a crash after close() returned
-  // success could still drop it — leaving a header that claims N
-  // events backed by nothing.
-  if (!impl->finalize(count_))
-    throw std::runtime_error("event_io: header finalize failed for " + impl->path);
   std::FILE* f = impl->file.f;
+  // Backpatch the count, then push a durable file all the way to
+  // stable storage: an fflush alone leaves the header (and the tail of
+  // the event stream) in page cache, where a crash after close()
+  // returned success could still drop it — leaving a header that
+  // claims N events backed by nothing.
+  if (std::fseek(f, 8, SEEK_SET) != 0 ||
+      std::fwrite(&count_, 1, sizeof count_, f) != sizeof count_ ||
+      !(impl->durable ? util::flush_to_disk(f) : std::fflush(f) == 0))
+    throw std::runtime_error("event_io: header finalize failed for " + impl->path);
   impl->file.f = nullptr;  // File dtor must not double-close
   if (std::fclose(f) != 0)
     throw std::runtime_error("event_io: close failed for " + impl->path);
@@ -200,7 +181,6 @@ struct EventReader::Impl {
   util::metrics::Histogram batch_size{"report.reader.batch_size"};
   std::vector<unsigned char> buf;  ///< one event's list bytes, read with one fread
   explicit Impl(const std::string& p) : file(p, "rb"), path(p) {}
-  Impl(std::FILE* owned, std::string p) : file(owned), path(std::move(p)) {}
 
   /// Read exactly n bytes. Distinguishes an I/O error (ferror) from
   /// running out of file (truncation) in the thrown message.
@@ -226,22 +206,9 @@ struct EventReader::Impl {
   }
 };
 
-EventReader::EventReader(const std::string& path) : impl_(std::make_unique<Impl>(path)) {
-  std::setvbuf(impl_->file.f, nullptr, _IOFBF, 1 << 20);
-  open_header();
-}
-
-EventReader::EventReader(EventWriter& scratch) {
-  if (!scratch.impl_) throw std::runtime_error("event_io: scratch writer already closed");
-  auto w = std::move(scratch.impl_);
-  if (!w->finalize(scratch.written()))
-    throw std::runtime_error("event_io: header finalize failed for " + w->path);
-  impl_ = std::make_unique<Impl>(std::exchange(w->file.f, nullptr), w->path);
-  open_header();
-}
-
-void EventReader::open_header() {
-  const std::string& path = impl_->path;
+EventReader::EventReader(const std::string& path, std::size_t buffer_bytes)
+    : impl_(std::make_unique<Impl>(path)) {
+  std::setvbuf(impl_->file.f, nullptr, _IOFBF, buffer_bytes);
   std::FILE* f = impl_->file.f;
   long size = 0;
   if (std::fseek(f, 0, SEEK_END) != 0 || (size = std::ftell(f)) < 0 ||

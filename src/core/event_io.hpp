@@ -34,23 +34,21 @@ namespace v6sonar::core {
 /// Throws std::runtime_error on I/O failure.
 class EventWriter final : public EventSink {
  public:
-  explicit EventWriter(const std::string& path);
+  /// kDurable: close() pushes the finished file to stable storage.
+  /// kScratch: close() does not, and the stdio buffer is 64 KB instead
+  /// of 1 MB — for per-shard spills that are merged into a durable
+  /// file and then deleted (checkpoint_sync() still syncs them).
+  enum class Durability : bool { kDurable, kScratch };
+
+  explicit EventWriter(const std::string& path, Durability d = Durability::kDurable);
 
   /// Resume an interrupted spill at a checkpointed position: the
   /// existing file is truncated to `resume_offset` bytes (discarding
   /// any events written after the checkpoint) and writing continues
   /// from there with the count restored to `resume_count`. Both values
   /// come from a prior checkpoint_sync()/written() pair.
-  EventWriter(const std::string& path, std::uint64_t resume_count,
-              std::uint64_t resume_offset);
-
-  /// An anonymous scratch spill in directory `dir`: the file has no
-  /// name, is never fsync'd, and vanishes once closed. Read it back
-  /// with EventReader(EventWriter&).
-  struct Scratch {
-    std::string dir;
-  };
-  explicit EventWriter(const Scratch& scratch);
+  EventWriter(const std::string& path, std::uint64_t resume_count, std::uint64_t resume_offset,
+              Durability d = Durability::kDurable);
 
   /// Closes (best effort — errors are swallowed; call close() first
   /// if you need them reported).
@@ -78,7 +76,6 @@ class EventWriter final : public EventSink {
   [[nodiscard]] std::uint64_t offset() const noexcept;
 
  private:
-  friend class EventReader;
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::uint64_t count_ = 0;
@@ -90,10 +87,9 @@ class EventWriter final : public EventSink {
 /// file. Throws std::runtime_error on corrupt or truncated input.
 class EventReader final {
  public:
-  explicit EventReader(const std::string& path);
-  /// Read a scratch writer's events back from the start. Finalizes the
-  /// writer's header and takes its file over.
-  explicit EventReader(EventWriter& scratch);
+  /// `buffer_bytes` sizes the stdio read buffer: readers that run side
+  /// by side (one per shard spill in a merge) take a smaller one.
+  explicit EventReader(const std::string& path, std::size_t buffer_bytes = 1 << 20);
   ~EventReader();
   EventReader(const EventReader&) = delete;
   EventReader& operator=(const EventReader&) = delete;
@@ -108,8 +104,6 @@ class EventReader final {
   [[nodiscard]] std::uint64_t total_events() const noexcept { return total_; }
 
  private:
-  void open_header();
-
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::uint64_t total_ = 0;

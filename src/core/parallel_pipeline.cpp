@@ -56,14 +56,18 @@ PipelineMetrics& pm() {
   return m;
 }
 
-/// Control block of one checkpoint rendezvous: every worker runs the
-/// visitor against its private state, and the last arrival releases
-/// the waiting feeder thread. A worker that is already dead (error
-/// path) arrives with its stored exception instead of running the
-/// visitor, so the caller never deadlocks on a shard that cannot
-/// comply — it gets the shard's real error rethrown.
+/// A rendezvous visitor: runs once on each shard's own worker thread,
+/// with the shard's index, while that worker is quiesced.
+using ShardVisit = std::function<void(std::size_t shard)>;
+
+/// Control block of one rendezvous: every worker runs the visitor
+/// against its private state, and the last arrival releases the
+/// waiting feeder thread. A worker that is already dead (error path)
+/// arrives with its stored exception instead of running the visitor,
+/// so the caller never deadlocks on a shard that cannot comply — it
+/// gets the shard's real error rethrown.
 struct BarrierCtl {
-  const ParallelScanPipeline::ShardStateFn* fn = nullptr;
+  const ShardVisit* visit = nullptr;
   std::mutex m;
   std::condition_variable cv;
   std::size_t remaining = 0;
@@ -83,7 +87,7 @@ struct InItem {
     kRecord,
     kTick,     ///< bare clock advance
     kPass,     ///< ParallelIds: advance, then an attribution pass
-    kBarrier,  ///< ParallelScanPipeline: checkpoint rendezvous
+    kBarrier,  ///< rendezvous: run the visitor, then go on
   };
   sim::LogRecord rec;
   Kind kind = Kind::kRecord;
@@ -155,17 +159,31 @@ constexpr std::size_t kWorkerChunk = 1024;
 /// The bulk-consuming worker loop both pipelines share. Items are
 /// popped in chunks (one consumer release per chunk); each contiguous
 /// run of records goes to `records` as one span — recovering the
-/// grouped per-source apply inside the shard — and every other item
-/// to `control`, in ring order. Returns once the ring is closed and
-/// drained.
+/// grouped per-source apply inside the shard — a barrier runs its
+/// visitor for shard `shard`, and every other item goes to `control`,
+/// in ring order. At a barrier everything fed before it has been
+/// applied, so the visitor sees exactly the state after the records
+/// before it — the quiesced point checkpoints are built on. Returns
+/// once the ring is closed and drained.
 template <typename Records, typename Control>
-void consume(Shard& sh, util::metrics::MetricId batch_hist, Records&& records,
-             Control&& control) {
+void consume(Shard& sh, std::size_t shard, util::metrics::MetricId batch_hist,
+             Records&& records, Control&& control) {
   std::vector<InItem> chunk(kWorkerChunk);
   std::vector<sim::LogRecord> recs(kWorkerChunk);
   for (std::size_t got; (got = sh.in.pop_n(chunk.data(), chunk.size())) > 0;) {
     if (util::metrics::enabled()) util::metrics::observe(batch_hist, got);
     for (std::size_t i = 0; i < got;) {
+      if (chunk[i].kind == InItem::Kind::kBarrier) {
+        std::exception_ptr err;
+        try {
+          (*chunk[i].barrier->visit)(shard);
+        } catch (...) {
+          err = std::current_exception();
+        }
+        chunk[i].barrier->arrive(std::move(err));
+        ++i;
+        continue;
+      }
       if (chunk[i].kind != InItem::Kind::kRecord) {
         control(chunk[i]);
         ++i;
@@ -261,6 +279,36 @@ struct Feeder {
   }
 };
 
+/// Run `visit` on every worker once it has consumed everything fed
+/// before this call: publish the staged records (a barrier must not
+/// overtake them), push a barrier into every ring, and block until
+/// every worker has arrived. Rethrows the first visitor or shard
+/// failure.
+void rendezvous(Feeder& feeder, ShardList& shards, const ShardVisit& visit) {
+  feeder.publish(shards);
+  BarrierCtl ctl;
+  ctl.visit = &visit;
+  ctl.remaining = shards.size();
+  pm().barriers.add();
+  for (auto& sp : shards) {
+    InItem item;
+    item.kind = InItem::Kind::kBarrier;
+    item.barrier = &ctl;
+    sp->in.push(std::move(item));
+  }
+  std::unique_lock lk(ctl.m);
+  ctl.cv.wait(lk, [&] { return ctl.remaining == 0; });
+  if (ctl.error) std::rethrow_exception(ctl.error);
+}
+
+/// A failed worker's last duty: keep the feeder unblocked, and arrive
+/// at every barrier with the shard's error, or a rendezvous would
+/// deadlock.
+void drain_failed(Shard& sh) {
+  while (auto it = sh.in.pop())
+    if (it->kind == InItem::Kind::kBarrier) it->barrier->arrive(sh.error);
+}
+
 void join_all(ShardList& shards) {
   for (auto& sp : shards) sp->in.close();
   for (auto& sp : shards)
@@ -306,8 +354,11 @@ struct ParallelScanPipeline::Impl {
   std::vector<EventSink*> shard_sinks;  ///< one borrowed sink per shard
   std::vector<FilterDayStats> merged_stats;
   ShardList shards;
+  /// detectors[s] and filters[s] (filtered mode; else empty) belong to
+  /// worker s until it is joined.
+  std::vector<std::unique_ptr<ScanDetector>> detectors;
+  std::vector<std::unique_ptr<ArtifactFilter>> filters;
   Feeder feeder;
-  bool filtered = false;
   sim::TimeUs timeout_us = 0;
   /// The serial detector's final clock; set by flush() before the
   /// rings close, read by each worker once its ring is drained.
@@ -326,7 +377,6 @@ struct ParallelScanPipeline::Impl {
       ArtifactFilter probe(*filter, [](const sim::LogRecord&) {});
     }
     validate_parallel(parallel, "ParallelScanPipeline");
-    filtered = filter.has_value();
     timeout_us = config.timeout_us;
 
     shards = make_shards(parallel.threads, parallel.ring_capacity);
@@ -339,117 +389,86 @@ struct ParallelScanPipeline::Impl {
     shard_sinks.reserve(shards.size());
     for (std::size_t s = 0; s < shards.size(); ++s) shard_sinks.push_back(&per_shard(s));
 
-    const util::metrics::MetricId batch_hist = util::metrics::register_metric(
-        "pipeline.worker.batch_size", util::metrics::Kind::kHistogram);
+    // Each shard's detector (behind its filter) drives the shard's own
+    // sink on the worker thread: the sink sees this shard's events in
+    // the shard's serial order, and nothing else.
     for (std::size_t s = 0; s < shards.size(); ++s) {
       Shard& sh = *shards[s];
       EventSink& sink = *shard_sinks[s];
-      sh.thread = std::thread([this, &sh, s, config, filter, batch_hist, &sink] {
-        worker_main(sh, s, config, filter, batch_hist, sink);
-      });
+      auto& det = *detectors.emplace_back(
+          std::make_unique<ScanDetector>(config, [&sh, &sink](ScanEvent&& ev) {
+            ++sh.events_emitted;
+            sink.on_event(std::move(ev));
+          }));
+      if (filter)
+        filters.push_back(std::make_unique<ArtifactFilter>(
+            *filter, [&det](const sim::LogRecord& rr) { det.feed(rr); },
+            [&sh](const FilterDayStats& d) { sh.day_stats.push_back(d); }));
     }
+    const util::metrics::MetricId batch_hist = util::metrics::register_metric(
+        "pipeline.worker.batch_size", util::metrics::Kind::kHistogram);
+    // Only now: the workers index these vectors.
+    for (std::size_t s = 0; s < shards.size(); ++s)
+      shards[s]->thread = std::thread([this, s, batch_hist] { worker_main(s, batch_hist); });
   }
 
-  /// One worker: its private detector (fronted by its private filter
-  /// in filtered mode) drives the shard's own sink on this thread — the
-  /// sink sees this shard's events in the shard's serial order, and
-  /// nothing else.
-  void worker_main(Shard& sh, std::size_t shard_idx, const DetectorConfig& config,
-                   const std::optional<ArtifactFilterConfig>& filter,
-                   util::metrics::MetricId batch_hist, EventSink& sink) {
-    try {
-      ScanDetector det(config, [&sh, &sink](ScanEvent&& ev) {
-        ++sh.events_emitted;
-        sink.on_event(std::move(ev));
-      });
-      std::unique_ptr<ArtifactFilter> af;
-      if (filter)
-        af = std::make_unique<ArtifactFilter>(
-            *filter, [&det](const sim::LogRecord& rr) { det.feed(rr); },
-            [&sh](const FilterDayStats& s) { sh.day_stats.push_back(s); });
+  [[nodiscard]] ArtifactFilter* filter_of(std::size_t s) const {
+    return filters.empty() ? nullptr : filters[s].get();
+  }
 
+  void worker_main(std::size_t s, util::metrics::MetricId batch_hist) {
+    Shard& sh = *shards[s];
+    ScanDetector& det = *detectors[s];
+    ArtifactFilter* af = filter_of(s);
+    try {
       consume(
-          sh, batch_hist,
+          sh, s, batch_hist,
           [&](std::span<const sim::LogRecord> span) {
             if (af)
               af->feed_batch(span);
             else
               det.feed_batch(span);
           },
-          [&](InItem& item) {
-            if (item.kind == InItem::Kind::kBarrier) {
-              // Checkpoint rendezvous: everything fed before the
-              // barrier has been applied, so the visitor sees exactly
-              // the state after the first K records — the quiesced
-              // point the resume-equivalence contract is built on.
-              std::exception_ptr err;
-              try {
-                (*item.barrier->fn)(shard_idx, det, af.get());
-              } catch (...) {
-                err = std::current_exception();
-              }
-              item.barrier->arrive(std::move(err));
-            } else if (af) {
+          [&](const InItem& item) {
+            if (af)
               // The filter closes the days before the tick; the
               // detector clock moves only with the records it releases.
               af->advance(item.rec.ts_us);
-            } else {
+            else
               det.advance(item.rec.ts_us);
-            }
           });
-      if (af) af->flush();  // releases the final day into the detector
       det.advance(final_clock.load(std::memory_order_acquire));
       det.flush();
     } catch (...) {
       sh.error = std::current_exception();
-      // Keep the feeder unblocked; a barrier must still be arrived at
-      // (with this shard's error) or with_shard_state would deadlock.
-      while (auto it = sh.in.pop())
-        if (it->kind == InItem::Kind::kBarrier) it->barrier->arrive(sh.error);
+      drain_failed(sh);
     }
   }
 
   void with_shard_state(const ParallelScanPipeline::ShardStateFn& fn) {
     if (flushed)
       throw std::logic_error("ParallelScanPipeline: with_shard_state after flush");
-    // The barrier must not overtake records staged before it — same
-    // publish-first rule as the tick broadcast.
-    feeder.publish(shards);
-    BarrierCtl ctl;
-    ctl.fn = &fn;
-    ctl.remaining = shards.size();
-    pm().barriers.add();
-    for (auto& sp : shards) {
-      InItem item;
-      item.kind = InItem::Kind::kBarrier;
-      item.barrier = &ctl;
-      sp->in.push(std::move(item));
-    }
-    std::unique_lock lk(ctl.m);
-    ctl.cv.wait(lk, [&] { return ctl.remaining == 0; });
-    if (ctl.error) std::rethrow_exception(ctl.error);
+    rendezvous(feeder, shards,
+               [&](std::size_t s) { fn(s, *detectors[s], filter_of(s)); });
   }
 
   void flush() {
     if (flushed) return;
-    // The serial detector's final clock: the last record in plain mode.
-    // In filtered mode it is the last record the serial filter
-    // released, which only the shards know — release every shard's
-    // final day and read their detector clocks first.
-    sim::TimeUs final = feeder.last_ts;
+    // The serial detector's final clock is the latest shard detector
+    // clock: the last record in plain mode (restored state included),
+    // the last record the serial filter released in filtered mode —
+    // so release every shard's final day first.
+    std::vector<sim::TimeUs> clocks(shards.size(), INT64_MIN);
     std::exception_ptr end_error;
-    if (filtered) {
-      std::vector<sim::TimeUs> clocks(shards.size(), INT64_MIN);
-      try {
-        with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter* af) {
-          af->flush();
-          clocks[s] = det.clock();
-        });
-      } catch (...) {
-        end_error = std::current_exception();
-      }
-      final = *std::max_element(clocks.begin(), clocks.end());
+    try {
+      rendezvous(feeder, shards, [&](std::size_t s) {
+        if (ArtifactFilter* af = filter_of(s)) af->flush();
+        clocks[s] = detectors[s]->clock();
+      });
+    } catch (...) {
+      end_error = std::current_exception();
     }
+    const sim::TimeUs final = *std::max_element(clocks.begin(), clocks.end());
     flushed = true;
     feeder.publish(shards);  // nothing stays staged past a flush
     final_clock.store(final, std::memory_order_release);
@@ -593,10 +612,10 @@ struct ParallelIds::Impl {
 
   void start(const IdsConfig& config, const ParallelConfig& parallel, AlertSink sink_in) {
     if (!sink_in) throw std::invalid_argument("ParallelIds: null sink");
+    if (config.reattribution_period_us <= 0)
+      throw std::invalid_argument("ParallelIds: bad reattribution period");
     validate_parallel(parallel, "ParallelIds");
-    {  // borrow the serial front end's full validation
-      StreamingIds probe(config, sink_in);
-    }
+    { IdsCore probe(config); }  // the ladder's and the detectors' own validation
     cfg = config;
     sink = std::move(sink_in);
 
@@ -610,11 +629,10 @@ struct ParallelIds::Impl {
     for (std::size_t s = 0; s < shards.size(); ++s) {
       cores.push_back(std::make_unique<IdsCore>(cfg));
       outboxes.push_back(std::make_unique<Outbox>());
-      shards[s]->thread = std::thread(
-          [this, &sh = *shards[s], &core = *cores[s], &outbox = *outboxes[s], batch_hist] {
-            worker_main(sh, core, outbox, batch_hist);
-          });
     }
+    // Only now: the workers index these vectors.
+    for (std::size_t s = 0; s < shards.size(); ++s)
+      shards[s]->thread = std::thread([this, s, batch_hist] { worker_main(s, batch_hist); });
   }
 
   /// One worker: its IdsCore over the shard's records. A pass tick
@@ -622,7 +640,10 @@ struct ParallelIds::Impl {
   /// the events the serial ladder finalized by the triggering record —
   /// then attributes the shard's dirty groups. The end of the ring is
   /// the serial flush(): finalize everything, then the final pass.
-  void worker_main(Shard& sh, IdsCore& core, Outbox& outbox, util::metrics::MetricId batch_hist) {
+  void worker_main(std::size_t s, util::metrics::MetricId batch_hist) {
+    Shard& sh = *shards[s];
+    IdsCore& core = *cores[s];
+    Outbox& outbox = *outboxes[s];
     const auto run_pass = [&](sim::TimeUs now) {
       PassBatch batch;
       core.attributor().pass(now, [&batch](const IdsAlert& a) { batch.alerts.push_back(a); });
@@ -632,7 +653,8 @@ struct ParallelIds::Impl {
     };
     try {
       consume(
-          sh, batch_hist, [&](std::span<const sim::LogRecord> span) { core.feed_batch(span); },
+          sh, s, batch_hist,
+          [&](std::span<const sim::LogRecord> span) { core.feed_batch(span); },
           [&](const InItem& item) {
             core.advance(item.rec.ts_us);
             if (item.kind == InItem::Kind::kPass) run_pass(item.rec.ts_us);
@@ -641,8 +663,7 @@ struct ParallelIds::Impl {
       run_pass(final_pass.load(std::memory_order_acquire));
     } catch (...) {
       sh.error = std::current_exception();
-      while (sh.in.pop()) {
-      }
+      drain_failed(sh);
     }
     sh.events_emitted = core.events();
   }
@@ -702,6 +723,64 @@ struct ParallelIds::Impl {
     if (passes_delivered < passes_issued) deliver();
   }
 
+  void checkpoint(CheckpointWriter& ck) {
+    if (flushed) throw std::logic_error("ParallelIds: checkpoint after flush");
+    std::vector<CheckpointSection> sections(shards.size());
+    rendezvous(feeder, shards, [&](std::size_t s) {
+      util::StateWriter w;
+      cores[s]->save(w);
+      sections[s] = CheckpointSection(shard_section(s), std::move(w));
+    });
+    // Every pass issued before the barrier is finished on every shard:
+    // hand them all to the sink before the state that knows of their
+    // alerts can become a checkpoint.
+    deliver();
+    util::StateWriter w;
+    save_config(w);
+    w.i64(next_pass);
+    ck.add("ids", std::move(w));
+    for (auto& section : sections) ck.add(std::move(section));
+  }
+
+  void resume(const CheckpointReader& ck) {
+    if (flushed || feeder.fed != 0) throw std::logic_error("ParallelIds: resume after feed");
+    auto r = ck.section("ids");
+    util::StateWriter config;
+    save_config(config);
+    std::vector<std::uint8_t> saved(std::min(r.remaining(), config.bytes().size()));
+    r.raw(saved.data(), saved.size());
+    if (!std::ranges::equal(saved, config.bytes()))
+      throw std::runtime_error("ParallelIds: checkpoint configuration mismatch");
+    const sim::TimeUs saved_next_pass = r.i64();
+    r.expect_end();
+    if (!ck.has(shard_section(shards.size() - 1)) || ck.has(shard_section(shards.size())))
+      throw std::runtime_error("ParallelIds: checkpoint has a different shard count than the " +
+                               std::to_string(shards.size()) + " configured");
+    rendezvous(feeder, shards, [&](std::size_t s) {
+      auto sr = ck.section(shard_section(s));
+      cores[s]->load(sr);
+      sr.expect_end();
+    });
+    next_pass = saved_next_pass;
+  }
+
+  static std::string shard_section(std::size_t s) {
+    return "shard" + std::to_string(s) + ".ids";
+  }
+
+  /// The configuration fingerprint: the ladder, the absorption rule,
+  /// the detection thresholds and the period. A checkpoint resumes
+  /// only into an IDS whose fingerprint is byte for byte the saved one.
+  void save_config(util::StateWriter& w) const {
+    w.u64(cfg.adaptive.ladder.size());
+    for (const int level : cfg.adaptive.ladder) w.i32(level);
+    w.f64(cfg.adaptive.absorb_ratio);
+    w.u64(cfg.adaptive.max_children_absorbed);
+    w.u32(cfg.min_destinations);
+    w.i64(cfg.timeout_us);
+    w.i64(cfg.reattribution_period_us);
+  }
+
   void flush() {
     if (flushed) return;
     flushed = true;
@@ -734,6 +813,10 @@ void ParallelIds::feed_batch(std::span<const sim::LogRecord> batch) {
 }
 
 void ParallelIds::flush() { impl_->flush(); }
+
+void ParallelIds::checkpoint(CheckpointWriter& ck) { impl_->checkpoint(ck); }
+
+void ParallelIds::resume(const CheckpointReader& ck) { impl_->resume(ck); }
 
 int ParallelIds::threads() const noexcept { return static_cast<int>(impl_->shards.size()); }
 

@@ -14,10 +14,12 @@
 // the serial event *stream* from per-shard streams (docs/
 // ARCHITECTURE.md §3 has the argument).
 //
-// Two front ends are provided, mirroring the serial ones:
+// Two front ends are provided; at one shard each is the serial stage
+// on one worker thread:
 //   ParallelScanPipeline           ==  ScanDetector
 //   ParallelScanPipeline(+filter)  ==  ArtifactFilter -> ScanDetector
-//   ParallelIds                    ==  StreamingIds
+//   ParallelIds                    ==  the streaming IDS (§5): IdsCore
+//                                      plus the periodic pass clock
 //
 // Threading contract: feed()/flush() must be called from one thread;
 // each per-shard event sink runs on its worker thread (sinks must not
@@ -34,6 +36,7 @@
 
 #include "core/artifact_filter.hpp"
 #include "core/detector.hpp"
+#include "core/state_codec.hpp"
 #include "core/streaming_ids.hpp"
 #include "sim/record.hpp"
 
@@ -103,8 +106,9 @@ class ParallelScanPipeline {
   /// Close the shards, join all threads, rethrow any worker/sink
   /// error. Every shard sink has received all its events once this
   /// returns. Every shard's detector ends at the serial detector's
-  /// final clock (the last record in plain mode, the last record any
-  /// shard's filter released in filtered mode) before it flushes, so
+  /// final clock (the latest shard detector clock: the last record in
+  /// plain mode, the last record any shard's filter released in
+  /// filtered mode, restored state included) before it flushes, so
   /// each shard times out and flushes exactly the events the serial
   /// detector would.
   void flush();
@@ -146,21 +150,28 @@ class ParallelScanPipeline {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Sharded equivalent of StreamingIds. The ladder detectors shard by
-/// the coarsest ladder prefix, and attribution never looks across one
-/// (core::Attributor), so each worker runs its own IdsCore over its
-/// prefixes. At every serial pass trigger the feeder puts a pass tick
-/// into every ring; each worker attributes its dirty groups on it and
-/// hands the pass's alerts back without waiting. Once every shard has
-/// finished a pass, feed()/flush() merge its alerts by prefix — the
-/// serial alert order — and deliver them to the sink on the calling
-/// thread. Alerts (order, is_new flags, timestamps) and the blocklist
-/// are identical to StreamingIds.
+/// The streaming multi-level IDS (§5), sharded: ladder detectors at
+/// every level over one packet stream, re-attributed every
+/// reattribution period; a scanning actor's first attribution, or its
+/// escalation to a coarser prefix, is an alert. The ladder detectors
+/// shard by the coarsest ladder prefix, and attribution never looks
+/// across one (core::Attributor), so each worker runs its own IdsCore
+/// over its prefixes. The pass clock is the serial one: a pass runs
+/// after the first record at or past the previous pass plus the
+/// period, and once more at flush(). At every pass trigger the feeder
+/// puts a pass tick into every ring; each worker attributes its dirty
+/// groups on it and hands the pass's alerts back without waiting. Once
+/// every shard has finished a pass, feed()/flush() merge its alerts by
+/// prefix and deliver them to the sink on the calling thread. Alerts
+/// (order, is_new flags, timestamps) and the blocklist are the same at
+/// every shard count (tests/ids_oracle.hpp is the reference).
 class ParallelIds {
  public:
   using AlertSink = core::AlertSink;
 
-  /// `order` is ignored (see OrderMode).
+  /// `order` is ignored (see OrderMode). Throws std::invalid_argument
+  /// on a null sink, a non-positive reattribution period, a bad ladder
+  /// or bad detection thresholds.
   ParallelIds(const IdsConfig& config, const ParallelConfig& parallel, AlertSink sink,
               OrderMode order = OrderMode::kSharded);
 
@@ -174,6 +185,20 @@ class ParallelIds {
   /// ParallelScanPipeline::feed_batch.
   void feed_batch(std::span<const sim::LogRecord> batch);
   void flush();
+
+  /// Checkpoint rendezvous: push a barrier through every ring behind
+  /// the records fed so far; each worker saves its IdsCore as section
+  /// "shard<i>.ids", sealed on that worker. Then every pass the shards
+  /// finished before the barrier is delivered to the sink, so when
+  /// this returns the sink has seen exactly the alerts the saved state
+  /// knows of. Adds section "ids" (configuration fingerprint and the
+  /// pass clock) too. Throws std::logic_error after flush().
+  void checkpoint(CheckpointWriter& ck);
+  /// Restore what checkpoint() saved, before the first record; the
+  /// shard count must be the checkpoint's (shard routing depends on
+  /// it). Throws std::runtime_error on a configuration or shard-count
+  /// mismatch or a corrupt section, std::logic_error once fed.
+  void resume(const CheckpointReader& ck);
 
   [[nodiscard]] int threads() const noexcept;
   /// Final blocklist in prefix order: the union of the shards'

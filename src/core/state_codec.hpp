@@ -1,7 +1,7 @@
 // Versioned state lifecycle: the freeze/thaw seam and its container.
 //
-// Every long-lived pipeline stage — ScanDetector, ArtifactFilter,
-// StreamingIds, the analysis::Analyzer family — implements StateCodec:
+// Every long-lived pipeline stage — ScanDetector, ArtifactFilter, the
+// analysis::Analyzer family — implements StateCodec:
 // save() serializes the stage's complete accumulated state into a
 // StateWriter, load() reconstructs it into a same-configured instance.
 // The contract mirrors Analyzer::merge: load() onto a fresh instance

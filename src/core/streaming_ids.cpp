@@ -11,9 +11,9 @@ namespace v6sonar::core {
 namespace {
 
 /// IDS telemetry (names in docs/OBSERVABILITY.md). Alerts and pass
-/// timings are counted in the Attributor, which both the serial and
-/// the sharded front ends run; logical passes are counted by the
-/// front ends through note_ids_pass().
+/// timings are counted in the Attributor, which every ParallelIds
+/// shard and the daemon's blocklist verb run; logical passes are
+/// counted by ParallelIds through note_ids_pass().
 struct IdsMetrics {
   util::metrics::Counter passes{"ids.reattribution.passes"};
   util::metrics::Counter alerts{"ids.alerts.total"};
@@ -176,10 +176,6 @@ IdsCore::IdsCore(const IdsConfig& config) : attributor_(config.adaptive) {
         }));
 }
 
-void IdsCore::feed(const sim::LogRecord& r) {
-  for (auto& d : detectors_) d->feed(r);
-}
-
 void IdsCore::feed_batch(std::span<const sim::LogRecord> batch) {
   // Detectors are independent, so feeding d1 the whole batch before d2
   // produces the same per-level event streams as interleaving record
@@ -209,90 +205,6 @@ void IdsCore::load(util::StateReader& r) {
     attributor_.load_level(r, i);
   }
   attributor_.load_alerts(r);
-}
-
-// ------------------------------------------------------------------ //
-
-StreamingIds::StreamingIds(const IdsConfig& config, AlertSink sink)
-    : config_(config), sink_(std::move(sink)), core_(config_) {
-  if (!sink_) throw std::invalid_argument("StreamingIds: null sink");
-  if (config_.reattribution_period_us <= 0)
-    throw std::invalid_argument("StreamingIds: bad reattribution period");
-}
-
-void StreamingIds::feed(const sim::LogRecord& r) {
-  if (next_pass_us_ == 0) next_pass_us_ = r.ts_us + config_.reattribution_period_us;
-  core_.feed(r);
-  if (r.ts_us >= next_pass_us_) {
-    reattribute(r.ts_us);
-    next_pass_us_ = r.ts_us + config_.reattribution_period_us;
-  }
-}
-
-void StreamingIds::feed_batch(std::span<const sim::LogRecord> batch) {
-  // Slice at reattribution boundaries: a pass must run after the
-  // triggering record is fed to every detector and before the next
-  // record is fed to any, exactly as the record-at-a-time loop does.
-  // Records within a slice never trigger, so each slice can take the
-  // detectors' batched fast path.
-  while (!batch.empty()) {
-    if (next_pass_us_ == 0) next_pass_us_ = batch[0].ts_us + config_.reattribution_period_us;
-    std::size_t cut = batch.size();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].ts_us >= next_pass_us_) {
-        cut = i + 1;  // the triggering record itself is fed first
-        break;
-      }
-    }
-    core_.feed_batch(batch.first(cut));
-    if (batch[cut - 1].ts_us >= next_pass_us_) {
-      reattribute(batch[cut - 1].ts_us);
-      next_pass_us_ = batch[cut - 1].ts_us + config_.reattribution_period_us;
-    }
-    batch = batch.subspan(cut);
-  }
-}
-
-void StreamingIds::flush() {
-  core_.flush();
-  reattribute(next_pass_us_);
-}
-
-void StreamingIds::reattribute(sim::TimeUs now) {
-  core_.attributor().pass(now, sink_);
-  note_ids_pass(core_.attributor().blocklist_size());
-}
-
-void StreamingIds::save(util::StateWriter& w) const {
-  w.u64(config_.adaptive.ladder.size());
-  for (const int level : config_.adaptive.ladder) w.i32(level);
-  w.f64(config_.adaptive.absorb_ratio);
-  w.u64(config_.adaptive.max_children_absorbed);
-  w.u32(config_.min_destinations);
-  w.i64(config_.timeout_us);
-  w.i64(config_.reattribution_period_us);
-  w.i64(next_pass_us_);
-  core_.save(w);
-}
-
-void StreamingIds::load(util::StateReader& r) {
-  if (next_pass_us_ != 0)
-    throw std::runtime_error("StreamingIds::load: IDS already fed");
-  const std::uint64_t ladder_n = r.count(4);
-  bool config_ok = ladder_n == config_.adaptive.ladder.size();
-  for (std::uint64_t i = 0; i < ladder_n; ++i) {
-    const int level = r.i32();
-    config_ok = config_ok && i < config_.adaptive.ladder.size() &&
-                level == config_.adaptive.ladder[static_cast<std::size_t>(i)];
-  }
-  config_ok = config_ok && r.f64() == config_.adaptive.absorb_ratio &&
-              r.u64() == config_.adaptive.max_children_absorbed &&
-              r.u32() == config_.min_destinations && r.i64() == config_.timeout_us &&
-              r.i64() == config_.reattribution_period_us;
-  if (!config_ok) throw std::runtime_error("StreamingIds::load: configuration mismatch");
-  next_pass_us_ = r.i64();
-  core_.load(r);
-  // No expect_end(): the outermost section consumer asserts it.
 }
 
 }  // namespace v6sonar::core

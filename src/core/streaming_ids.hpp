@@ -1,13 +1,15 @@
-// Streaming intrusion-detection front end (§5, "IDSes should determine
+// The streaming intrusion-detection core (§5, "IDSes should determine
 // the aggregation in real-time ... track simultaneously various
 // aggregations").
 //
-// Runs scan detectors at every ladder level over one packet stream,
-// and periodically re-attributes the accumulated scan activity with
-// the adaptive algorithm. Whenever a scanning actor first appears, or
-// its best attribution escalates to a coarser prefix (an AS #18-style
-// spread actor coming into focus), an alert is emitted — the feed an
-// operator would wire into a blocklist.
+// Scan detectors run at every ladder level over one packet stream,
+// and the accumulated scan activity is periodically re-attributed
+// with the adaptive algorithm. Whenever a scanning actor first
+// appears, or its best attribution escalates to a coarser prefix (an
+// AS #18-style spread actor coming into focus), an alert is emitted —
+// the feed an operator would wire into a blocklist. This header holds
+// the pieces; core::ParallelIds (core/parallel_pipeline.hpp) is the
+// front end that drives them, at one shard or many.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +59,9 @@ struct IdsAlert {
 using AlertSink = std::function<void(const IdsAlert&)>;
 
 /// Count one logical attribution pass and note the blocklist size it
-/// left (ids.reattribution.passes, ids.blocklist.size_hw). The front
-/// ends call it once per pass; ParallelIds, whose shards each run
-/// their part of the pass, calls it once with the summed size.
+/// left (ids.reattribution.passes, ids.blocklist.size_hw).
+/// ParallelIds, whose shards each run their part of the pass, calls it
+/// once per pass with the summed size.
 void note_ids_pass(std::size_t blocklist_size);
 
 /// Incremental adaptive attribution plus the alert diff. Events fold
@@ -115,10 +117,9 @@ class Attributor {
   std::map<net::Ipv6Prefix, int> alerted_;  ///< prefix -> level already alerted
 };
 
-/// The IDS core both front ends run: one summary-only detector per
-/// ladder level, each folding its events into one Attributor.
-/// StreamingIds drives it over the whole stream; each ParallelIds
-/// worker drives one over its shard of coarsest-rung prefixes.
+/// The IDS core: one summary-only detector per ladder level, each
+/// folding its events into one Attributor. Each ParallelIds worker
+/// drives one over its shard of coarsest-rung prefixes.
 class IdsCore {
  public:
   explicit IdsCore(const IdsConfig& config);
@@ -126,7 +127,6 @@ class IdsCore {
   IdsCore& operator=(const IdsCore&) = delete;
 
   /// Feed every ladder level (time-ordered, as ScanDetector).
-  void feed(const sim::LogRecord& r);
   void feed_batch(std::span<const sim::LogRecord> batch);
   /// Advance every level's clock: finalizes the events due before `now`.
   void advance(sim::TimeUs now);
@@ -147,46 +147,6 @@ class IdsCore {
   Attributor attributor_;
   std::vector<std::unique_ptr<ScanDetector>> detectors_;
   std::uint64_t events_ = 0;
-};
-
-class StreamingIds : public StateCodec {
- public:
-  using AlertSink = core::AlertSink;
-
-  StreamingIds(const IdsConfig& config, AlertSink sink);
-
-  /// Feed one record (time-ordered).
-  void feed(const sim::LogRecord& r);
-
-  /// Feed a whole batch; exactly equivalent to feeding each record in
-  /// turn — reattribution passes trigger at the same records. The
-  /// batch is sliced at reattribution boundaries and each slice is fed
-  /// through the detectors' batched path (grouped updates, hash-once
-  /// key derivation), so the ladder no longer pays the record-at-a-time
-  /// fan-out cost between passes.
-  void feed_batch(std::span<const sim::LogRecord> batch);
-
-  /// Finalize all in-flight events and run a last attribution pass.
-  void flush();
-
-  /// Current blocklist: attributed scanning prefixes at their chosen
-  /// aggregation level, in prefix order.
-  [[nodiscard]] std::vector<Attribution> blocklist() const {
-    return core_.attributor().blocklist();
-  }
-
-  /// Freeze/thaw (core::StateCodec): the configuration, the pass
-  /// clock, then the IdsCore state.
-  void save(util::StateWriter& w) const override;
-  void load(util::StateReader& r) override;
-
- private:
-  void reattribute(sim::TimeUs now);
-
-  IdsConfig config_;
-  AlertSink sink_;
-  IdsCore core_;
-  sim::TimeUs next_pass_us_ = 0;
 };
 
 }  // namespace v6sonar::core

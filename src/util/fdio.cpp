@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <stdlib.h>
 #include <unistd.h>
 
 namespace v6sonar::util {
@@ -78,23 +77,6 @@ std::ptrdiff_t read_fully(int fd, void* data, std::size_t n) noexcept {
     done += static_cast<std::size_t>(got);
   }
   return static_cast<std::ptrdiff_t>(done);
-}
-
-std::FILE* open_scratch_file(const std::string& dir) noexcept {
-  const std::string where = dir.empty() ? std::string(".") : dir;
-  int fd = -1;
-#ifdef O_TMPFILE
-  fd = ::open(where.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
-#endif
-  if (fd < 0) {
-    std::string name = where + "/.v6sonar-scratch-XXXXXX";
-    fd = ::mkstemp(name.data());
-    if (fd < 0) return nullptr;
-    ::unlink(name.c_str());
-  }
-  std::FILE* f = ::fdopen(fd, "w+b");
-  if (f == nullptr) ::close(fd);
-  return f;
 }
 
 }  // namespace v6sonar::util

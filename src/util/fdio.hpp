@@ -70,12 +70,6 @@ bool write_fully(int fd, const void* data, std::size_t n) noexcept;
 /// (errno preserved). Blocking fds only.
 [[nodiscard]] std::ptrdiff_t read_fully(int fd, void* data, std::size_t n) noexcept;
 
-/// Open an anonymous read-write scratch file in directory `dir`: it
-/// has no name (O_TMPFILE, or created and unlinked at once where that
-/// is unavailable), so it vanishes when closed, crash included.
-/// Returns nullptr (errno set) on failure.
-[[nodiscard]] std::FILE* open_scratch_file(const std::string& dir) noexcept;
-
 /// Truncate an open stdio stream's file to `len` bytes (fflush +
 /// ftruncate on the underlying descriptor). Returns 0 on success,
 /// nonzero with errno set on failure.

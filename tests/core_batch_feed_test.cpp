@@ -15,6 +15,7 @@
 #include "core/streaming_ids.hpp"
 #include "util/rng.hpp"
 #include "util/timebase.hpp"
+#include "ids_oracle.hpp"
 #include "shard_collector.hpp"
 
 namespace v6sonar::core {
@@ -221,39 +222,20 @@ TEST(BatchFeed, ParallelPipelineMixedFeedAndFeedBatch) {
 }
 
 TEST(BatchFeed, StreamingIdsAndParallelIdsMatchRecordAtATime) {
+  // The reference is the IDS oracle fed record at a time; ParallelIds
+  // at one shard (the streaming IDS) and at several must match it at
+  // every batch size.
   const auto records = dense_workload();
   IdsConfig cfg;
   cfg.reattribution_period_us = 6LL * 3'600 * kSec;
 
   std::vector<IdsAlert> reference;
-  StreamingIds serial(cfg, [&](const IdsAlert& a) { reference.push_back(a); });
-  for (const auto& r : records) serial.feed(r);
-  serial.flush();
+  testing::OracleIds oracle(cfg, [&](const IdsAlert& a) { reference.push_back(a); });
+  for (const auto& r : records) oracle.feed(r);
+  oracle.flush();
   ASSERT_FALSE(reference.empty()) << "workload triggered no alerts";
 
-  const auto check = [&](const std::vector<IdsAlert>& alerts, const char* what,
-                         std::size_t batch) {
-    ASSERT_EQ(alerts.size(), reference.size()) << what << ", batch size " << batch;
-    for (std::size_t i = 0; i < alerts.size(); ++i) {
-      EXPECT_TRUE(alerts[i].attribution == reference[i].attribution)
-          << what << " alert " << i << ", batch size " << batch;
-      EXPECT_EQ(alerts[i].is_new, reference[i].is_new) << what << " alert " << i;
-      EXPECT_EQ(alerts[i].at_us, reference[i].at_us) << what << " alert " << i;
-    }
-  };
-
-  for (const std::size_t batch : kBatchSizes) {
-    std::vector<IdsAlert> alerts;
-    StreamingIds ids(cfg, [&](const IdsAlert& a) { alerts.push_back(a); });
-    feed_in_batches(records, batch, [&](std::span<const sim::LogRecord> s) {
-      ids.feed_batch(s);
-    });
-    ids.flush();
-    check(alerts, "StreamingIds", batch);
-    EXPECT_TRUE(ids.blocklist() == serial.blocklist());
-  }
-
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     for (const std::size_t batch : kBatchSizes) {
       std::vector<IdsAlert> alerts;
       ParallelIds ids(cfg, {.threads = threads},
@@ -262,8 +244,14 @@ TEST(BatchFeed, StreamingIdsAndParallelIdsMatchRecordAtATime) {
         ids.feed_batch(s);
       });
       ids.flush();
-      check(alerts, "ParallelIds", batch);
-      EXPECT_TRUE(ids.blocklist() == serial.blocklist())
+      ASSERT_EQ(alerts.size(), reference.size()) << threads << " threads, batch size " << batch;
+      for (std::size_t i = 0; i < alerts.size(); ++i) {
+        EXPECT_TRUE(alerts[i].attribution == reference[i].attribution)
+            << "alert " << i << ", " << threads << " threads, batch size " << batch;
+        EXPECT_EQ(alerts[i].is_new, reference[i].is_new) << "alert " << i;
+        EXPECT_EQ(alerts[i].at_us, reference[i].at_us) << "alert " << i;
+      }
+      EXPECT_TRUE(ids.blocklist() == oracle.blocklist())
           << threads << " threads, batch size " << batch;
     }
   }

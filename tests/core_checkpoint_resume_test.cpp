@@ -4,13 +4,17 @@
 // filter output, IDS alerts + blocklist) is byte-identical to one
 // uninterrupted run. k sweeps the interesting boundaries (0,
 // mid-batch, first record after an expiry gap, first record of a new
-// UTC day) and the parallel pipeline sweeps thread counts {1, 2, 8}.
+// UTC day) and the parallel pipeline sweeps thread counts {1, 2, 8},
+// per-shard event spills resumed at their checkpointed cursors
+// included.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +23,7 @@
 #include "analysis/report_render.hpp"
 #include "core/artifact_filter.hpp"
 #include "core/detector.hpp"
+#include "core/event_io.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "core/state_codec.hpp"
 #include "core/streaming_ids.hpp"
@@ -270,30 +275,37 @@ IdsConfig ids_config() {
 }
 
 TEST(CheckpointResume, StreamingIdsAlertsAndBlocklist) {
+  // The streaming IDS (ParallelIds at one shard), record by record,
+  // through the checkpoint container.
   const auto recs = workload();
+  const ParallelConfig one_shard{.threads = 1};
   IdsRun base;
   {
-    StreamingIds ids(ids_config(), [&](const IdsAlert& a) { base.alerts.push_back(alert_line(a)); });
+    ParallelIds ids(ids_config(), one_shard,
+                    [&](const IdsAlert& a) { base.alerts.push_back(alert_line(a)); });
     for (const auto& r : recs) ids.feed(r);
     ids.flush();
     base.blocklist = analysis::render_blocklist(ids.blocklist());
   }
   ASSERT_FALSE(base.alerts.empty());
 
+  const ScratchDir scratch;
+  const std::string path = scratch.file("ids.v6ckpt");
   for (const std::size_t k : checkpoint_points(recs)) {
     IdsRun run;
-    util::StateWriter w;
     {
-      StreamingIds ids(ids_config(),
-                       [&](const IdsAlert& a) { run.alerts.push_back(alert_line(a)); });
+      std::vector<std::string> seen;
+      ParallelIds ids(ids_config(), one_shard,
+                      [&](const IdsAlert& a) { seen.push_back(alert_line(a)); });
       for (std::size_t i = 0; i < k; ++i) ids.feed(recs[i]);
-      ids.save(w);
-    }
-    StreamingIds ids(ids_config(),
-                     [&](const IdsAlert& a) { run.alerts.push_back(alert_line(a)); });
-    util::StateReader r(w.bytes());
-    ids.load(r);
-    r.expect_end();
+      CheckpointWriter ck;
+      ids.checkpoint(ck);
+      ck.commit(path);
+      run.alerts = seen;
+    }  // a crash: what the first instance delivers from here on is lost
+    ParallelIds ids(ids_config(), one_shard,
+                    [&](const IdsAlert& a) { run.alerts.push_back(alert_line(a)); });
+    ids.resume(CheckpointReader(path));
     for (std::size_t i = k; i < recs.size(); ++i) ids.feed(recs[i]);
     ids.flush();
     run.blocklist = analysis::render_blocklist(ids.blocklist());
@@ -381,6 +393,119 @@ TEST(CheckpointResume, ShardedPipelineAcrossThreadCounts) {
           });
       second.pipeline.feed_batch(std::span(recs).subspan(k));
       EXPECT_EQ(second.finish(), base_report) << "threads=" << threads << " k=" << k;
+    }
+  }
+}
+
+/// The composition `detect --events` runs: every shard spills to its
+/// own scratch file, a checkpoint syncs each spill on its worker and
+/// records its cursor next to the shard's detector, and after flush
+/// the spills merge into one event file in the serial order.
+struct SpillRun {
+  std::vector<std::string> paths;
+  std::vector<std::unique_ptr<EventWriter>> spills;
+  ParallelScanPipeline pipeline;
+
+  /// With `resume`, each spill reopens at its checkpointed cursor and
+  /// each detector loads its saved state.
+  SpillRun(const ScratchDir& dir, int threads, const CheckpointReader* resume)
+      : pipeline(detector_config(), ParallelConfig{.threads = threads, .ring_capacity = 64},
+                 ParallelScanPipeline::ShardSinkFactory([&](std::size_t s) -> EventSink& {
+                   const std::string name = "spill.shard" + std::to_string(s);
+                   paths.push_back(dir.file(name.c_str()));
+                   constexpr auto kScratch = EventWriter::Durability::kScratch;
+                   if (resume) {
+                     auto r = resume->section("shard" + std::to_string(s) + ".spill");
+                     const std::uint64_t count = r.u64();
+                     const std::uint64_t offset = r.u64();
+                     spills.push_back(
+                         std::make_unique<EventWriter>(paths.back(), count, offset, kScratch));
+                   } else {
+                     spills.push_back(std::make_unique<EventWriter>(paths.back(), kScratch));
+                   }
+                   return *spills.back();
+                 })) {
+    if (resume)
+      pipeline.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
+        auto r = resume->section("shard" + std::to_string(s) + ".detector");
+        det.load(r);
+        r.expect_end();
+      });
+  }
+
+  void checkpoint(const std::string& path) {
+    std::vector<CheckpointSection> det_sec(spills.size()), spill_sec(spills.size());
+    pipeline.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
+      util::StateWriter dw, sw;
+      det.save(dw);
+      spills[s]->checkpoint_sync();
+      sw.u64(spills[s]->written());
+      sw.u64(spills[s]->offset());
+      det_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".detector", std::move(dw));
+      spill_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".spill", std::move(sw));
+    });
+    CheckpointWriter ck;
+    for (std::size_t s = 0; s < spills.size(); ++s) {
+      ck.add(std::move(det_sec[s]));
+      ck.add(std::move(spill_sec[s]));
+    }
+    ck.commit(path);
+  }
+
+  /// Flush, merge the shard spills into `out`, and return its bytes.
+  std::string finish(const std::string& out) {
+    pipeline.flush();
+    std::vector<std::unique_ptr<EventReader>> readers;
+    for (std::size_t s = 0; s < spills.size(); ++s) {
+      spills[s]->close();
+      readers.push_back(std::make_unique<EventReader>(paths[s]));
+    }
+    EventWriter merged(out);
+    pipeline.merge_shard_events(
+        [&](std::size_t s, ScanEvent& ev) { return readers[s]->next(ev); }, merged);
+    merged.close();
+    std::ifstream in(out, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+};
+
+TEST(CheckpointResume, ShardedSpillResumesAtItsCursors) {
+  // A run that crashes after a checkpoint leaves every shard spill
+  // longer than its cursor; the resumed run truncates each back and
+  // its merged spill is the uninterrupted one byte for byte — the
+  // serial detector's event stream — at every k, the last record
+  // included (the merge then depends on the restored clocks alone).
+  const auto recs = workload();
+  const ScratchDir scratch;
+  std::string serial;
+  {
+    std::vector<ScanEvent> events;
+    ScanDetector det(detector_config(), [&](ScanEvent&& ev) { events.push_back(std::move(ev)); });
+    for (const auto& r : recs) det.feed(r);
+    det.flush();
+    write_events(scratch.file("serial.v6ev"), events);
+    std::ifstream in(scratch.file("serial.v6ev"), std::ios::binary);
+    serial.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::vector<std::size_t> ks = checkpoint_points(recs);
+  ks.push_back(recs.size());
+  for (const int threads : {1, 2, 8}) {
+    SpillRun base(scratch, threads, nullptr);
+    base.pipeline.feed_batch(recs);
+    EXPECT_EQ(base.finish(scratch.file("base.v6ev")), serial) << "threads=" << threads;
+
+    for (const std::size_t k : ks) {
+      const std::string path = scratch.file("spill.v6ckpt");
+      {
+        SpillRun first(scratch, threads, nullptr);
+        first.pipeline.feed_batch(std::span(recs).first(k));
+        first.checkpoint(path);
+      }  // a crash after the checkpoint: the spills run on past their cursors
+      const CheckpointReader ck(path);
+      SpillRun second(scratch, threads, &ck);
+      second.pipeline.feed_batch(std::span(recs).subspan(k));
+      EXPECT_EQ(second.finish(scratch.file("resumed.v6ev")), serial)
+          << "threads=" << threads << " k=" << k;
     }
   }
 }

@@ -4,9 +4,9 @@
 // emit the same events, in the same order, as a full detector in every
 // field attribution reads (source, first_us, last_us, packets,
 // src_asn). Its state must load from a full-mode save and vice versa,
-// and StreamingIds built on it must alert exactly like the IDS oracle
-// (tests/ids_oracle.hpp: full detectors + slim_scan_event +
-// attribute_adaptive).
+// and the streaming IDS built on it (ParallelIds at one shard) must
+// alert exactly like the IDS oracle (tests/ids_oracle.hpp: full
+// detectors + slim_scan_event + attribute_adaptive).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include "core/adaptive.hpp"
 #include "core/detector.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/streaming_ids.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -319,7 +320,7 @@ TEST(SummaryOnly, StreamingIdsMatchesFullDetectorReference) {
 
     for (const std::uint64_t batch_seed : {0, 1, 2}) {
       std::vector<IdsAlert> alerts;
-      StreamingIds ids(cfg, [&](const IdsAlert& a) { alerts.push_back(a); });
+      ParallelIds ids(cfg, {.threads = 1}, [&](const IdsAlert& a) { alerts.push_back(a); });
       if (batch_seed == 0) {
         for (const auto& r : records) ids.feed(r);
       } else {

@@ -1,19 +1,22 @@
 // Differential tests of every IDS path against the IDS oracle
 // (tests/ids_oracle.hpp): attribute_adaptive() over the full event
-// lists plus the full-list alert diff, on every pass. StreamingIds
-// (incremental attribution, record by record and in random batches)
-// and ParallelIds (shard-local passes, 1/2/3/8 shards) must match it
-// alert for alert — order, is_new and at_us — and in the final
-// blocklist, at short and long reattribution periods, on traffic
-// built to hit the incremental attributor's edges: several ladder
-// levels inside one /32, escalation mid-stream, an inter-packet gap of
-// exactly the timeout ending at a pass trigger, passes with no new
-// events, and pass triggers inside feed batches.
+// lists plus the full-list alert diff, on every pass. ParallelIds
+// (incremental attribution in shard-local passes, 1/2/3/8 shards,
+// record by record and in random batches, uninterrupted and resumed
+// from a checkpoint) must match it alert for alert — order, is_new and
+// at_us — and in the final blocklist, at short and long reattribution
+// periods, on traffic built to hit the incremental attributor's edges:
+// several ladder levels inside one /32, escalation mid-stream, an
+// inter-packet gap of exactly the timeout ending at a pass trigger,
+// passes with no new events, and pass triggers inside feed batches.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <span>
 #include <string>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "core/parallel_pipeline.hpp"
+#include "core/state_codec.hpp"
 #include "core/streaming_ids.hpp"
 #include "util/rng.hpp"
 #include "util/state_io.hpp"
@@ -166,6 +170,16 @@ void feed_randomly(Ids& ids, std::span<const LogRecord> records, std::uint64_t s
   }
 }
 
+/// A per-process scratch directory (ctest -j runs test processes
+/// concurrently), removed when the test ends.
+struct ScratchDir {
+  std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                              ("v6sonar_ids_oracle_test_" + std::to_string(::getpid()));
+  ScratchDir() { std::filesystem::create_directories(dir); }
+  ~ScratchDir() { std::filesystem::remove_all(dir); }
+  [[nodiscard]] std::string file(const char* name) const { return (dir / name).string(); }
+};
+
 void expect_same(const IdsRun& want, const IdsRun& got, const std::string& what) {
   ASSERT_EQ(got.alerts.size(), want.alerts.size()) << what;
   for (std::size_t i = 0; i < want.alerts.size(); ++i) {
@@ -196,32 +210,133 @@ TEST(IdsOracle, WorkloadReachesTheAttributorsEdges) {
 }
 
 TEST(IdsOracle, StreamingAndParallelIdsMatchTheOracle) {
+  // One shard — the streaming IDS — record by record and in random
+  // batches, then several shards.
+  const std::pair<int, std::uint64_t> runs[] = {{1, 0}, {1, 1}, {2, 2}, {3, 3}, {8, 8}};
   for (const TimeUs period : {86'400 * kSec, 3'600 * kSec, 600 * kSec}) {
     const IdsConfig cfg = config(period);
     const auto records = adversarial_traffic(5, period);
     const IdsRun oracle = run_oracle(cfg, records);
     ASSERT_FALSE(oracle.alerts.empty());
     const std::string at = "period " + std::to_string(period / kSec) + " s";
-
-    for (const std::uint64_t batch_seed : {0, 1}) {
+    for (const auto& [threads, batch_seed] : runs) {
       IdsRun got;
-      StreamingIds ids(cfg, [&](const IdsAlert& a) { got.alerts.push_back(a); });
+      ParallelIds ids(cfg, {.threads = threads},
+                      [&](const IdsAlert& a) { got.alerts.push_back(a); });
       feed_randomly(ids, records, batch_seed);
       ids.flush();
       got.blocklist = ids.blocklist();
       expect_same(oracle, got,
-                  "StreamingIds, " + at + ", batch seed " + std::to_string(batch_seed));
-    }
-    for (const int threads : {1, 2, 3, 8}) {
-      IdsRun got;
-      ParallelIds ids(cfg, {.threads = threads},
-                      [&](const IdsAlert& a) { got.alerts.push_back(a); });
-      feed_randomly(ids, records, static_cast<std::uint64_t>(threads));
-      ids.flush();
-      got.blocklist = ids.blocklist();
-      expect_same(oracle, got, "ParallelIds, " + at + ", " + std::to_string(threads) + " threads");
+                  at + ", " + std::to_string(threads) + " threads, batch seed " +
+                      std::to_string(batch_seed));
     }
   }
+}
+
+/// Index of the first record that triggers a pass at or after record
+/// `from`, on the serial pass clock.
+std::size_t pass_trigger_after(const std::vector<LogRecord>& records, TimeUs period,
+                               std::size_t from) {
+  TimeUs next = records.front().ts_us + period;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records[i].ts_us < next) continue;
+    if (i >= from) return i;
+    next = records[i].ts_us + period;
+  }
+  ADD_FAILURE() << "no pass trigger after record " << from;
+  return from;
+}
+
+/// Run `cfg` over `records` on `threads` shards with a checkpoint after
+/// record k (fed in 4096-record batches, so k may fall inside one),
+/// then resume a fresh ParallelIds from it. Returns the alerts the
+/// sink had seen when the checkpoint committed, then the resumed run's
+/// alerts and blocklist.
+IdsRun checkpoint_and_resume(const IdsConfig& cfg, const std::vector<LogRecord>& records,
+                             std::size_t k, int threads, const std::string& path) {
+  IdsRun got;
+  {
+    std::vector<IdsAlert> seen;
+    ParallelIds first(cfg, {.threads = threads}, [&](const IdsAlert& a) { seen.push_back(a); });
+    const std::span<const LogRecord> head = std::span(records).first(k);
+    for (std::size_t i = 0; i < head.size(); i += 4'096)
+      first.feed_batch(head.subspan(i, std::min<std::size_t>(4'096, head.size() - i)));
+    CheckpointWriter ck;
+    first.checkpoint(ck);
+    ck.commit(path);
+    got.alerts = seen;
+  }  // a crash: what `first` delivers from here on is lost
+  ParallelIds second(cfg, {.threads = threads},
+                     [&](const IdsAlert& a) { got.alerts.push_back(a); });
+  second.resume(CheckpointReader(path));
+  second.feed_batch(std::span(records).subspan(k));
+  second.flush();
+  got.blocklist = second.blocklist();
+  return got;
+}
+
+TEST(IdsOracle, ResumedParallelIdsMatchesTheOracle) {
+  // The alerts before the checkpoint plus the resumed alerts are the
+  // uninterrupted ones, at k = 0, inside a feed batch, on either side
+  // of a mid-stream pass trigger (the pass issued just before the
+  // checkpoint must be delivered before it commits; the one just after
+  // must run on the restored pass clock), and after the last record.
+  const ScratchDir scratch;
+  const std::string path = scratch.file("ids.v6ckpt");
+  for (const TimeUs period : {86'400 * kSec, 3'600 * kSec}) {
+    const IdsConfig cfg = config(period);
+    const auto records = adversarial_traffic(5, period);
+    const IdsRun oracle = run_oracle(cfg, records);
+    const std::size_t trigger = pass_trigger_after(records, period, records.size() / 2);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{3 * 4'096 + 1'234}, trigger,
+                                trigger + 1, records.size()}) {
+      for (const int threads : {1, 2, 3}) {
+        expect_same(oracle, checkpoint_and_resume(cfg, records, k, threads, path),
+                    "period " + std::to_string(period / kSec) + " s, k " + std::to_string(k) +
+                        ", " + std::to_string(threads) + " threads");
+      }
+    }
+    // The last checkpoint (3 shards) resumes only into as many shards
+    // as wrote it — shard routing depends on the count — and only
+    // into the same configuration.
+    ParallelIds two_shards(cfg, {.threads = 2}, [](const IdsAlert&) {});
+    EXPECT_THROW(two_shards.resume(CheckpointReader(path)), std::runtime_error);
+    IdsConfig other = cfg;
+    other.reattribution_period_us += kSec;
+    ParallelIds other_period(other, {.threads = 3}, [](const IdsAlert&) {});
+    EXPECT_THROW(other_period.resume(CheckpointReader(path)), std::runtime_error);
+  }
+}
+
+TEST(IdsOracle, RefusesTheSerialCheckpointLayout) {
+  // The serial front end's checkpoints held "meta" and one "ids"
+  // section with the pass clock and the whole state. ParallelIds must
+  // refuse one before loading anything: the refused instance still
+  // runs like a fresh one.
+  const IdsConfig cfg = config(3'600 * kSec);
+  const auto records = adversarial_traffic(7, cfg.reattribution_period_us);
+  const IdsRun oracle = run_oracle(cfg, records);
+  const ScratchDir scratch;
+  const std::string path = scratch.file("serial_ids.v6ckpt");
+  {
+    testing::OracleIds serial(cfg, [](const IdsAlert&) {});
+    for (std::size_t i = 0; i < records.size() / 2; ++i) serial.feed(records[i]);
+    util::StateWriter meta, state;
+    meta.u64(records.size() / 2);
+    meta.u64(0);
+    serial.save(state);
+    CheckpointWriter ck;
+    ck.add("meta", std::move(meta));
+    ck.add("ids", std::move(state));
+    ck.commit(path);
+  }
+  IdsRun got;
+  ParallelIds ids(cfg, {.threads = 1}, [&](const IdsAlert& a) { got.alerts.push_back(a); });
+  EXPECT_THROW(ids.resume(CheckpointReader(path)), std::runtime_error);
+  ids.feed_batch(records);
+  ids.flush();
+  got.blocklist = ids.blocklist();
+  expect_same(oracle, got, "after the refusal");
 }
 
 TEST(IdsOracle, SlowAlertSinkNeverStallsTheShards) {
@@ -252,50 +367,52 @@ TEST(IdsOracle, SlowAlertSinkNeverStallsTheShards) {
 
 TEST(IdsOracle, ResumesFromAnEventListState) {
   // IDS states once held every event of every level; today's hold one
-  // folded event per (level, source). StreamingIds must resume an
-  // event-list state exactly: the alerts after the save point and the
-  // final blocklist are the oracle's.
+  // folded event per (level, source). A one-shard ParallelIds must
+  // resume an event-list state exactly: the alerts after the save
+  // point and the final blocklist are the oracle's.
   const IdsConfig cfg = config(3'600 * kSec);
   const auto records = adversarial_traffic(7, cfg.reattribution_period_us);
   const IdsRun oracle = run_oracle(cfg, records);
+  const ScratchDir scratch;
+  const std::string listed = scratch.file("event_list.v6ckpt");
+  const std::string folded = scratch.file("folded.v6ckpt");
   for (const std::size_t k : {records.size() / 3, records.size() * 2 / 3}) {
     std::size_t before = 0;
-    util::StateWriter w;
     {
       testing::OracleIds first(cfg, [&](const IdsAlert&) { ++before; });
       for (std::size_t i = 0; i < k; ++i) first.feed(records[i]);
-      first.save(w);
+      util::StateWriter clock, core;
+      first.save_clock(clock);
+      first.save_core(core);
+      CheckpointWriter ck;
+      ck.add("ids", std::move(clock));
+      ck.add("shard0.ids", std::move(core));
+      ck.commit(listed);
     }
-    IdsRun got;
-    StreamingIds resumed(cfg, [&](const IdsAlert& a) { got.alerts.push_back(a); });
-    util::StateReader r(w.bytes());
-    resumed.load(r);
-    r.expect_end();
-    resumed.feed_batch(std::span(records).subspan(k));
-    resumed.flush();
-    got.blocklist = resumed.blocklist();
     IdsRun tail = oracle;
     tail.alerts.erase(tail.alerts.begin(),
                       tail.alerts.begin() + static_cast<std::ptrdiff_t>(before));
-    expect_same(tail, got, "save at record " + std::to_string(k));
+    const auto resume_from = [&](const std::string& path) {
+      IdsRun got;
+      ParallelIds resumed(cfg, {.threads = 1},
+                          [&](const IdsAlert& a) { got.alerts.push_back(a); });
+      resumed.resume(CheckpointReader(path));
+      resumed.feed_batch(std::span(records).subspan(k));
+      resumed.flush();
+      got.blocklist = resumed.blocklist();
+      return got;
+    };
+    expect_same(tail, resume_from(listed), "save at record " + std::to_string(k));
 
     // And the folded state a resumed IDS saves resumes the same way.
-    util::StateWriter folded;
     {
-      StreamingIds fresh(cfg, [](const IdsAlert&) {});
-      util::StateReader r2(w.bytes());
-      fresh.load(r2);
-      fresh.save(folded);
+      ParallelIds fresh(cfg, {.threads = 1}, [](const IdsAlert&) {});
+      fresh.resume(CheckpointReader(listed));
+      CheckpointWriter ck;
+      fresh.checkpoint(ck);
+      ck.commit(folded);
     }
-    IdsRun again;
-    StreamingIds twice(cfg, [&](const IdsAlert& a) { again.alerts.push_back(a); });
-    util::StateReader r3(folded.bytes());
-    twice.load(r3);
-    r3.expect_end();
-    twice.feed_batch(std::span(records).subspan(k));
-    twice.flush();
-    again.blocklist = twice.blocklist();
-    expect_same(tail, again, "folded save at record " + std::to_string(k));
+    expect_same(tail, resume_from(folded), "folded save at record " + std::to_string(k));
   }
 }
 

@@ -203,10 +203,9 @@ TEST_F(CoreMetricsTest, ParallelPipelineReportsShardTelemetry) {
 }
 
 TEST_F(CoreMetricsTest, IdsAttributionTimerSamplesEveryPass) {
-  // ids.reattribution.passes counts logical passes, in the serial and
-  // the sharded front end alike; ids.attribute_us takes one sample per
-  // pass in the serial front end, and one per shard per pass in
-  // ParallelIds, where every shard attributes its own prefixes.
+  // ids.reattribution.passes counts logical passes at every shard
+  // count; ids.attribute_us takes one sample per shard per pass, as
+  // every shard attributes its own prefixes.
   IdsConfig cfg;
   cfg.min_destinations = 3;
   cfg.timeout_us = 900 * kSec;
@@ -219,20 +218,15 @@ TEST_F(CoreMetricsTest, IdsAttributionTimerSamplesEveryPass) {
     return h ? h->count : 0;
   };
 
-  StreamingIds serial(cfg, [](const IdsAlert&) {});
-  serial.feed_batch(recs);
-  serial.flush();
-  const std::uint64_t passes = counter(m::snapshot(), "ids.reattribution.passes");
-  EXPECT_EQ(passes, 7u);  // at 600, 1200, ..., 3600 s, plus the flush pass
-  EXPECT_EQ(samples(), passes);
-
+  constexpr std::uint64_t kPasses = 7;  // at 600, 1200, ..., 3600 s, plus the flush pass
   for (const int threads : {1, 2, 3}) {
     m::reset();
     ParallelIds ids(cfg, {.threads = threads}, [](const IdsAlert&) {});
     ids.feed_batch(recs);
     ids.flush();
-    EXPECT_EQ(counter(m::snapshot(), "ids.reattribution.passes"), passes) << threads << " threads";
-    EXPECT_EQ(samples(), passes * static_cast<std::uint64_t>(threads)) << threads << " threads";
+    EXPECT_EQ(counter(m::snapshot(), "ids.reattribution.passes"), kPasses)
+        << threads << " threads";
+    EXPECT_EQ(samples(), kPasses * static_cast<std::uint64_t>(threads)) << threads << " threads";
   }
 }
 

@@ -1,7 +1,8 @@
 // Determinism tests for the sharded pipeline: across 1/2/3/8 worker
 // threads, every front end must produce byte-identical output —
 // events, ordering, filter statistics, IDS alerts — to its serial
-// counterpart on a seeded multi-day workload. Per-shard event streams
+// reference (the serial detector and filter, the IDS oracle of
+// tests/ids_oracle.hpp) on a seeded multi-day workload. Per-shard event streams
 // merged by the library merge must match the serial detector event
 // for event; per-shard analyzers must merge into byte-identical
 // rendered reports.
@@ -20,6 +21,7 @@
 #include "core/streaming_ids.hpp"
 #include "util/rng.hpp"
 #include "util/timebase.hpp"
+#include "ids_oracle.hpp"
 #include "shard_collector.hpp"
 
 namespace v6sonar::core {
@@ -544,12 +546,12 @@ TEST(ParallelIds, MatchesSerialAlertsAndBlocklist) {
   cfg.reattribution_period_us = 6LL * 3'600 * kSec;  // ~9 passes over the workload
 
   std::vector<IdsAlert> serial_alerts;
-  StreamingIds serial(cfg, [&](const IdsAlert& a) { serial_alerts.push_back(a); });
+  testing::OracleIds serial(cfg, [&](const IdsAlert& a) { serial_alerts.push_back(a); });
   for (const auto& r : records) serial.feed(r);
   serial.flush();
   ASSERT_FALSE(serial_alerts.empty()) << "workload triggered no alerts";
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     std::vector<IdsAlert> parallel_alerts;
     ParallelIds ids(cfg, {.threads = threads},
                     [&](const IdsAlert& a) { parallel_alerts.push_back(a); });
@@ -576,7 +578,7 @@ TEST(ParallelIds, ShardedBlocklistMatchesSerial) {
   cfg.reattribution_period_us = 6LL * 3'600 * kSec;
 
   std::vector<IdsAlert> serial_alerts;
-  StreamingIds serial(cfg, [&](const IdsAlert& a) { serial_alerts.push_back(a); });
+  testing::OracleIds serial(cfg, [&](const IdsAlert& a) { serial_alerts.push_back(a); });
   for (const auto& r : records) serial.feed(r);
   serial.flush();
   ASSERT_FALSE(serial.blocklist().empty()) << "workload triggered no attributions";

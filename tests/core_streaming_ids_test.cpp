@@ -1,6 +1,8 @@
-// Tests for the streaming adaptive-attribution IDS (§5).
+// Tests for the streaming adaptive-attribution IDS (§5), on its one
+// front end, ParallelIds, at one shard.
 #include <gtest/gtest.h>
 
+#include "core/parallel_pipeline.hpp"
 #include "core/streaming_ids.hpp"
 
 #include "util/rng.hpp"
@@ -34,16 +36,21 @@ IdsConfig small_config() {
   return cfg;
 }
 
+constexpr ParallelConfig kOneShard{.threads = 1};
+
 TEST(StreamingIds, RejectsBadConfig) {
-  EXPECT_THROW(StreamingIds({}, nullptr), std::invalid_argument);
+  EXPECT_THROW(ParallelIds({}, kOneShard, nullptr), std::invalid_argument);
   IdsConfig cfg;
   cfg.reattribution_period_us = 0;
-  EXPECT_THROW(StreamingIds(cfg, [](const IdsAlert&) {}), std::invalid_argument);
+  EXPECT_THROW(ParallelIds(cfg, kOneShard, [](const IdsAlert&) {}), std::invalid_argument);
+  cfg = IdsConfig{};
+  cfg.adaptive.ladder = {48, 64};  // must run finest to coarsest
+  EXPECT_THROW(ParallelIds(cfg, kOneShard, [](const IdsAlert&) {}), std::invalid_argument);
 }
 
 TEST(StreamingIds, SingleAddressActorAlertsOnceAtSlash128) {
   std::vector<IdsAlert> alerts;
-  StreamingIds ids(small_config(), [&](const IdsAlert& a) { alerts.push_back(a); });
+  ParallelIds ids(small_config(), kOneShard, [&](const IdsAlert& a) { alerts.push_back(a); });
 
   const Ipv6Address scanner = Ipv6Address::parse_or_throw("2a10:1::15");
   TimeUs t = 0;
@@ -66,7 +73,7 @@ TEST(StreamingIds, SpreadActorEscalatesWithEscalationAlert) {
   std::vector<IdsAlert> alerts;
   IdsConfig cfg = small_config();
   cfg.adaptive.absorb_ratio = 1.3;
-  StreamingIds ids(cfg, [&](const IdsAlert& a) { alerts.push_back(a); });
+  ParallelIds ids(cfg, kOneShard, [&](const IdsAlert& a) { alerts.push_back(a); });
 
   // AS#18 pattern: each burst from a fresh /48 under one /32; bursts
   // of 60 destinations (below the 50-dst bar only at... 60 >= 50, so
@@ -108,7 +115,7 @@ TEST(StreamingIds, SpreadActorEscalatesWithEscalationAlert) {
 
 TEST(StreamingIds, QuietTrafficProducesNoAlerts) {
   std::vector<IdsAlert> alerts;
-  StreamingIds ids(small_config(), [&](const IdsAlert& a) { alerts.push_back(a); });
+  ParallelIds ids(small_config(), kOneShard, [&](const IdsAlert& a) { alerts.push_back(a); });
   util::Xoshiro256 rng(3);
   TimeUs t = 0;
   // 500 sources, 3 destinations each: nobody crosses the bar.
@@ -123,7 +130,7 @@ TEST(StreamingIds, QuietTrafficProducesNoAlerts) {
 
 TEST(StreamingIds, AlertCarriesTimestampAndPackets) {
   std::vector<IdsAlert> alerts;
-  StreamingIds ids(small_config(), [&](const IdsAlert& a) { alerts.push_back(a); });
+  ParallelIds ids(small_config(), kOneShard, [&](const IdsAlert& a) { alerts.push_back(a); });
   const Ipv6Address scanner = Ipv6Address::parse_or_throw("2a10:2::9");
   TimeUs t = kHour;
   for (int i = 0; i < 200; ++i) ids.feed(probe(t += 10 * kSec, scanner, static_cast<std::uint64_t>(i)));

@@ -48,9 +48,9 @@ class OracleIds {
   [[nodiscard]] const std::vector<Attribution>& blocklist() const { return blocklist_; }
   [[nodiscard]] std::size_t passes() const { return passes_; }
 
-  /// The StreamingIds state layout as it was when the IDS kept whole
-  /// event lists: per level the detector, then every event it emitted.
-  void save(util::StateWriter& w) const {
+  /// The configuration fingerprint and the pass clock: the layout of
+  /// a ParallelIds checkpoint's "ids" section.
+  void save_clock(util::StateWriter& w) const {
     w.u64(cfg_.adaptive.ladder.size());
     for (const int level : cfg_.adaptive.ladder) w.i32(level);
     w.f64(cfg_.adaptive.absorb_ratio);
@@ -59,6 +59,12 @@ class OracleIds {
     w.i64(cfg_.timeout_us);
     w.i64(cfg_.reattribution_period_us);
     w.i64(next_pass_);
+  }
+
+  /// The IdsCore state layout as it was when the IDS kept whole event
+  /// lists: per level the detector, then every event it emitted; then
+  /// the blocklist and the alerted map. One shard's "shard<i>.ids".
+  void save_core(util::StateWriter& w) const {
     for (std::size_t i = 0; i < detectors_.size(); ++i) {
       detectors_[i]->save(w);
       w.u64(events_[i].size());
@@ -71,6 +77,14 @@ class OracleIds {
       save_prefix(w, prefix);
       w.i32(level);
     }
+  }
+
+  /// Both in one section: the "ids" section of the checkpoints the
+  /// serial IDS front end (StreamingIds) wrote before ParallelIds
+  /// replaced it.
+  void save(util::StateWriter& w) const {
+    save_clock(w);
+    save_core(w);
   }
 
  private:

@@ -40,7 +40,9 @@
 # the two reports are byte-for-byte identical — the sink pipeline's
 # equivalence guarantee — then that `--threads 2` reports, the
 # `--threads 3` spill and `ids --threads 3` output are byte-identical
-# to their serial runs. `daemon` is the v6sonard smoke: the daemon
+# to their `--threads 1` runs, and that the `--threads 1` report, spill
+# and ids output still hash to the digests the deleted serial code
+# produced. `daemon` is the v6sonard smoke: the daemon
 # tails a log that appears, grows, and rotates underneath it while a
 # subscriber and concurrent query clients are attached; the live
 # report must be byte-identical to a batch `detect --report` over the
@@ -49,8 +51,12 @@
 # freeze/thaw durability smoke (docs/CHECKPOINT.md): a 4 M-record
 # replay is SIGKILLed mid-run while checkpointing every 250k records,
 # then resumed from the surviving checkpoint; the resumed report and
-# spilled event stream must be byte-identical to an uninterrupted
-# run, serial and sharded (--threads 2) alike. `docs` is a grep-based
+# spilled event stream (`detect --events` at one and two shards, and
+# `detect` at two without a spill) and the resumed `ids` output (one
+# and two shards) must be byte-identical to an uninterrupted run. A
+# resume against an input shorter than the checkpoint must fail, a
+# `--checkpoint-every` of 2^64-1 on a resumed run must write no
+# checkpoint, and a corrupt checkpoint must be refused. `docs` is a grep-based
 # lint needing no build:
 # every metric-name literal in src/ must appear in
 # docs/OBSERVABILITY.md and every CLI flag in tools/v6sonar_cli.cpp
@@ -229,25 +235,25 @@ if [[ "$kind" == report ]]; then
     exit 1
   fi
 
-  # The serial and parallel detectors must stream the same report.
+  # Every thread count must stream the same report.
   "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
       > "$work/parallel.txt"
   if ! cmp -s "$work/inline.txt" "$work/parallel.txt"; then
-    echo "report smoke check FAILED: --threads 2 report differs from serial" >&2
+    echo "report smoke check FAILED: --threads 2 report differs from --threads 1" >&2
     diff "$work/inline.txt" "$work/parallel.txt" | head -40 >&2
     exit 1
   fi
 
-  # A parallel spill merges its per-shard spills into the serial event
-  # order: byte-identical to the serial spill.
+  # A sharded spill merges its per-shard spills into the serial event
+  # order: byte-identical at every shard count.
   "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 3 \
       --events "$work/spill3.v6ev" > /dev/null
   if ! cmp -s "$work/spill.v6ev" "$work/spill3.v6ev"; then
-    echo "report smoke check FAILED: --threads 3 --events spill differs from serial" >&2
+    echo "report smoke check FAILED: --threads 3 --events spill differs from --threads 1" >&2
     exit 1
   fi
 
-  # The parallel IDS prints the serial alerts and blocklist.
+  # The IDS prints the same alerts and blocklist at every shard count.
   "$v6sonar" ids "$work/world.v6slog" --mmap --threads 1 > "$work/ids1.txt"
   "$v6sonar" ids "$work/world.v6slog" --mmap --threads 3 > "$work/ids3.txt"
   if [[ ! -s "$work/ids1.txt" ]] || ! cmp -s "$work/ids1.txt" "$work/ids3.txt"; then
@@ -256,8 +262,24 @@ if [[ "$kind" == report ]]; then
     exit 1
   fi
 
-  echo "check.sh: report smoke check passed (inline == spill-replay, serial == parallel" \
-       "for report, spill and ids)"
+  # --threads 1 is the sharded pipeline too, so the comparisons above
+  # pit it against itself. The independent reference: the digests of
+  # the serial code's outputs on this world (detect --report, its
+  # --events spill, ids), recorded before the serial paths were
+  # deleted.
+  while read -r digest file; do
+    if [[ "$(sha256sum < "$work/$file" | cut -d' ' -f1)" != "$digest" ]]; then
+      echo "report smoke check FAILED: $file differs from the pinned serial output" >&2
+      exit 1
+    fi
+  done <<'DIGESTS'
+9a93776fc6d4465ac4021851d5e4cc5af2680b063af948f8d11e9085508577fd inline.txt
+443b461f17eac972abfb433b188933cefebc4b5de1aeed8043c0aa4faf290fb3 spill.v6ev
+4eca7276afeafb94bbef66427aecec413ecebd1f2af357548e9c2a1fc8a71eab ids1.txt
+DIGESTS
+
+  echo "check.sh: report smoke check passed (inline == spill-replay, every thread count" \
+       "== --threads 1 == the pinned serial digests for report, spill and ids)"
   exit 0
 fi
 
@@ -501,62 +523,114 @@ PY
     exit 1
   fi
 
-  # Serial leg: checkpoint every 250k records, SIGKILL as soon as the
-  # first checkpoint lands (mid-replay), then resume from it.
-  "$v6sonar" detect "$work/world.v6slog" --mmap --report \
-      --events "$work/spill.v6ev" \
-      --checkpoint "$work/ck.v6ckpt" --checkpoint-every 250000 \
-      > /dev/null 2>&1 &
-  victim_pid=$!
-  for _ in $(seq 1 600); do
-    [[ -s "$work/ck.v6ckpt" ]] && break
-    sleep 0.05
+  # Run "$@" in the background, checkpointing to $1 every 250k records,
+  # and SIGKILL it as soon as the first checkpoint lands (mid-replay).
+  kill_after_checkpoint() {
+    local ck="$1"
+    shift
+    rm -f "$ck"
+    "$@" --checkpoint "$ck" --checkpoint-every 250000 > /dev/null 2>&1 &
+    victim_pid=$!
+    for _ in $(seq 1 600); do
+      [[ -s "$ck" ]] && break
+      sleep 0.05
+    done
+    kill -9 "$victim_pid" 2> /dev/null || true
+    wait "$victim_pid" 2> /dev/null || true
+    victim_pid=""
+    if [[ ! -s "$ck" ]]; then
+      echo "checkpoint smoke FAILED: no checkpoint written before SIGKILL: $*" >&2
+      exit 1
+    fi
+  }
+
+  # detect legs: one shard and two, with and without --events; each
+  # resumes from the surviving checkpoint with the checkpointed shard
+  # count, and its report and spill must be the uninterrupted run's.
+  for leg in "1 events" "2 events" "2 -"; do
+    read -r threads spill <<< "$leg"
+    events=()
+    [[ "$spill" == events ]] && events=(--events "$work/spill.v6ev")
+    rm -f "$work/spill.v6ev"*
+    kill_after_checkpoint "$work/ck.v6ckpt" "$v6sonar" detect "$work/world.v6slog" --mmap \
+        --report --threads "$threads" "${events[@]}"
+    "$v6sonar" detect "$work/world.v6slog" --mmap --report "${events[@]}" \
+        --checkpoint "$work/ck.v6ckpt" --resume > "$work/resumed_report.txt"
+    if ! cmp -s "$work/ref_report.txt" "$work/resumed_report.txt"; then
+      echo "checkpoint smoke FAILED: resumed --threads $threads report differs" \
+           "from uninterrupted run" >&2
+      diff "$work/ref_report.txt" "$work/resumed_report.txt" | head -40 >&2
+      exit 1
+    fi
+    if [[ "$spill" == events ]] && ! cmp -s "$work/ref.v6ev" "$work/spill.v6ev"; then
+      echo "checkpoint smoke FAILED: resumed --threads $threads spill differs" \
+           "from uninterrupted spill" >&2
+      exit 1
+    fi
   done
-  kill -9 "$victim_pid" 2> /dev/null || true
-  wait "$victim_pid" 2> /dev/null || true
-  victim_pid=""
-  if [[ ! -s "$work/ck.v6ckpt" ]]; then
-    echo "checkpoint smoke FAILED: no checkpoint written before SIGKILL" >&2
-    exit 1
-  fi
 
-  "$v6sonar" detect "$work/world.v6slog" --mmap --report \
-      --events "$work/spill.v6ev" \
-      --checkpoint "$work/ck.v6ckpt" --resume > "$work/resumed_report.txt"
-  if ! cmp -s "$work/ref_report.txt" "$work/resumed_report.txt"; then
-    echo "checkpoint smoke FAILED: resumed serial report differs from uninterrupted run" >&2
-    diff "$work/ref_report.txt" "$work/resumed_report.txt" | head -40 >&2
-    exit 1
-  fi
-  if ! cmp -s "$work/ref.v6ev" "$work/spill.v6ev"; then
-    echo "checkpoint smoke FAILED: resumed spill differs from uninterrupted spill" >&2
-    exit 1
-  fi
-
-  # Sharded leg: same kill/resume dance under --threads 2, resuming
-  # with the checkpointed worker count.
-  rm -f "$work/ck2.v6ckpt"
-  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
-      --checkpoint "$work/ck2.v6ckpt" --checkpoint-every 250000 \
-      > /dev/null 2>&1 &
-  victim_pid=$!
-  for _ in $(seq 1 600); do
-    [[ -s "$work/ck2.v6ckpt" ]] && break
-    sleep 0.05
+  # ids legs: the resumed run prints the alerts after the checkpoint,
+  # then the summary (whose count includes the alerts before it) and
+  # the blocklist — exactly the tail of the uninterrupted output.
+  "$v6sonar" ids "$work/world.v6slog" --mmap > "$work/ref_ids.txt"
+  for threads in 1 2; do
+    kill_after_checkpoint "$work/ids.v6ckpt" "$v6sonar" ids "$work/world.v6slog" --mmap \
+        --threads "$threads"
+    "$v6sonar" ids "$work/world.v6slog" --mmap --checkpoint "$work/ids.v6ckpt" --resume \
+        > "$work/resumed_ids.txt"
+    if ! tail -n "$(wc -l < "$work/resumed_ids.txt")" "$work/ref_ids.txt" \
+        | cmp -s - "$work/resumed_ids.txt"; then
+      echo "checkpoint smoke FAILED: resumed ids --threads $threads output is not the" \
+           "tail of the uninterrupted one" >&2
+      exit 1
+    fi
   done
-  kill -9 "$victim_pid" 2> /dev/null || true
-  wait "$victim_pid" 2> /dev/null || true
-  victim_pid=""
-  if [[ ! -s "$work/ck2.v6ckpt" ]]; then
-    echo "checkpoint smoke FAILED: no sharded checkpoint written before SIGKILL" >&2
-    exit 1
-  fi
 
+  # A checkpoint at ~3 M records against a 2 M-record prefix of the
+  # same log: the input is not the checkpointed one, and --resume must
+  # fail naming both counts rather than print a wrong report.
+  rm -f "$work/ck3m.v6ckpt"
   "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
-      --checkpoint "$work/ck2.v6ckpt" --resume > "$work/resumed_sharded.txt"
-  if ! cmp -s "$work/ref_report.txt" "$work/resumed_sharded.txt"; then
-    echo "checkpoint smoke FAILED: resumed sharded report differs from uninterrupted run" >&2
-    diff "$work/ref_report.txt" "$work/resumed_sharded.txt" | head -40 >&2
+      --checkpoint "$work/ck3m.v6ckpt" --checkpoint-every 3000000 > /dev/null
+  python3 - "$work" <<'PY'
+import os, struct, sys
+work = sys.argv[1]
+n = 2_000_000
+with open(os.path.join(work, "world.v6slog"), "rb") as fh:
+    header = fh.read(16)
+    body = fh.read(n * 52)
+with open(os.path.join(work, "short.v6slog"), "wb") as fh:
+    fh.write(header[:8] + struct.pack("<Q", n) + body)
+PY
+  rm -f "$work/ids3m.v6ckpt"
+  "$v6sonar" ids "$work/world.v6slog" --mmap --checkpoint "$work/ids3m.v6ckpt" \
+      --checkpoint-every 3000000 > /dev/null
+  for leg in "detect ck3m.v6ckpt --report" "ids ids3m.v6ckpt"; do
+    read -r cmd ck flags <<< "$leg"
+    # shellcheck disable=SC2086  # $flags is a list of flags
+    if "$v6sonar" "$cmd" "$work/short.v6slog" --mmap $flags --checkpoint "$work/$ck" \
+        --resume > /dev/null 2> "$work/short.err"; then
+      echo "checkpoint smoke FAILED: $cmd resumed against a shorter input" >&2
+      exit 1
+    fi
+    if ! grep -q "covers [0-9]* records, but .* holds only 2000000" "$work/short.err"; then
+      echo "checkpoint smoke FAILED: $cmd refusal does not name both counts:" >&2
+      cat "$work/short.err" >&2
+      exit 1
+    fi
+  done
+
+  # --checkpoint-every past the end of any input on a resumed run:
+  # the cadence saturates instead of wrapping, so no checkpoint is
+  # written (it used to be rewritten after every batch).
+  cp "$work/ck3m.v6ckpt" "$work/ck3m.before"
+  "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
+      --checkpoint "$work/ck3m.v6ckpt" --resume --checkpoint-every 18446744073709551615 \
+      > "$work/resumed_report.txt"
+  if ! cmp -s "$work/ck3m.before" "$work/ck3m.v6ckpt" \
+      || ! cmp -s "$work/ref_report.txt" "$work/resumed_report.txt"; then
+    echo "checkpoint smoke FAILED: --checkpoint-every 2^64-1 on --resume rewrote the" \
+         "checkpoint or changed the report" >&2
     exit 1
   fi
 
@@ -577,7 +651,9 @@ PY
     exit 1
   fi
 
-  echo "check.sh: checkpoint smoke passed (SIGKILL + resume == uninterrupted, serial and sharded; corruption refused)"
+  echo "check.sh: checkpoint smoke passed (SIGKILL + resume == uninterrupted for detect" \
+       "--events and ids at 1 and 2 shards; short input, cadence overflow and corruption" \
+       "handled)"
   exit 0
 fi
 

@@ -17,11 +17,12 @@
 //   v6sonar query     <socket> <verb> [arg]     client for a running v6sonard daemon
 //
 // Options for detect/fh: --agg <len>  --min-dsts <n>  --timeout <sec>  --top <n>
-// detect/ids additionally accept --threads <n> to run the sharded
-// parallel pipeline: each worker owns its slice end to end, analyzer
-// state merges at flush, per-shard event spills merge into the serial
-// event order on close, and the parallel IDS prints the serial alerts.
-// detect also accepts --report to run the full streaming analyzer
+// detect/ids run the sharded pipeline, on one worker thread by default
+// and on --threads <n>: each worker owns its slice end to end,
+// analyzer state merges at flush, per-shard event spills merge into
+// the serial event order on close, and the IDS alerts are the same at
+// every shard count. Both checkpoint at any thread count. detect also
+// accepts --report to run the full streaming analyzer
 // chain inline and --events <file> to spill the event stream for
 // later `report` runs. detect/ids/fh/fingerprint accept --mmap to
 // stream a .v6slog through the zero-copy mapped reader in batches
@@ -87,8 +88,10 @@ struct Options {
   std::int64_t timeout_sec = 3'600;
   std::int64_t period_sec = 86'400;  ///< ids: reattribution period
   std::size_t top = 20;
-  int threads = 1;  ///< 1 = serial; 0 = auto (hardware threads)
-  std::size_t ring_cap = 1 << 14;  ///< per-worker ring slots (parallel detect)
+  /// Shards: -1 when not given (one, or the checkpoint's on --resume);
+  /// 0 = one per hardware thread.
+  int threads = -1;
+  std::size_t ring_cap = 1 << 14;  ///< per-worker ring slots (detect/ids)
   bool mmap = false;
   bool report = false;     ///< detect: render the full analyzer report
   std::string events_out;  ///< detect: spill events here (--events)
@@ -125,13 +128,13 @@ struct Options {
       "  --min-dsts <n>    minimum distinct destinations (default 100)\n"
       "  --timeout <sec>   scan inter-packet timeout, detect only (default 3600)\n"
       "  --top <n>         rows to print (default 20)\n"
-      "  --threads <n>     detection worker threads, detect/ids only (default 1;\n"
-      "                    0 = one per hardware thread); reports, --events\n"
-      "                    spills, alerts and blocklists are identical to the\n"
-      "                    serial run\n"
-      "  --ring-cap <n>    records buffered per worker ring, parallel detect/ids\n"
-      "                    only (default 16384, minimum 8; rounded up to a\n"
-      "                    power of two)\n"
+      "  --threads <n>     detection worker threads, detect/ids only (default 1,\n"
+      "                    or the checkpoint's on --resume; 0 = one per hardware\n"
+      "                    thread); reports, --events spills, alerts and\n"
+      "                    blocklists are identical at every thread count\n"
+      "  --ring-cap <n>    records buffered per worker ring, detect/ids only\n"
+      "                    (default 16384, minimum 8; rounded up to a power of\n"
+      "                    two)\n"
       "  --period <sec>    ids only: reattribution pass period (default 86400)\n"
       "  --mmap            detect/ids/fh/fingerprint: stream a .v6slog via the zero-copy\n"
       "                    mapped reader in batches instead of loading it into memory\n"
@@ -148,13 +151,14 @@ struct Options {
       "                    0 (default) disables tiering\n"
       "  --checkpoint <file>  detect/ids: periodically freeze the complete\n"
       "                    pipeline state to <file> (atomic replace; see\n"
-      "                    docs/CHECKPOINT.md). detect: with --events, serial\n"
-      "                    runs only; ids: serial (--threads 1) only\n"
+      "                    docs/CHECKPOINT.md), at any --threads; with\n"
+      "                    --events, each shard's spill <file>.shard<i> is kept\n"
+      "                    for --resume until the run completes\n"
       "  --checkpoint-every <n>  records between checkpoints (default 1000000)\n"
       "  --resume          restore state from --checkpoint before feeding and\n"
-      "                    skip the records it already covers; the completed\n"
-      "                    run's report/blocklist is byte-identical to an\n"
-      "                    uninterrupted run\n"
+      "                    skip the records it already covers (an input shorter\n"
+      "                    than that is an error); the completed run's output is\n"
+      "                    byte-identical to an uninterrupted run\n"
       "\n"
       "global options (any command):\n"
       "  --metrics[=FILE]  enable pipeline stage counters and dump the JSON\n"
@@ -322,6 +326,10 @@ Options parse_options(int argc, char** argv, int first) {
       std::exit(2);
     }
   }
+  if (o.resume && o.checkpoint.empty()) {
+    std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
+    std::exit(2);
+  }
   return o;
 }
 
@@ -344,29 +352,87 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-/// One shard's private sink chain in a parallel run: the same
-/// fan-out/analyzer assembly cmd_detect builds for the whole stream,
-/// instantiated per shard and merged after flush, plus an optional
-/// scratch spill of the shard's events. The bundle itself
-/// (analysis::ReportBundle) and the renderer live in
-/// analysis/report_render.hpp, shared with the v6sonard query plane.
+/// One shard's private sink chain: the analyzers (the full report
+/// bundle, or just the per-source table) plus, with --events, the
+/// shard's own spill file `<events>.shard<i>`. Each chain is fed on its
+/// shard's worker thread; the analyzer states merge after flush, and
+/// merge_shard_events() rebuilds the serial event order from the
+/// spills. The bundle itself (analysis::ReportBundle) and the renderer
+/// live in analysis/report_render.hpp, shared with the v6sonard query
+/// plane.
 struct ShardChain {
   core::FanOutSink fan;
   analysis::SourceAnalyzer sources_only;
   std::optional<analysis::ReportBundle> report;
-  std::optional<core::EventWriter> scratch;
+  std::string name;        ///< "shard<i>": names its file and checkpoint sections
+  std::string spill_path;  ///< empty without --events
+  std::optional<core::EventWriter> spill;
 
-  ShardChain(bool full_report, std::size_t top, const std::optional<std::string>& scratch_dir) {
-    if (full_report) {
-      report.emplace(top);
+  /// With `resume`, the spill reopens at its checkpointed cursor: the
+  /// events written after it are dropped, and the resumed run emits
+  /// them again.
+  ShardChain(std::size_t shard, const Options& o, const core::CheckpointReader* resume)
+      : name("shard" + std::to_string(shard)) {
+    if (o.report) {
+      report.emplace(o.top);
       report->attach(fan);
     } else {
       fan.add(sources_only);
     }
-    if (scratch_dir) {
-      scratch.emplace(core::EventWriter::Scratch{*scratch_dir});
-      fan.add(*scratch);
+    if (o.events_out.empty()) return;
+    spill_path = o.events_out + "." + name;
+    constexpr auto kScratch = core::EventWriter::Durability::kScratch;
+    if (resume) {
+      auto r = resume->section(name + ".spill");
+      const std::uint64_t count = r.u64();
+      const std::uint64_t offset = r.u64();
+      r.expect_end();
+      spill.emplace(spill_path, count, offset, kScratch);
+    } else {
+      spill.emplace(spill_path, kScratch);
     }
+    fan.add(*spill);
+  }
+
+  /// This shard's checkpoint sections, saved and sealed on its worker
+  /// while it is quiesced (only worker s ever writes chain s, so this
+  /// is race-free). The spill is synced first: its events must be
+  /// durable before a checkpoint naming their cursor can commit.
+  void save(const core::ScanDetector& det, std::vector<core::CheckpointSection>& out) {
+    util::StateWriter dw, aw;
+    det.save(dw);
+    if (report)
+      report->save(aw);
+    else
+      sources_only.save(aw);
+    out.emplace_back(name + ".detector", std::move(dw));
+    out.emplace_back(name + ".analyzers", std::move(aw));
+    if (spill) {
+      spill->checkpoint_sync();
+      util::StateWriter sw;
+      sw.u64(spill->written());
+      sw.u64(spill->offset());
+      out.emplace_back(name + ".spill", std::move(sw));
+    }
+  }
+
+  void load(core::ScanDetector& det, const core::CheckpointReader& ck) {
+    auto dr = ck.section(name + ".detector");
+    det.load(dr);
+    dr.expect_end();
+    auto ar = ck.section(name + ".analyzers");
+    if (report)
+      report->load(ar);
+    else
+      sources_only.load(ar);
+    ar.expect_end();
+  }
+
+  void merge(ShardChain&& other) {
+    if (report)
+      report->merge(std::move(*other.report));
+    else
+      sources_only.merge(std::move(other.sources_only));
   }
 };
 
@@ -380,20 +446,23 @@ void print_report(const analysis::ReportBundle& a, std::size_t top) {
 }
 
 // ------------------------------------------------------------------ //
-// Checkpoint plumbing (docs/CHECKPOINT.md). A detect checkpoint holds
-// a "meta" section describing the run shape and stream position, plus
-// the serialized state of every stage: "detector"/"analyzers" in
-// serial mode, "shard<i>.detector"/"shard<i>.analyzers" per worker in
-// a parallel run. `ids` checkpoints hold "meta" + "ids".
+// Checkpoint plumbing (docs/CHECKPOINT.md). detect and ids run their
+// sharded pipeline at every thread count. A checkpoint holds a "meta"
+// section with the run shape and stream position, plus per-shard
+// sections sealed on the shard workers: "shard<i>.detector",
+// "shard<i>.analyzers" and, with --events, "shard<i>.spill" for
+// detect; "shard<i>.ids" next to the caller-side "ids" for ids.
 
+/// detect's meta section; its byte layout is unchanged since serial
+/// runs wrote it, so sharded checkpoints of older versions resume.
 struct DetectMeta {
-  std::uint8_t sharded = 0;
-  std::uint32_t threads = 0;  ///< resolved shard count; 0 when serial
+  std::uint8_t sharded = 1;  ///< 0 only in older serial checkpoints
+  std::uint32_t threads = 0;  ///< shard count
   std::uint8_t has_report = 0;
   std::uint8_t has_spill = 0;
   std::uint64_t records_fed = 0;
-  std::uint64_t spill_count = 0;   ///< EventWriter::written() at checkpoint
-  std::uint64_t spill_offset = 0;  ///< EventWriter::offset() at checkpoint
+  std::uint64_t spill_count = 0;   ///< 0: the cursors are in "shard<i>.spill"
+  std::uint64_t spill_offset = 0;  ///< 0: the cursors are in "shard<i>.spill"
 };
 
 void save_detect_meta(util::StateWriter& w, const DetectMeta& m) {
@@ -419,86 +488,100 @@ DetectMeta load_detect_meta(util::StateReader& r) {
   return m;
 }
 
-void write_serial_detect_checkpoint(const std::string& path, std::uint64_t fed,
-                                    const core::ScanDetector& det,
-                                    const analysis::ReportBundle* report,
-                                    const analysis::SourceAnalyzer* sources,
-                                    core::EventWriter* spill) {
-  DetectMeta meta;
-  meta.has_report = report != nullptr;
-  meta.has_spill = spill != nullptr;
-  meta.records_fed = fed;
-  if (spill) {
-    // The spilled events must be durable before a checkpoint that
-    // references their count/offset becomes visible.
-    spill->checkpoint_sync();
-    meta.spill_count = spill->written();
-    meta.spill_offset = spill->offset();
-  }
-  core::CheckpointWriter ck;
-  util::StateWriter mw;
-  save_detect_meta(mw, meta);
-  ck.add("meta", std::move(mw));
-  util::StateWriter dw;
-  det.save(dw);
-  ck.add("detector", std::move(dw));
-  util::StateWriter aw;
-  if (report)
-    report->save(aw);
-  else
-    sources->save(aw);
-  ck.add("analyzers", std::move(aw));
-  ck.commit(path);
+/// The shard count of a run: --threads (default 1, 0 = one per
+/// hardware thread), or on --resume the checkpoint's (`saved`). Shard
+/// routing is a function of the shard count, so a resumed run refuses
+/// an explicit --threads that differs.
+int shard_count(const Options& o, std::optional<std::uint32_t> saved) {
+  if (!saved) return o.threads < 0 ? 1 : o.threads;
+  if (o.threads > 0 && static_cast<std::uint32_t>(o.threads) != *saved)
+    throw std::runtime_error("checkpoint has " + std::to_string(*saved) +
+                             " shards; got --threads " + std::to_string(o.threads));
+  return static_cast<int>(*saved);
 }
 
-void write_sharded_detect_checkpoint(const std::string& path, std::uint64_t fed,
-                                     bool full_report, core::ParallelScanPipeline& pipeline,
-                                     std::vector<std::unique_ptr<ShardChain>>& chains) {
-  const std::size_t n = chains.size();
-  std::vector<core::CheckpointSection> det_sec(n), an_sec(n);
-  // Each visitor runs on its own worker thread while that worker is
-  // quiesced — shard s's chain is only ever written by worker s, so
-  // serializing it here is race-free, and sealing here puts the
-  // sections' CRC work on the workers too.
-  pipeline.with_shard_state(
-      [&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-        const std::string shard = "shard" + std::to_string(s);
-        util::StateWriter dw, aw;
-        det.save(dw);
-        if (full_report)
-          chains[s]->report->save(aw);
-        else
-          chains[s]->sources_only.save(aw);
-        det_sec[s] = core::CheckpointSection(shard + ".detector", std::move(dw));
-        an_sec[s] = core::CheckpointSection(shard + ".analyzers", std::move(aw));
-      });
-  DetectMeta meta;
-  meta.sharded = 1;
-  meta.threads = static_cast<std::uint32_t>(n);
-  meta.has_report = full_report;
-  meta.records_fed = fed;
-  core::CheckpointWriter ck;
-  util::StateWriter mw;
-  save_detect_meta(mw, meta);
-  ck.add("meta", std::move(mw));
-  for (std::size_t s = 0; s < n; ++s) {
-    ck.add(std::move(det_sec[s]));
-    ck.add(std::move(an_sec[s]));
-  }
-  ck.commit(path);
+/// a + b, clamped at UINT64_MAX: a checkpoint cadence past the end of
+/// any input means never, not a wrapped-around "at once".
+constexpr std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
 
-void write_ids_checkpoint(const std::string& path, std::uint64_t fed, std::uint64_t alerts,
-                          const core::StreamingIds& ids) {
+/// The run loop of detect and ids: stream `path` into `feed`, skipping
+/// the first `skip` records (those a resumed checkpoint covers), and
+/// with --checkpoint call `save(records fed)` every --checkpoint-every
+/// records. An input that ends while records are still to be skipped
+/// is not the one the checkpoint was taken on: that throws, unless a
+/// drain signal cut the skip short (the run then exits 128+signo).
+template <typename Feed, typename Save>
+void run_records(const std::string& path, const Options& o, std::uint64_t skip, Feed&& feed,
+                 Save&& save) {
+  const std::uint64_t covered = skip;
+  const auto next_after = [&](std::uint64_t fed) {
+    return o.checkpoint.empty() ? UINT64_MAX : saturating_add(fed, o.checkpoint_every);
+  };
+  std::uint64_t fed = skip;
+  std::uint64_t next_ckpt = next_after(fed);
+  for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
+    if (skip >= batch.size()) {
+      skip -= batch.size();
+      return;
+    }
+    batch = batch.subspan(skip);
+    skip = 0;
+    feed(batch);
+    fed += batch.size();
+    if (fed >= next_ckpt) {
+      save(fed);
+      next_ckpt = next_after(fed);
+    }
+  });
+  if (skip > 0 && !util::ShutdownSignal::requested())
+    throw std::runtime_error("the checkpoint covers " + std::to_string(covered) +
+                             " records, but " + path + " holds only " +
+                             std::to_string(covered - skip));
+}
+
+void write_detect_checkpoint(const Options& o, std::uint64_t fed,
+                             core::ParallelScanPipeline& pipeline,
+                             std::vector<std::unique_ptr<ShardChain>>& chains) {
+  std::vector<std::vector<core::CheckpointSection>> sections(chains.size());
+  pipeline.with_shard_state([&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
+    chains[s]->save(det, sections[s]);
+  });
   core::CheckpointWriter ck;
   util::StateWriter mw;
-  mw.u64(fed);
-  mw.u64(alerts);
+  save_detect_meta(mw, {.threads = static_cast<std::uint32_t>(chains.size()),
+                        .has_report = o.report,
+                        .has_spill = !o.events_out.empty(),
+                        .records_fed = fed});
   ck.add("meta", std::move(mw));
-  util::StateWriter iw;
-  ids.save(iw);
-  ck.add("ids", std::move(iw));
-  ck.commit(path);
+  for (auto& shard : sections)
+    for (auto& section : shard) ck.add(std::move(section));
+  ck.commit(o.checkpoint);
+}
+
+/// After flush(): merge the shard spills into --events in the serial
+/// event order — one fsync, on close — then delete them, unless a
+/// drained checkpointing run may still resume from them.
+void merge_spills(const Options& o, const core::ParallelScanPipeline& pipeline,
+                  std::vector<std::unique_ptr<ShardChain>>& chains) {
+  std::vector<std::unique_ptr<core::EventReader>> readers;
+  for (auto& c : chains) {
+    c->spill->close();
+    readers.push_back(std::make_unique<core::EventReader>(c->spill_path, 1 << 16));
+  }
+  core::EventWriter out(o.events_out);
+  pipeline.merge_shard_events(
+      [&](std::size_t s, core::ScanEvent& ev) { return readers[s]->next(ev); }, out);
+  // Explicit close: the count header is backpatched and fsync'd before
+  // we report success (interrupted runs included — the drain stopped
+  // the feed, not the finalize).
+  out.close();
+  std::fprintf(stderr, "spilled %llu events to %s\n",
+               static_cast<unsigned long long>(out.written()), o.events_out.c_str());
+  readers.clear();
+  if (o.checkpoint.empty() || !util::ShutdownSignal::requested())
+    for (const auto& c : chains) std::filesystem::remove(c->spill_path);
 }
 
 int cmd_detect(const std::string& path, const Options& o) {
@@ -507,202 +590,58 @@ int cmd_detect(const std::string& path, const Options& o) {
                                  .timeout_us = o.timeout_sec * 1'000'000,
                                  .demote_idle_us = o.cold_after_sec * 1'000'000};
 
-  const bool parallel = o.threads != 1;  // 0 = auto resolves inside the pipeline
-  const bool checkpointing = !o.checkpoint.empty();
-  if (o.resume && !checkpointing) {
-    std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
-    return 2;
-  }
-  if (checkpointing && parallel && !o.events_out.empty()) {
-    // A parallel run spills per shard and merges the spills only on
-    // close, so no checkpoint could name a position in the output file.
-    std::fprintf(stderr,
-                 "error: --checkpoint with --events needs the serial detector (--threads 1); "
-                 "parallel runs merge their per-shard spills only on close\n");
-    return 2;
+  std::optional<core::CheckpointReader> ck;
+  DetectMeta resumed;
+  if (o.resume) {
+    ck.emplace(o.checkpoint);
+    auto mr = ck->section("meta");
+    resumed = load_detect_meta(mr);
+    if (!resumed.sharded)
+      throw std::runtime_error(o.checkpoint +
+                               " was written by the serial detector of an older version, "
+                               "which no longer resumes; run again without --resume");
+    if ((resumed.has_report != 0) != o.report)
+      throw std::runtime_error("checkpoint --report setting does not match this run");
+    if ((resumed.has_spill != 0) != !o.events_out.empty())
+      throw std::runtime_error("checkpoint --events setting does not match this run");
   }
 
-  // Assemble the sink chain. Events stream from the detector straight
-  // into the analyzers (and the optional spill writer) — no event set
-  // is ever materialized, so memory is bounded by active sources. In a
-  // parallel run each worker gets a private copy of the chain, the
-  // analyzer states merge after flush, and per-shard scratch spills
-  // merge into the serial event order; either way the rendered report
-  // and the spill are byte-identical to the serial run.
-  core::FanOutSink fan;
-  analysis::SourceAnalyzer sources_only;
-  std::optional<analysis::ReportBundle> report;
-  std::optional<core::EventWriter> spill;
+  // Events stream from each shard's detector straight into its chain
+  // — no event set is ever materialized, so memory is bounded by
+  // active sources. The report and the spill are byte-identical at
+  // every shard count.
   std::vector<std::unique_ptr<ShardChain>> chains;
-
-  if (parallel) {
-    std::optional<core::CheckpointReader> ck;
-    std::optional<DetectMeta> resumed;
-    int threads = o.threads;
-    if (o.resume) {
-      ck.emplace(o.checkpoint);
-      auto mr = ck->section("meta");
-      resumed = load_detect_meta(mr);
-      if (!resumed->sharded)
-        throw std::runtime_error(o.checkpoint +
-                                 " was written by a serial run; resume without --threads");
-      if ((resumed->has_report != 0) != o.report)
-        throw std::runtime_error("checkpoint --report setting does not match this run");
-      // Shard routing is a function of the shard count: resuming must
-      // run with exactly the checkpointed number of workers.
-      if (threads != 0 && static_cast<std::uint32_t>(threads) != resumed->threads)
-        throw std::runtime_error("checkpoint has " + std::to_string(resumed->threads) +
-                                 " shards; got --threads " + std::to_string(threads));
-      threads = static_cast<int>(resumed->threads);
-    }
-    std::optional<std::string> scratch_dir;
-    if (!o.events_out.empty()) {
-      spill.emplace(o.events_out);  // fail on a bad path before the run
-      scratch_dir = std::filesystem::path(o.events_out).parent_path().string();
-    }
-    core::ParallelScanPipeline pipeline(
-        cfg, {.threads = threads, .ring_capacity = o.ring_cap},
-        core::ParallelScanPipeline::ShardSinkFactory([&](std::size_t) -> core::EventSink& {
-          chains.push_back(std::make_unique<ShardChain>(o.report, o.top, scratch_dir));
-          return chains.back()->fan;
-        }));
-    if (resumed) {
-      // Inject each shard's saved state on its own worker thread,
-      // before the first record reaches any ring.
-      pipeline.with_shard_state(
-          [&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-            auto dr = ck->section("shard" + std::to_string(s) + ".detector");
-            det.load(dr);
-            dr.expect_end();
-            auto ar = ck->section("shard" + std::to_string(s) + ".analyzers");
-            if (o.report)
-              chains[s]->report->load(ar);
-            else
-              chains[s]->sources_only.load(ar);
-            ar.expect_end();
-          });
-    }
-    std::uint64_t skip = resumed ? resumed->records_fed : 0;
-    std::uint64_t fed = skip;
-    std::uint64_t next_ckpt = checkpointing ? fed + o.checkpoint_every : UINT64_MAX;
-    for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
-      if (skip >= batch.size()) {
-        skip -= batch.size();
-        return;
-      }
-      if (skip) {
-        batch = batch.subspan(skip);
-        skip = 0;
-      }
-      pipeline.feed_batch(batch);
-      fed += batch.size();
-      if (fed >= next_ckpt) {
-        write_sharded_detect_checkpoint(o.checkpoint, fed, o.report, pipeline, chains);
-        next_ckpt = fed + o.checkpoint_every;
-      }
+  core::ParallelScanPipeline pipeline(
+      cfg,
+      {.threads = shard_count(o, ck ? std::optional(resumed.threads) : std::nullopt),
+       .ring_capacity = o.ring_cap},
+      core::ParallelScanPipeline::ShardSinkFactory([&](std::size_t s) -> core::EventSink& {
+        chains.push_back(std::make_unique<ShardChain>(s, o, ck ? &*ck : nullptr));
+        return chains.back()->fan;
+      }));
+  if (ck)
+    // Each shard's saved state goes in on its own worker thread,
+    // before the first record reaches any ring.
+    pipeline.with_shard_state([&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
+      chains[s]->load(det, *ck);
     });
-    pipeline.flush();
-    if (spill) {
-      // The per-shard spills, merged into the serial event order.
-      std::vector<std::unique_ptr<core::EventReader>> shard_spills;
-      for (auto& c : chains)
-        shard_spills.push_back(std::make_unique<core::EventReader>(*c->scratch));
-      pipeline.merge_shard_events(
-          [&](std::size_t s, core::ScanEvent& ev) { return shard_spills[s]->next(ev); }, *spill);
-    }
-    // The rendezvous: fold every shard's state into shard 0's chain,
-    // then flush that chain once, exactly like the single-chain path.
-    // (Its scratch spill was already read back, which closed it.)
-    for (std::size_t s = 1; s < chains.size(); ++s) {
-      if (o.report)
-        chains[0]->report->merge(std::move(*chains[s]->report));
-      else
-        chains[0]->sources_only.merge(std::move(chains[s]->sources_only));
-    }
-    chains[0]->fan.flush();
-  } else {
-    if (o.report) {
-      report.emplace(o.top);
-      report->attach(fan);
-    } else {
-      fan.add(sources_only);
-    }
-    std::optional<core::CheckpointReader> ck;
-    std::optional<DetectMeta> resumed;
-    if (o.resume) {
-      ck.emplace(o.checkpoint);
-      auto mr = ck->section("meta");
-      resumed = load_detect_meta(mr);
-      if (resumed->sharded)
-        throw std::runtime_error(o.checkpoint + " was written by a sharded run; resume with --threads " +
-                                 std::to_string(resumed->threads));
-      if ((resumed->has_report != 0) != o.report)
-        throw std::runtime_error("checkpoint --report setting does not match this run");
-      if ((resumed->has_spill != 0) != !o.events_out.empty())
-        throw std::runtime_error("checkpoint --events setting does not match this run");
-    }
-    if (!o.events_out.empty()) {
-      if (resumed)
-        // Reopen at the checkpointed position: events written after the
-        // checkpoint are truncated away and re-emitted by the resumed run.
-        spill.emplace(o.events_out, resumed->spill_count, resumed->spill_offset);
-      else
-        spill.emplace(o.events_out);
-      fan.add(*spill);
-    }
-    core::ScanDetector detector(cfg, fan);
-    if (resumed) {
-      auto dr = ck->section("detector");
-      detector.load(dr);
-      dr.expect_end();
-      auto ar = ck->section("analyzers");
-      if (o.report)
-        report->load(ar);
-      else
-        sources_only.load(ar);
-      ar.expect_end();
-    }
-    std::uint64_t skip = resumed ? resumed->records_fed : 0;
-    std::uint64_t fed = skip;
-    std::uint64_t next_ckpt = checkpointing ? fed + o.checkpoint_every : UINT64_MAX;
-    for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
-      if (skip >= batch.size()) {
-        skip -= batch.size();
-        return;
-      }
-      if (skip) {
-        batch = batch.subspan(skip);
-        skip = 0;
-      }
-      detector.feed_batch(batch);
-      fed += batch.size();
-      if (fed >= next_ckpt) {
-        write_serial_detect_checkpoint(o.checkpoint, fed, detector,
-                                       o.report ? &*report : nullptr,
-                                       o.report ? nullptr : &sources_only,
-                                       spill ? &*spill : nullptr);
-        next_ckpt = fed + o.checkpoint_every;
-      }
-    });
-    detector.flush();
-    fan.flush();
-  }
-
-  if (spill) {
-    // Explicit close: the count header is backpatched and fsync'd
-    // before we report success (interrupted runs included — the drain
-    // above stopped the feed, not the finalize).
-    spill->close();
-    std::fprintf(stderr, "spilled %llu events to %s\n",
-                 static_cast<unsigned long long>(spill->written()), o.events_out.c_str());
-  }
+  run_records(
+      path, o, resumed.records_fed,
+      [&](std::span<const sim::LogRecord> batch) { pipeline.feed_batch(batch); },
+      [&](std::uint64_t fed) { write_detect_checkpoint(o, fed, pipeline, chains); });
+  pipeline.flush();
+  if (!o.events_out.empty()) merge_spills(o, pipeline, chains);
+  // Fold every shard's analyzers into shard 0's chain, then flush that
+  // chain once.
+  for (std::size_t s = 1; s < chains.size(); ++s) chains[0]->merge(std::move(*chains[s]));
+  chains[0]->fan.flush();
 
   if (o.report) {
-    print_report(parallel ? *chains[0]->report : *report, o.top);
+    print_report(*chains[0]->report, o.top);
     return 0;
   }
 
-  const analysis::SourceAnalyzer& merged = parallel ? chains[0]->sources_only : sources_only;
+  const analysis::SourceAnalyzer& merged = chains[0]->sources_only;
   const auto t = merged.totals();
   std::printf("%llu scans from %llu /%d sources (%llu packets attributed)\n",
               static_cast<unsigned long long>(t.scans),
@@ -745,26 +684,32 @@ int cmd_report(const std::string& path, const Options& o) {
 }
 
 /// Streaming multi-level IDS (§5): alert lines as attribution passes
-/// fire, then the final blocklist. --threads selects the parallel
-/// front end, whose output is byte-identical to the serial one.
+/// fire, then the final blocklist — the same at every --threads.
+/// Checkpoints hold "meta" (records fed, alerts printed, shard count)
+/// next to ParallelIds' own sections.
 int cmd_ids(const std::string& path, const Options& o) {
   core::IdsConfig cfg;
   cfg.min_destinations = o.min_dsts;
   cfg.timeout_us = o.timeout_sec * 1'000'000;
   cfg.reattribution_period_us = o.period_sec * 1'000'000;
 
-  const bool checkpointing = !o.checkpoint.empty();
-  if (o.resume && !checkpointing) {
-    std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
-    return 2;
-  }
-  if (checkpointing && o.threads != 1) {
-    std::fprintf(stderr,
-                 "error: ids --checkpoint needs the serial front end (--threads 1)\n");
-    return 2;
+  std::optional<core::CheckpointReader> ck;
+  std::uint64_t skip = 0;
+  std::uint64_t alerts = 0;  // the summary line counts pre-checkpoint alerts too
+  std::optional<std::uint32_t> saved_shards;
+  if (o.resume) {
+    ck.emplace(o.checkpoint);
+    if (!ck->has("shard0.ids"))
+      throw std::runtime_error(o.checkpoint +
+                               " was written by the serial ids of an older version, "
+                               "which no longer resumes; run again without --resume");
+    auto mr = ck->section("meta");
+    skip = mr.u64();
+    alerts = mr.u64();
+    saved_shards = mr.u32();
+    mr.expect_end();
   }
 
-  std::uint64_t alerts = 0;
   const auto sink = [&](const core::IdsAlert& a) {
     ++alerts;
     std::printf("alert %-10s %s  %s /%d  packets=%llu\n", a.is_new ? "new" : "escalation",
@@ -772,49 +717,24 @@ int cmd_ids(const std::string& path, const Options& o) {
                 a.attribution.source.to_string().c_str(), a.attribution.level,
                 static_cast<unsigned long long>(a.attribution.packets));
   };
+  core::ParallelIds ids(cfg, {.threads = shard_count(o, saved_shards), .ring_capacity = o.ring_cap},
+                        sink);
+  if (ck) ids.resume(*ck);
+  run_records(
+      path, o, skip, [&](std::span<const sim::LogRecord> batch) { ids.feed_batch(batch); },
+      [&](std::uint64_t fed) {
+        core::CheckpointWriter w;
+        ids.checkpoint(w);  // delivers every finished pass first: `alerts` is current
+        util::StateWriter mw;
+        mw.u64(fed);
+        mw.u64(alerts);
+        mw.u32(static_cast<std::uint32_t>(ids.threads()));
+        w.add("meta", std::move(mw));
+        w.commit(o.checkpoint);
+      });
+  ids.flush();
 
-  std::vector<core::Attribution> blocklist;
-  if (o.threads != 1) {  // 0 = auto resolves inside the pipeline
-    core::ParallelIds ids(cfg, {.threads = o.threads, .ring_capacity = o.ring_cap}, sink);
-    for_each_record_batch(
-        path, o.mmap, [&](std::span<const sim::LogRecord> batch) { ids.feed_batch(batch); });
-    ids.flush();
-    blocklist = ids.blocklist();
-  } else {
-    core::StreamingIds ids(cfg, sink);
-    std::uint64_t skip = 0;
-    if (o.resume) {
-      core::CheckpointReader ck(o.checkpoint);
-      auto mr = ck.section("meta");
-      skip = mr.u64();
-      alerts = mr.u64();  // summary line counts the pre-checkpoint alerts too
-      mr.expect_end();
-      auto ir = ck.section("ids");
-      ids.load(ir);
-      ir.expect_end();
-    }
-    std::uint64_t fed = skip;
-    std::uint64_t next_ckpt = checkpointing ? fed + o.checkpoint_every : UINT64_MAX;
-    for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
-      if (skip >= batch.size()) {
-        skip -= batch.size();
-        return;
-      }
-      if (skip) {
-        batch = batch.subspan(skip);
-        skip = 0;
-      }
-      ids.feed_batch(batch);
-      fed += batch.size();
-      if (fed >= next_ckpt) {
-        write_ids_checkpoint(o.checkpoint, fed, alerts, ids);
-        next_ckpt = fed + o.checkpoint_every;
-      }
-    });
-    ids.flush();
-    blocklist = ids.blocklist();
-  }
-
+  const std::vector<core::Attribution> blocklist = ids.blocklist();
   std::printf("%llu alerts; final blocklist (%zu entries):\n",
               static_cast<unsigned long long>(alerts), blocklist.size());
   util::TextTable table({"blocked prefix", "level", "packets", "covered sources"});
