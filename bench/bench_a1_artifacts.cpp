@@ -4,15 +4,12 @@
 // MX-fallback) are the two most prevalent filtered protocols by
 // packets and by sources.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "common.hpp"
 #include "core/artifact_filter.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timebase.hpp"
 
@@ -64,36 +61,9 @@ void print_a1() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_FilterFeed(benchmark::State& state) {
-  // Synthetic retry-heavy day through the filter.
-  std::vector<sim::LogRecord> recs;
-  util::Xoshiro256 rng(7);
-  for (int i = 0; i < 200'000; ++i) {
-    sim::LogRecord r;
-    r.ts_us = i * 400'000LL;
-    r.src = net::Ipv6Address{0x2400'0001'0000'0000ULL | rng.below(64) << 8, 1};
-    r.dst = net::Ipv6Address{0x2600ULL << 48, rng.below(256)};
-    r.proto = wire::IpProto::kTcp;
-    r.dst_port = 25;
-    recs.push_back(r);
-  }
-  for (auto _ : state) {
-    std::uint64_t passed = 0;
-    core::ArtifactFilter filter({}, [&](const sim::LogRecord&) { ++passed; });
-    for (const auto& r : recs) filter.feed(r);
-    filter.flush();
-    benchmark::DoNotOptimize(passed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(recs.size()));
-}
-BENCHMARK(BM_FilterFeed)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // addresses, right when the port strategy changed). The Jul 6 and
 // Dec 24 peaks have no hitlist overlap.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <unordered_set>
 
@@ -57,24 +55,9 @@ void print_a2() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_HitlistOverlap(benchmark::State& state) {
-  scanner::Hitlist hitlist({.seed = 3, .external_addresses = 50'000}, {});
-  std::vector<net::Ipv6Address> targets = hitlist.addresses();
-  targets.resize(targets.size() / 2);
-  for (auto _ : state) {
-    auto o = hitlist.overlap(targets);
-    benchmark::DoNotOptimize(o);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(targets.size()));
-}
-BENCHMARK(BM_HitlistOverlap)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,14 +6,10 @@
 // figures; target-set Jaccard 78%; both active at the start and end of
 // the window; one sent ~3x the probes of the other.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <vector>
-
-#include "util/rng.hpp"
 
 #include "analysis/similarity.hpp"
 #include "common.hpp"
@@ -76,26 +72,9 @@ void print_a4() {
               a.parent(48) != b.parent(48) ? "yes" : "no");
 }
 
-void BM_Jaccard(benchmark::State& state) {
-  analysis::SimilarityAnalysis::SourceProfile a, b;
-  util::Xoshiro256 rng(3);
-  for (int i = 0; i < 100'000; ++i) {
-    const net::Ipv6Address addr{0x2600, rng.below(150'000)};
-    if (rng.chance(0.9)) a.targets.insert(addr);
-    if (rng.chance(0.9)) b.targets.insert(addr);
-  }
-  for (auto _ : state) {
-    auto j = analysis::SimilarityAnalysis::target_jaccard(a, b);
-    benchmark::DoNotOptimize(j);
-  }
-}
-BENCHMARK(BM_Jaccard)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // and collateral (how many distinct ground-truth actors end up merged
 // under one reported prefix — cloud-tenant damage).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <set>
@@ -92,21 +90,9 @@ void print_ablation() {
               "attributions.\n");
 }
 
-void BM_AdaptiveAttribution(benchmark::State& state) {
-  std::vector<std::vector<core::ScanEvent>> levels;
-  for (int len : benchx::kLevels) levels.push_back(benchx::load_events(len));
-  for (auto _ : state) {
-    auto a = core::attribute_adaptive(levels, {});
-    benchmark::DoNotOptimize(a);
-  }
-}
-BENCHMARK(BM_AdaptiveAttribution)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // than three times the 0.6M attributed through /48-level detection,
 // because many /48s individually stay under 100 destinations.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <set>
 
@@ -49,24 +47,9 @@ void print_as18() {
                 static_cast<double>(p32) / static_cast<double>(p48));
 }
 
-void BM_As18Filter(benchmark::State& state) {
-  const benchx::WorldMeta meta;
-  const std::uint32_t asn18 = meta.asn_of_rank(18);
-  const auto events = benchx::load_events(64);
-  for (auto _ : state) {
-    std::uint64_t packets = 0;
-    for (const auto& ev : events)
-      if (ev.src_asn == asn18) packets += ev.packets;
-    benchmark::DoNotOptimize(packets);
-  }
-}
-BENCHMARK(BM_As18Filter)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_as18();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

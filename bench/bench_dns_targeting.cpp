@@ -7,8 +7,6 @@
 // nearby-probe check (/124../112 windows) one source hits 100%, two
 // ~97%, others about half.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 
@@ -89,34 +87,9 @@ void print_dns_targeting() {
   }
 }
 
-void BM_NearbyProbeFeed(benchmark::State& state) {
-  std::vector<sim::LogRecord> slice;
-  {
-    sim::LogReader reader(benchx::ensure_world_log());
-    while (slice.size() < 200'000) {
-      auto r = reader.next();
-      if (!r) break;
-      slice.push_back(*r);
-    }
-  }
-  std::vector<net::Ipv6Prefix> watched;
-  for (std::size_t i = 0; i < 16 && i * 1'000 < slice.size(); ++i)
-    watched.push_back(net::Ipv6Prefix{slice[i * 1'000].src, 64});
-  for (auto _ : state) {
-    analysis::NearbyProbeAnalysis nearby(watched, 64);
-    for (const auto& r : slice) nearby.feed(r);
-    benchmark::DoNotOptimize(nearby.results().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(slice.size()));
-}
-BENCHMARK(BM_NearbyProbeFeed)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_dns_targeting();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

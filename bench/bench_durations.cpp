@@ -3,8 +3,6 @@
 // Paper: /128 median 94 s (short rotating-source bursts), longest
 // >128 days; /64 median 2.7 h; /48 median 3.4 h.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/reports.hpp"
@@ -42,20 +40,9 @@ void print_durations() {
   std::printf("%s\n", table.render().c_str());
 }
 
-void BM_DurationStats(benchmark::State& state) {
-  const auto events = benchx::load_events(128);
-  for (auto _ : state) {
-    auto d = analysis::duration_stats(events);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_DurationStats)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_durations();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

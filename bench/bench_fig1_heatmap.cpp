@@ -10,14 +10,11 @@
 // This bench runs pre-filter (like the paper's raw logs), restricted
 // to November 2021, so it regenerates that month's traffic directly.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
 #include "common.hpp"
 #include "util/histogram.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timebase.hpp"
 
@@ -63,24 +60,9 @@ void print_fig1() {
               100.0 * static_cast<double>(far_right) / static_cast<double>(sources.size()));
 }
 
-void BM_Heatmap2D(benchmark::State& state) {
-  util::Xoshiro256 rng(1);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> points;
-  for (int i = 0; i < 100'000; ++i) points.push_back({rng.below(100'000), rng.below(1'000'000)});
-  for (auto _ : state) {
-    util::LogHistogram2D heat(6, 7);
-    for (const auto& [x, y] : points) heat.add(x, y);
-    benchmark::DoNotOptimize(heat.total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100'000);
-}
-BENCHMARK(BM_Heatmap2D)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

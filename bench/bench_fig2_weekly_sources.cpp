@@ -6,8 +6,6 @@
 // roughly an order of magnitude from November 2021 (a single entity,
 // AS #9, varying its low source bits).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/timeseries.hpp"
@@ -58,20 +56,9 @@ void print_fig2() {
               (after / static_cast<double>(na)) / (before / static_cast<double>(nb)));
 }
 
-void BM_WeeklySeries(benchmark::State& state) {
-  const auto events = benchx::load_events(64);
-  for (auto _ : state) {
-    auto s = analysis::weekly_series(events);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_WeeklySeries)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // for ~70%; scan traffic from the remaining sources grows in early
 // 2022.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/timeseries.hpp"
@@ -75,20 +73,9 @@ void print_fig3() {
                 rest_2021 / static_cast<double>(n21), rest_2022 / static_cast<double>(n22));
 }
 
-void BM_TopKShare(benchmark::State& state) {
-  const auto events = benchx::load_events(64);
-  for (auto _ : state) {
-    auto s = analysis::overall_top_k_share(events, 2);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_TopKShare)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // ports; close to 80% of scan packets come from scanners targeting
 // more than 100 ports.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/ports.hpp"
@@ -45,22 +43,9 @@ void print_fig4() {
               "thinning; dividing by the configured thinning restores ~0.8.\n");
 }
 
-void BM_ClassifyPorts(benchmark::State& state) {
-  const auto events = benchx::load_events(64);
-  for (auto _ : state) {
-    auto s = analysis::port_bucket_shares(events);
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events.size()));
-}
-BENCHMARK(BM_ClassifyPorts)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

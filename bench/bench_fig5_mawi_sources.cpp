@@ -7,8 +7,6 @@
 // magnitude above the threshold-100 curves. Median large-scale scan
 // sources per day: 6.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "common.hpp"
@@ -64,25 +62,9 @@ void print_fig5() {
               util::median(per_day_5[1]) / util::median(per_day_100[1]));
 }
 
-void BM_FhDetectDay(benchmark::State& state) {
-  sim::AsRegistry registry;
-  scanner::Hitlist hitlist({.seed = 3, .external_addresses = 20'000}, {});
-  mawi::MawiWorld world({}, registry, hitlist);
-  const auto recs = world.generate_day(200);
-  for (auto _ : state) {
-    auto scans = core::fh_detect(recs, {.min_destinations = 100});
-    benchmark::DoNotOptimize(scans);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(recs.size()));
-}
-BENCHMARK(BM_FhDetectDay)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

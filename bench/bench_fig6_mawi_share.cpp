@@ -6,8 +6,6 @@
 // all scan packets over the window (confirmed to be the same AS #1
 // entity the CDN sees).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -71,23 +69,9 @@ void print_fig6() {
               days_with_scans);
 }
 
-void BM_GenerateDay(benchmark::State& state) {
-  sim::AsRegistry registry;
-  scanner::Hitlist hitlist({.seed = 3, .external_addresses = 20'000}, {});
-  mawi::MawiWorld world({}, registry, hitlist);
-  int d = 0;
-  for (auto _ : state) {
-    auto recs = world.generate_day(d++ % 300);
-    benchmark::DoNotOptimize(recs.size());
-  }
-}
-BENCHMARK(BM_GenerateDay)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

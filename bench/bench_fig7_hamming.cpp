@@ -6,8 +6,6 @@
 // the July 6 ICMPv6 peak (AS #3) is similarly low; the December 24
 // peak follows a perfect Gaussian around 32 — fully random IIDs.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/hamming.hpp"
@@ -82,26 +80,9 @@ void print_fig7() {
                   close.results().at(world.as1_source64())));
 }
 
-void BM_HammingFeed(benchmark::State& state) {
-  sim::AsRegistry registry;
-  scanner::Hitlist hitlist({.seed = 3, .external_addresses = 20'000}, {});
-  mawi::MawiWorld world({}, registry, hitlist);
-  const auto recs = world.generate_day(100);
-  for (auto _ : state) {
-    analysis::TargetAnalysis ta({world.as1_source64()}, 64);
-    for (const auto& r : recs) ta.feed(r);
-    benchmark::DoNotOptimize(ta.results().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(recs.size()));
-}
-BENCHMARK(BM_HammingFeed)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig7();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

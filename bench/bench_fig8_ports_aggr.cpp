@@ -7,8 +7,6 @@
 // distinct episodes); /48 aggregation shifts more sources into the
 // >100-ports class (distinct entities merged together).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/ports.hpp"
@@ -45,20 +43,9 @@ void print_fig8() {
               util::percent(1 - s48.packets[0]).c_str());
 }
 
-void BM_ClassifyAt128(benchmark::State& state) {
-  const auto events = benchx::load_events(128);
-  for (auto _ : state) {
-    auto s = analysis::port_bucket_shares(events);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_ClassifyAt128)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig8();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

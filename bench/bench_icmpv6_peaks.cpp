@@ -6,8 +6,6 @@
 // NANOG). December 24, 2021: the largest peak, one /128 from a US
 // cloud provider at 214 kpps visible.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "common.hpp"
@@ -77,26 +75,9 @@ void print_peaks() {
               " days is what the figure reproduces)\n");
 }
 
-void BM_IcmpFilterScan(benchmark::State& state) {
-  sim::AsRegistry registry;
-  scanner::Hitlist hitlist({.seed = 3, .external_addresses = 20'000}, {});
-  mawi::MawiWorld world({}, registry, hitlist);
-  const auto recs = world.generate_day(mawi::day_index({2021, 12, 24}));
-  for (auto _ : state) {
-    std::uint64_t icmp = 0;
-    for (const auto& r : recs) icmp += r.proto == wire::IpProto::kIcmpv6;
-    benchmark::DoNotOptimize(icmp);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(recs.size()));
-}
-BENCHMARK(BM_IcmpFilterScan)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_peaks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

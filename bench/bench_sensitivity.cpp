@@ -7,8 +7,6 @@
 //        threshold 50: 22,701 scans (+436%) from 7,835 sources
 //        (+590%), 92% of the new sources from AS #18.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <set>
 
@@ -70,34 +68,9 @@ void print_sensitivity() {
                   static_cast<double>(srcs50.size()));
 }
 
-// Microbenchmark: detector throughput at /64 on a slice of the log.
-void BM_DetectorFeed(benchmark::State& state) {
-  const std::string log = benchx::ensure_world_log();
-  std::vector<sim::LogRecord> slice;
-  {
-    sim::LogReader reader(log);
-    while (slice.size() < 500'000) {
-      auto r = reader.next();
-      if (!r) break;
-      slice.push_back(*r);
-    }
-  }
-  for (auto _ : state) {
-    core::ScanDetector det({.source_prefix_len = static_cast<int>(state.range(0))},
-                           [](core::ScanEvent&&) {});
-    for (const auto& r : slice) det.feed(r);
-    det.flush();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(slice.size()));
-}
-BENCHMARK(BM_DetectorFeed)->Arg(128)->Arg(64)->Arg(48)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_sensitivity();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 // again at /48; packets *grow* with coarser aggregation; /48 sources
 // exceed /64 sources; AS count rises with coarser aggregation.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/reports.hpp"
@@ -39,23 +37,9 @@ void print_table1() {
               " per-actor paper-equivalent volumes.)\n");
 }
 
-// Microbenchmark: folding event sets into Table-1 totals.
-void BM_FoldTotals(benchmark::State& state) {
-  const auto events = benchx::load_events(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto t = analysis::totals(events);
-    benchmark::DoNotOptimize(t);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events.size()));
-}
-BENCHMARK(BM_FoldTotals)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // /48//64//128 sources with /48s exceeding /64s; mostly datacenter /
 // cloud networks, no residential ISPs.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -77,20 +75,9 @@ void print_table2() {
               " configured thinning factor; raw counts come from the detector.)\n");
 }
 
-void BM_FoldByAs(benchmark::State& state) {
-  const auto events = benchx::load_events(64);
-  for (auto _ : state) {
-    auto m = analysis::fold_by_as(events);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_FoldByAs)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

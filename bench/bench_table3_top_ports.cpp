@@ -7,8 +7,6 @@
 // port set); the scans column has ~20 ports in the 36-45% band; the
 // /64-sources column is led by TCP/1433.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/ports.hpp"
@@ -50,20 +48,9 @@ void print_table3() {
               table.render().c_str());
 }
 
-void BM_TopPorts(benchmark::State& state) {
-  const auto events = benchx::load_events(64);
-  for (auto _ : state) {
-    auto t = analysis::top_ports(events, 10);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(BM_TopPorts)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

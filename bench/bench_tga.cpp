@@ -8,8 +8,6 @@
 // switches to exactly this discovery mode after its May 27, 2021
 // hitlist-seeding day.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "common.hpp"
@@ -69,35 +67,9 @@ void print_tga() {
               actives.size());
 }
 
-void BM_TgaGenerate(benchmark::State& state) {
-  const benchx::WorldMeta meta;
-  const auto& hitlist = meta.hitlist().addresses();
-  const auto model = scanner::EntropyIpModel::learn(hitlist);
-  util::Xoshiro256 rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.generate(rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TgaGenerate);
-
-void BM_TgaLearn(benchmark::State& state) {
-  const benchx::WorldMeta meta;
-  const auto& hitlist = meta.hitlist().addresses();
-  for (auto _ : state) {
-    auto model = scanner::EntropyIpModel::learn(hitlist);
-    benchmark::DoNotOptimize(model.total_entropy_bits());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(hitlist.size()));
-}
-BENCHMARK(BM_TgaLearn)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tga();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

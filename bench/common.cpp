@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "core/event_io.hpp"
 #include "sim/log_io.hpp"
@@ -26,14 +24,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-}  // namespace
-
 std::string cache_dir() {
   const char* env = std::getenv("V6SONAR_CACHE_DIR");
   const std::string dir = env ? env : ".v6sonar_cache";
   std::filesystem::create_directories(dir);
   return dir;
 }
+
+}  // namespace
 
 std::string ensure_world_log(const telescope::WorldConfig& config) {
   const std::string path = cache_dir() + "/world_" + config_tag(config) + ".v6slog";
@@ -86,44 +84,6 @@ double WorldMeta::paper_equivalent(std::uint32_t asn, std::uint64_t packets) con
     if (a.asn == asn && a.thinning > 0)
       return static_cast<double>(packets) / a.thinning;
   return static_cast<double>(packets);
-}
-
-void update_bench_json(const std::string& path, const std::string& section,
-                       const std::string& object_literal) {
-  // Parse the existing file as the line-per-section format this
-  // function writes; anything else is rewritten from scratch.
-  std::vector<std::pair<std::string, std::string>> sections;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto key_open = line.find('"');
-      if (key_open == std::string::npos) continue;  // "{" / "}" framing lines
-      const auto key_close = line.find('"', key_open + 1);
-      const auto colon = line.find(':', key_close);
-      if (key_close == std::string::npos || colon == std::string::npos) continue;
-      std::string value = line.substr(colon + 1);
-      if (!value.empty() && value.back() == ',') value.pop_back();
-      const auto start = value.find_first_not_of(' ');
-      sections.emplace_back(line.substr(key_open + 1, key_close - key_open - 1),
-                            start == std::string::npos ? "" : value.substr(start));
-    }
-  }
-  bool replaced = false;
-  for (auto& [name, value] : sections)
-    if (name == section) {
-      value = object_literal;
-      replaced = true;
-    }
-  if (!replaced) sections.emplace_back(section, object_literal);
-
-  std::ostringstream out;
-  out << "{\n";
-  for (std::size_t i = 0; i < sections.size(); ++i)
-    out << "  \"" << sections[i].first << "\": " << sections[i].second
-        << (i + 1 < sections.size() ? ",\n" : "\n");
-  out << "}\n";
-  std::ofstream(path, std::ios::trunc) << out.str();
 }
 
 void banner(const std::string& experiment, const std::string& paper_claim) {

@@ -22,9 +22,6 @@ namespace v6sonar::benchx {
 /// The aggregation ladder every CDN bench uses.
 inline const std::vector<int> kLevels = {128, 64, 48, 32};
 
-/// Cache directory (created on demand).
-[[nodiscard]] std::string cache_dir();
-
 /// Path of the cached record log for the default full world; generates
 /// it (one full world run) if absent. Prints progress to stdout.
 [[nodiscard]] std::string ensure_world_log(const telescope::WorldConfig& config = {});
@@ -40,9 +37,6 @@ class WorldMeta {
  public:
   explicit WorldMeta(const telescope::WorldConfig& config = {});
 
-  [[nodiscard]] const std::vector<scanner::ActorMeta>& actors() const noexcept {
-    return world_->actors();
-  }
   [[nodiscard]] std::uint32_t asn_of_rank(int rank) const noexcept {
     return world_->asn_of_rank(rank);
   }
@@ -65,15 +59,5 @@ class WorldMeta {
 /// Standard bench preamble: a banner naming the experiment and the
 /// paper baseline being reproduced.
 void banner(const std::string& experiment, const std::string& paper_claim);
-
-/// Merge one section into a flat JSON results file, e.g.
-/// update_bench_json("BENCH_pipeline.json", "mmap_replay",
-///                   "{\"records_per_sec\": 1.2e7}").
-/// The file holds one object with one section per line; the named
-/// section is replaced if present, appended otherwise, so several
-/// benches can write the same file without clobbering each other.
-/// `object_literal` must be a valid JSON value on a single line.
-void update_bench_json(const std::string& path, const std::string& section,
-                       const std::string& object_literal);
 
 }  // namespace v6sonar::benchx

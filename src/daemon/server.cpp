@@ -37,6 +37,7 @@
 #include "util/process_stats.hpp"
 #include "util/signal_drain.hpp"
 #include "util/state_io.hpp"
+#include "util/timebase.hpp"
 
 namespace v6sonar::daemon {
 
@@ -602,9 +603,11 @@ struct Daemon::Impl {
       case Verb::kSetPeriod: {
         char* end = nullptr;
         const long long v = std::strtoll(req.payload.c_str(), &end, 10);
-        if (req.payload.empty() || end == req.payload.c_str() || *end != '\0' || v < 0) {
+        if (req.payload.empty() || end == req.payload.c_str() || *end != '\0' || v < 0 ||
+            v > util::kMaxSeconds) {
           respond(c, req, Status::kError,
-                  "set-period payload must be a non-negative ASCII second count\n");
+                  "set-period payload must be an ASCII second count from 0 to " +
+                      std::to_string(util::kMaxSeconds) + "\n");
           break;
         }
         period_s = v;
@@ -788,6 +791,10 @@ struct Daemon::Impl {
       spill_offset = mr.u64();
       mr.expect_end();
     }
+    // Past kMaxSeconds, now() + period overflows the steady clock.
+    if (period_s < 0 || period_s > util::kMaxSeconds)
+      throw std::runtime_error("daemon: re-attribution period " + std::to_string(period_s) +
+                               " s is out of range");
     if (!opts.events_out.empty()) {
       if (resume && had_spill)
         spill.emplace(opts.events_out, spill_count, spill_offset);

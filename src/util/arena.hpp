@@ -6,7 +6,7 @@
 // arrays churning through the global allocator. The pool keeps freed
 // slot arrays on per-size-class freelists so a source expiring hands
 // its storage straight to the next source appearing, without touching
-// malloc. bench_ablation_containers quantifies the win.
+// malloc.
 //
 // Fresh blocks are carved from mmap'd chunks rather than allocated
 // individually: chunks double from 64 KiB up to 2 MiB, and chunks of

@@ -14,8 +14,7 @@
 // power of two and erase is tombstone-free (backward-shift deletion
 // keeps chains dense), so probe sequences are plain slot-granular
 // linear probing underneath — the groups are just a vectorized window
-// onto it. bench_ablation_containers quantifies the win and the
-// SIMD-vs-SWAR gap.
+// onto it.
 //
 // Slot storage can be backed by a util::SlabPool so the per-source
 // create/destroy churn recycles slot arrays instead of hitting the
@@ -103,7 +102,6 @@ struct ProbeMask {
 /// empty slots are never read.
 struct GroupSwar {
   static constexpr std::size_t kWidth = 8;
-  static constexpr const char* kName = "swar_group8";
   static constexpr std::uint64_t kLsbs = 0x0101010101010101ULL;
   static constexpr std::uint64_t kMsbs = 0x8080808080808080ULL;
 
@@ -127,7 +125,6 @@ struct GroupSwar {
 /// the empty mask).
 struct GroupSse2 {
   static constexpr std::size_t kWidth = 16;
-  static constexpr const char* kName = "sse2_group16";
 
   explicit GroupSse2(const std::uint8_t* p) noexcept
       : ctrl_(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))) {}
@@ -184,10 +181,6 @@ class FlatMap {
                 "FlatMap slots are managed as raw storage");
 
  public:
-  static constexpr std::size_t kGroupWidth = Group::kWidth;
-  /// Probe-scheme identifier for diagnostics/bench JSON.
-  [[nodiscard]] static constexpr const char* probe_scheme() noexcept { return Group::kName; }
-
   FlatMap() = default;
   /// Pool-backed: slot arrays come from / return to `pool` (which must
   /// outlive this container).
@@ -497,10 +490,6 @@ class FlatSet {
                 "FlatSet slots are managed as raw storage");
 
  public:
-  static constexpr std::size_t kGroupWidth = Group::kWidth;
-  /// Probe-scheme identifier for diagnostics/bench JSON.
-  [[nodiscard]] static constexpr const char* probe_scheme() noexcept { return Group::kName; }
-
   FlatSet() = default;
   /// Pool-backed: slot arrays come from / return to `pool` (which must
   /// outlive this container).

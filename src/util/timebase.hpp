@@ -17,6 +17,13 @@ using SimTime = std::int64_t;  ///< seconds since Unix epoch (UTC)
 inline constexpr SimTime kSecondsPerDay = 86'400;
 inline constexpr SimTime kSecondsPerWeek = 7 * kSecondsPerDay;
 
+/// Longest duration, in seconds, that a timeout, period or idle-time
+/// setting accepts: 100 years of 365 days. In microseconds plus any
+/// timestamp of this century, and in nanoseconds plus any steady-clock
+/// reading, it still fits in 64 signed bits; past it those sums can
+/// overflow.
+inline constexpr SimTime kMaxSeconds = 100 * 365 * kSecondsPerDay;
+
 /// Measurement window of the paper (§2.1).
 inline constexpr SimTime kWindowStart = 1'609'459'200;  // 2021-01-01 00:00:00 UTC
 inline constexpr SimTime kWindowEnd = 1'647'302'400;    // 2022-03-15 00:00:00 UTC

@@ -5,64 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "core/detector.hpp"
+#include "detector_model.hpp"
 #include "util/rng.hpp"
 
 namespace v6sonar::core {
 namespace {
 
 using net::Ipv6Address;
-using net::Ipv6Prefix;
 using sim::LogRecord;
 using sim::TimeUs;
-
-struct RefEvent {
-  Ipv6Prefix source;
-  TimeUs first = 0, last = 0;
-  std::uint64_t packets = 0;
-  std::set<Ipv6Address> dsts;
-  std::map<std::uint16_t, std::uint64_t> ports;
-};
-
-/// O(n log n) batch reference: group by aggregated source, split on
-/// gaps > timeout, keep groups with enough distinct destinations.
-std::vector<RefEvent> reference(std::vector<LogRecord> records, const DetectorConfig& cfg) {
-  std::stable_sort(records.begin(), records.end(), [](const LogRecord& a, const LogRecord& b) {
-    return a.ts_us < b.ts_us;
-  });
-  std::map<Ipv6Prefix, std::vector<const LogRecord*>> by_src;
-  for (const auto& r : records) by_src[Ipv6Prefix{r.src, cfg.source_prefix_len}].push_back(&r);
-
-  std::vector<RefEvent> out;
-  for (const auto& [src, recs] : by_src) {
-    std::vector<std::vector<const LogRecord*>> runs(1);
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-      if (i > 0 && recs[i]->ts_us - recs[i - 1]->ts_us > cfg.timeout_us)
-        runs.emplace_back();
-      runs.back().push_back(recs[i]);
-    }
-    for (const auto& run : runs) {
-      if (run.empty()) continue;
-      RefEvent ev;
-      ev.source = src;
-      ev.first = run.front()->ts_us;
-      ev.last = run.back()->ts_us;
-      for (const auto* r : run) {
-        ++ev.packets;
-        ev.dsts.insert(r->dst);
-        ++ev.ports[r->dst_port];
-      }
-      if (ev.dsts.size() >= cfg.min_destinations) out.push_back(std::move(ev));
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const RefEvent& a, const RefEvent& b) {
-    return std::tie(a.source, a.first) < std::tie(b.source, b.first);
-  });
-  return out;
-}
+using testing::reference;
 
 std::vector<LogRecord> random_traffic(std::uint64_t seed, std::size_t n) {
   util::Xoshiro256 rng(seed);

@@ -29,6 +29,7 @@
 #include "daemon/server.hpp"
 #include "sim/log_io.hpp"
 #include "util/signal_drain.hpp"
+#include "util/timebase.hpp"
 
 namespace v6sonar::daemon {
 namespace {
@@ -517,14 +518,20 @@ TEST_F(DaemonServerTest, SetPeriodVerbAdjustsReattributionCadence) {
   resp = c.roundtrip(Verb::kStatus, 3);
   EXPECT_EQ(status_value(resp.payload, "reattribution_period_s"), 5u);
 
-  // Junk, negative, and empty payloads are rejected without touching
-  // the configured period.
-  for (const char* bad : {"soon", "-3", "", "5x"}) {
+  // Junk, negative, and empty payloads, and periods past
+  // util::kMaxSeconds (now() + period would overflow the steady
+  // clock), are rejected without touching the configured period.
+  const std::string max = std::to_string(util::kMaxSeconds);
+  for (const std::string& bad : {std::string("soon"), std::string("-3"), std::string(),
+                                 std::string("5x"), std::to_string(util::kMaxSeconds + 1),
+                                 std::string("99999999999999999999")}) {
     resp = c.roundtrip(Verb::kSetPeriod, 4, bad);
     EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError)) << bad;
   }
   resp = c.roundtrip(Verb::kStatus, 5);
   EXPECT_EQ(status_value(resp.payload, "reattribution_period_s"), 5u);
+  resp = c.roundtrip(Verb::kSetPeriod, 5, max);
+  EXPECT_EQ(resp.payload, "period " + max + "\n");
 
   // Blocklist still answers in periodic mode, and 0 restores on-demand.
   resp = c.roundtrip(Verb::kBlocklist, 6);
@@ -532,6 +539,15 @@ TEST_F(DaemonServerTest, SetPeriodVerbAdjustsReattributionCadence) {
   resp = c.roundtrip(Verb::kSetPeriod, 7, "0");
   EXPECT_EQ(resp.payload, "period 0\n");
   EXPECT_EQ(rd.stop_and_join(), 0);
+}
+
+TEST_F(DaemonServerTest, PeriodPastTheClockRangeIsRefusedAtStart) {
+  // A period from the options (or a restored checkpoint) past
+  // util::kMaxSeconds would overflow now() + period: run() refuses it.
+  auto opts = options();
+  opts.reattribution_period_s = util::kMaxSeconds + 1;
+  RunningDaemon rd(std::move(opts));
+  EXPECT_EQ(rd.stop_and_join(), -2);
 }
 
 TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {

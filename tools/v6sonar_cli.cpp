@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +45,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -56,6 +54,7 @@
 #include "analysis/report_render.hpp"
 #include "analysis/reports.hpp"
 #include "analysis/timeseries.hpp"
+#include "cli_args.hpp"
 #include "core/adaptive.hpp"
 #include "core/artifact_filter.hpp"
 #include "core/detector.hpp"
@@ -81,6 +80,8 @@
 namespace {
 
 using namespace v6sonar;
+using cli::parse_int;
+using cli::parse_seconds;
 
 struct Options {
   int agg = 64;
@@ -165,25 +166,6 @@ struct Options {
       "                    snapshot to FILE (default stdout) on exit\n",
       stderr);
   std::exit(2);
-}
-
-/// Parse the whole of `text` as an integer, or exit(2) with an error
-/// naming the flag. Rejects empty strings, non-numeric input, trailing
-/// garbage ("4x", "1.5"), and values that overflow T.
-template <typename T>
-T parse_int(const char* flag, const char* text) {
-  T value{};
-  const char* const end = text + std::strlen(text);
-  const auto [p, ec] = std::from_chars(text, end, value);
-  if (ec == std::errc::result_out_of_range) {
-    std::fprintf(stderr, "error: %s value '%s' is out of range\n", flag, text);
-    std::exit(2);
-  }
-  if (ec != std::errc{} || p != end) {
-    std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag, text);
-    std::exit(2);
-  }
-  return value;
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -271,7 +253,7 @@ Options parse_options(int argc, char** argv, int first) {
         std::exit(2);
       }
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
-      o.timeout_sec = parse_int<std::int64_t>("--timeout", need_value("--timeout"));
+      o.timeout_sec = parse_seconds("--timeout", need_value("--timeout"));
       if (o.timeout_sec < 1) {
         std::fprintf(stderr, "error: --timeout must be at least 1 second\n");
         std::exit(2);
@@ -293,7 +275,7 @@ Options parse_options(int argc, char** argv, int first) {
         std::exit(2);
       }
     } else if (std::strcmp(argv[i], "--period") == 0) {
-      o.period_sec = parse_int<std::int64_t>("--period", need_value("--period"));
+      o.period_sec = parse_seconds("--period", need_value("--period"));
       if (o.period_sec < 1) {
         std::fprintf(stderr, "error: --period must be at least 1 second\n");
         std::exit(2);
@@ -316,7 +298,7 @@ Options parse_options(int argc, char** argv, int first) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       o.resume = true;
     } else if (std::strcmp(argv[i], "--cold-after") == 0) {
-      o.cold_after_sec = parse_int<std::int64_t>("--cold-after", need_value("--cold-after"));
+      o.cold_after_sec = parse_seconds("--cold-after", need_value("--cold-after"));
       if (o.cold_after_sec < 0) {
         std::fprintf(stderr, "error: --cold-after must be >= 0 (0 = off)\n");
         std::exit(2);
@@ -1071,7 +1053,11 @@ int cmd_query(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--count") == 0) {
       q.count = parse_int<std::size_t>("--count", need_value("--count"));
     } else if (std::strcmp(argv[i], "--timeout-sec") == 0) {
-      q.timeout_sec = parse_int<std::size_t>("--timeout-sec", need_value("--timeout-sec"));
+      q.timeout_sec = parse_seconds("--timeout-sec", need_value("--timeout-sec"));
+      if (q.timeout_sec < 0) {
+        std::fprintf(stderr, "error: --timeout-sec must be >= 0\n");
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--wait-key") == 0) {
       q.wait_key = need_value("--wait-key");
     } else if (std::strcmp(argv[i], "--wait-min") == 0) {

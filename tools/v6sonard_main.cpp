@@ -8,19 +8,20 @@
 // client. SIGINT/SIGTERM (or the shutdown verb) triggers a graceful
 // drain; exit code 0 means every output file was finalized.
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <system_error>
 
+#include "cli_args.hpp"
 #include "daemon/server.hpp"
 #include "util/metrics.hpp"
 
 namespace {
 
 using namespace v6sonar;
+using cli::parse_int;
+using cli::parse_seconds;
 
 [[noreturn]] void usage() {
   std::fputs(
@@ -64,18 +65,6 @@ using namespace v6sonar;
   std::exit(2);
 }
 
-template <typename T>
-T parse_int(const char* flag, const char* text) {
-  T value{};
-  const char* const end = text + std::strlen(text);
-  const auto [p, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || p != end) {
-    std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag, text);
-    std::exit(2);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -102,7 +91,7 @@ int main(int argc, char** argv) {
       opts.detector.min_destinations =
           parse_int<std::uint32_t>("--min-dsts", need_value("--min-dsts"));
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
-      const auto sec = parse_int<std::int64_t>("--timeout", need_value("--timeout"));
+      const auto sec = parse_seconds("--timeout", need_value("--timeout"));
       if (sec < 1) {
         std::fprintf(stderr, "error: --timeout must be at least 1 second\n");
         return 2;
@@ -139,7 +128,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--events") == 0) {
       opts.events_out = need_value("--events");
     } else if (std::strcmp(argv[i], "--cold-after") == 0) {
-      const auto sec = parse_int<std::int64_t>("--cold-after", need_value("--cold-after"));
+      const auto sec = parse_seconds("--cold-after", need_value("--cold-after"));
       if (sec < 0) {
         std::fprintf(stderr, "error: --cold-after must be >= 0\n");
         return 2;
@@ -148,7 +137,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
       opts.checkpoint_path = need_value("--checkpoint");
     } else if (std::strcmp(argv[i], "--period") == 0) {
-      opts.reattribution_period_s = parse_int<std::int64_t>("--period", need_value("--period"));
+      opts.reattribution_period_s = parse_seconds("--period", need_value("--period"));
       if (opts.reattribution_period_s < 0) {
         std::fprintf(stderr, "error: --period must be >= 0\n");
         return 2;
