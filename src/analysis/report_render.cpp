@@ -7,23 +7,11 @@
 
 namespace v6sonar::analysis {
 
-namespace {
-
-/// printf-style append; the renderers build one string so the batch
-/// CLI and the daemon's wire responses share every formatted byte.
-template <typename... Args>
-void appendf(std::string& out, const char* fmt, Args... args) {
-  char buf[256];
-  const int n = std::snprintf(buf, sizeof buf, fmt, args...);
-  if (n > 0) out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(n), sizeof buf - 1));
-}
-
-std::string top_sources_text(const ReportBundle& a, std::size_t top, bool with_as) {
+std::string render_source_table(const SourceAnalyzer& analyzer, std::size_t top, bool with_as) {
   std::string out;
-  auto sources = a.sources.sources();
+  auto sources = analyzer.sources();
   std::sort(sources.begin(), sources.end(),
             [](const SourceReport& x, const SourceReport& y) { return x.packets > y.packets; });
-  out += "\ntop sources by packets:\n";
   util::TextTable st(with_as
                          ? std::vector<std::string>{"source", "AS", "scans", "packets",
                                                     "max dsts/scan"}
@@ -43,15 +31,14 @@ std::string top_sources_text(const ReportBundle& a, std::size_t top, bool with_a
   return out;
 }
 
-}  // namespace
-
 std::string render_top_sources(const ReportBundle& a, std::size_t top) {
   std::string out;
   const auto t = a.sources.totals();
   appendf(out, "%llu scans from %llu sources in %llu ASes (%llu packets attributed)\n",
           static_cast<unsigned long long>(t.scans), static_cast<unsigned long long>(t.sources),
           static_cast<unsigned long long>(t.ases), static_cast<unsigned long long>(t.packets));
-  out += top_sources_text(a, top, /*with_as=*/true);
+  out += "\ntop sources by packets:\n";
+  out += render_source_table(a.sources, top, /*with_as=*/true);
   return out;
 }
 
@@ -128,9 +115,10 @@ std::string render_report(const ReportBundle& a, std::size_t top) {
   return out;
 }
 
-std::string render_blocklist(const std::vector<core::Attribution>& blocklist) {
+std::string render_blocklist(const std::vector<core::Attribution>& blocklist,
+                             const char* prefix_column) {
   std::string out;
-  util::TextTable table({"blocked prefix", "level", "packets", "covered sources"});
+  util::TextTable table({prefix_column, "level", "packets", "covered sources"});
   for (const auto& a : blocklist) {
     // Built with += (not operator+) to dodge GCC 12's -Wrestrict false
     // positive on const char* + std::string&&.

@@ -9,7 +9,9 @@
 // there is exactly one fold and exactly one formatter.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -96,16 +98,32 @@ struct ReportBundle {
   }
 };
 
+/// printf-style append, at most 255 bytes a call: the renderers build
+/// one string, so the batch CLI and the daemon's wire responses share
+/// every formatted byte.
+template <typename... Args>
+void appendf(std::string& out, const char* fmt, Args... args) {
+  char buf[256];
+  const int n = std::snprintf(buf, sizeof buf, fmt, args...);
+  if (n > 0) out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(n), sizeof buf - 1));
+}
+
 /// Render the full report (sources, ASes, durations, ports, weekly,
 /// DNS) exactly as `v6sonar detect --report` prints it.
 [[nodiscard]] std::string render_report(const ReportBundle& a, std::size_t top);
 
 /// Individual sections, for the daemon's narrower query verbs.
 [[nodiscard]] std::string render_top_sources(const ReportBundle& a, std::size_t top);
+/// The `top` sources by packets as a table (with an AS column when
+/// `with_as`), then "(+N more sources)" when there are more.
+[[nodiscard]] std::string render_source_table(const SourceAnalyzer& sources, std::size_t top,
+                                              bool with_as);
 [[nodiscard]] std::string render_top_ports(const ReportBundle& a);
 [[nodiscard]] std::string render_as_report(const ReportBundle& a, std::size_t top);
 
-/// Render an attribution set as the IDS blocklist table.
-[[nodiscard]] std::string render_blocklist(const std::vector<core::Attribution>& blocklist);
+/// Render an attribution set as the IDS blocklist table (`v6sonar
+/// adaptive` names its first column "attributed prefix").
+[[nodiscard]] std::string render_blocklist(const std::vector<core::Attribution>& blocklist,
+                                           const char* prefix_column = "blocked prefix");
 
 }  // namespace v6sonar::analysis

@@ -567,7 +567,6 @@ int ParallelScanPipeline::threads() const noexcept {
   return static_cast<int>(impl_->shards.size());
 }
 
-std::uint64_t ParallelScanPipeline::packets_seen() const noexcept { return impl_->feeder.fed; }
 
 const std::vector<FilterDayStats>& ParallelScanPipeline::filter_stats() const {
   // Before flush() the per-shard stats are still being appended to on

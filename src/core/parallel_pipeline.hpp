@@ -137,8 +137,6 @@ class ParallelScanPipeline {
   void merge_shard_events(const ShardEventPull& pull, EventSink& out) const;
 
   [[nodiscard]] int threads() const noexcept;
-  /// Records fed into the pipeline (pre-filter).
-  [[nodiscard]] std::uint64_t packets_seen() const noexcept;
   /// Merged per-day artifact-filter statistics, sorted by day; empty
   /// in plain (unfiltered) mode. Only valid after flush() — worker
   /// threads still append to the per-shard stats before that, so this

@@ -57,6 +57,18 @@ bool LogTailer::ensure_open() {
   return true;
 }
 
+bool LogTailer::resume(const Cursor& c) {
+  records_ = c.records;
+  if (c.offset == 0) return true;  // nothing was consumed
+  struct stat st{};
+  if (!ensure_open() || ::fstat(fd_.get(), &st) != 0 || ino_ != c.ino || dev_ != c.dev ||
+      static_cast<std::uint64_t>(st.st_size) < c.offset)
+    return false;
+  offset_ = c.offset;
+  header_ok_ = true;  // a cursor past 0 lies past the verified header
+  return true;
+}
+
 std::size_t LogTailer::drain_fd(const RecordFn& fn) {
   std::size_t delivered = 0;
   std::array<std::uint8_t, 64 * 1024> buf;

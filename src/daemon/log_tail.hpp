@@ -22,6 +22,7 @@
 // is a configuration error, not a transient).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,6 +46,20 @@ class LogTailer {
   /// blocks.
   std::size_t poll(const RecordFn& fn);
 
+  /// Where a restart continues: the current file's identity, the byte
+  /// offset just past the last whole record delivered, and the records
+  /// delivered so far. Zero identity and offset before any file opened.
+  struct Cursor { std::uint64_t dev = 0, ino = 0, offset = 0, records = 0; };
+  [[nodiscard]] Cursor cursor() const noexcept {
+    return {dev_, ino_, offset_ - pending_.size(), records_};
+  }
+  /// Continue from an earlier tailer's cursor(), before the first
+  /// poll(). Reading resumes at `c.offset` if the path still names that
+  /// file and it is at least that long; otherwise the file was rotated
+  /// or replaced since, and it is read from its header (returns false).
+  bool resume(const Cursor& c);
+
+  /// Counters, readable from any thread while another one polls.
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
   [[nodiscard]] std::uint64_t rotations() const noexcept { return rotations_; }
   [[nodiscard]] std::uint64_t truncations() const noexcept { return truncations_; }
@@ -62,9 +77,7 @@ class LogTailer {
   bool header_ok_ = false;     ///< magic verified for the current file
   std::vector<std::uint8_t> pending_;  ///< partial record/header bytes
 
-  std::uint64_t records_ = 0;
-  std::uint64_t rotations_ = 0;
-  std::uint64_t truncations_ = 0;
+  std::atomic<std::uint64_t> records_{0}, rotations_{0}, truncations_{0};
 };
 
 }  // namespace v6sonar::daemon

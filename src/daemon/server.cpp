@@ -17,14 +17,14 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "analysis/report_render.hpp"
 #include "core/adaptive.hpp"
-#include "core/event_io.hpp"
+#include "core/detect_run.hpp"
 #include "core/event_sink.hpp"
-#include "core/parallel_pipeline.hpp"
 #include "core/state_codec.hpp"
 #include "core/streaming_ids.hpp"
 #include "daemon/framing.hpp"
@@ -43,6 +43,7 @@ namespace v6sonar::daemon {
 
 namespace {
 
+using analysis::appendf;
 using Clock = std::chrono::steady_clock;
 
 struct ServerMetrics {
@@ -74,14 +75,7 @@ ServerMetrics& server_metrics() {
 /// vector out — the hot path never waits on a reader.
 class EventQueue {
  public:
-  EventQueue() {
-    int p[2];
-    if (::pipe(p) != 0) throw std::runtime_error("daemon: cannot create event pipe");
-    rd_.reset(p[0]);
-    wr_.reset(p[1]);
-    util::set_nonblocking(rd_.get(), true);
-    util::set_nonblocking(wr_.get(), true);
-  }
+  EventQueue() { std::tie(rd_, wr_) = util::nonblocking_pipe(); }
 
   void push(core::ScanEvent&& ev) {
     bool signal = false;
@@ -125,24 +119,16 @@ class EventQueue {
   util::UniqueFd rd_, wr_;
 };
 
-/// EventSink that forwards each event into the queue.
-class QueueForwarder final : public core::EventSink {
- public:
-  explicit QueueForwarder(EventQueue& q) noexcept : q_(&q) {}
-  void on_event(core::ScanEvent&& ev) override { q_->push(std::move(ev)); }
-
- private:
-  EventQueue* q_;
-};
-
-/// One shard's sink chain: forwarder (copy) then publisher (move).
+/// One shard's sink chain: forward into the queue (copy), then publish
+/// (move). DetectRun spills behind it.
 struct ShardChain {
-  QueueForwarder forwarder;
+  core::FunctionSink forwarder;
   SnapshotPublisher publisher;
   core::FanOutSink fan;
 
   ShardChain(EventQueue& q, ShardSnapshotSlot& slot, std::size_t every, std::size_t top)
-      : forwarder(q), publisher(slot, every, top) {
+      : forwarder([&q](core::ScanEvent&& ev) { q.push(std::move(ev)); }),
+        publisher(slot, every, top) {
     fan.add(forwarder);
     fan.add(publisher);
   }
@@ -159,14 +145,6 @@ struct Client {
   Clock::time_point last_progress = Clock::now();
 };
 
-template <typename... Args>
-void appendf(std::string& out, const char* fmt, Args... args) {
-  char buf[256];
-  const int n = std::snprintf(buf, sizeof buf, fmt, args...);
-  if (n > 0)
-    out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(n), sizeof buf - 1));
-}
-
 }  // namespace
 
 struct Daemon::Impl {
@@ -179,9 +157,8 @@ struct Daemon::Impl {
   EventQueue queue;
   SnapshotHub hub;  ///< slots registered by the pipeline's sink factory
   std::vector<std::unique_ptr<ShardChain>> chains;
-  std::optional<core::ParallelScanPipeline> pipeline;
+  std::optional<core::DetectRun> run_state;  ///< the pipeline and, with --events, its shard spills
   std::optional<LogTailer> tailer;
-  std::optional<core::EventWriter> spill;
 
   std::thread ingest;
   std::mutex ingest_mu;
@@ -191,7 +168,6 @@ struct Daemon::Impl {
   std::atomic<bool> ingest_pause{false};  ///< checkpoint quiesce request
   bool ingest_paused = false;             ///< guarded by ingest_mu
   std::atomic<std::uint64_t> ingested{0};
-  std::atomic<std::uint64_t> tail_rotations{0}, tail_truncations{0}, tail_records{0};
   std::mutex error_mu;
   std::string ingest_error;  ///< guarded by error_mu
 
@@ -214,7 +190,7 @@ struct Daemon::Impl {
   // may race with startup from another thread, and it reads stop_wr.
   explicit Impl(DaemonOptions o) : opts(std::move(o)), hub(0, opts.top) {
     period_s = opts.reattribution_period_s;
-    setup_stop_pipe();
+    std::tie(stop_rd, stop_wr) = util::nonblocking_pipe();
   }
 
   // ---------------- setup ----------------
@@ -236,26 +212,6 @@ struct Daemon::Impl {
       throw std::runtime_error("daemon: cannot listen on " + opts.socket_path);
   }
 
-  void setup_stop_pipe() {
-    int p[2];
-    if (::pipe(p) != 0) throw std::runtime_error("daemon: cannot create stop pipe");
-    stop_rd.reset(p[0]);
-    stop_wr.reset(p[1]);
-    util::set_nonblocking(stop_rd.get(), true);
-    util::set_nonblocking(stop_wr.get(), true);
-  }
-
-  void start_pipeline() {
-    pipeline.emplace(
-        opts.detector,
-        core::ParallelConfig{.threads = opts.threads, .ring_capacity = opts.ring_capacity},
-        core::ParallelScanPipeline::ShardSinkFactory([this](std::size_t) -> core::EventSink& {
-          chains.push_back(std::make_unique<ShardChain>(queue, hub.add_slot(),
-                                                        opts.snapshot_every, opts.top));
-          return chains.back()->fan;
-        }));
-  }
-
   // ---------------- ingest thread ----------------
 
   void set_ingest_error(const std::string& what) {
@@ -271,25 +227,22 @@ struct Daemon::Impl {
     return ingest_error;
   }
 
-  std::size_t feed_tail_once(std::vector<sim::LogRecord>& batch) {
-    if (!tailer) return 0;
-    batch.clear();
-    tailer->poll([&](const sim::LogRecord& r) { batch.push_back(r); });
-    if (!batch.empty()) pipeline->feed_batch(batch);
-    tail_records.store(tailer->records(), std::memory_order_relaxed);
-    tail_rotations.store(tailer->rotations(), std::memory_order_relaxed);
-    tail_truncations.store(tailer->truncations(), std::memory_order_relaxed);
-    return batch.size();
-  }
-
-  std::size_t feed_pushed_once(std::vector<sim::LogRecord>& local) {
-    local.clear();
+  /// Feed what the tailer and the socket delivered since the last call;
+  /// returns the record count.
+  std::size_t feed_once(std::vector<sim::LogRecord>& tailed, std::vector<sim::LogRecord>& pushed) {
+    tailed.clear();
+    if (tailer) tailer->poll([&](const sim::LogRecord& r) { tailed.push_back(r); });
+    if (!tailed.empty()) run_state->feed_batch(tailed);
+    pushed.clear();
     {
       std::lock_guard lock(ingest_mu);
-      local.swap(pushed_records);
+      pushed.swap(pushed_records);
     }
-    if (!local.empty()) pipeline->feed_batch(local);
-    return local.size();
+    if (!pushed.empty()) run_state->feed_batch(pushed);
+    const std::size_t n = tailed.size() + pushed.size();
+    ingested.fetch_add(n, std::memory_order_relaxed);
+    if (n > 0) server_metrics().ingest_records.add(n);
+    return n;
   }
 
   void ingest_main() {
@@ -309,13 +262,7 @@ struct Daemon::Impl {
           ingest_paused = false;
           continue;
         }
-        std::size_t n = feed_tail_once(tail_batch);
-        n += feed_pushed_once(push_batch);
-        if (n > 0) {
-          ingested.fetch_add(n, std::memory_order_relaxed);
-          server_metrics().ingest_records.add(n);
-          continue;  // keep draining while data is flowing
-        }
+        if (feed_once(tail_batch, push_batch) > 0) continue;  // keep draining while data flows
         std::unique_lock lock(ingest_mu);
         if (pushed_records.empty() && !ingest_stop.load(std::memory_order_relaxed))
           ingest_cv.wait_for(lock, std::chrono::milliseconds(opts.poll_interval_ms));
@@ -323,12 +270,8 @@ struct Daemon::Impl {
       // Drain request: pick up whatever arrived before the stop, then
       // flush — the pipeline joins its workers and every in-flight
       // finalizable event reaches the shard chains.
-      std::size_t n = feed_tail_once(tail_batch) + feed_pushed_once(push_batch);
-      if (n > 0) {
-        ingested.fetch_add(n, std::memory_order_relaxed);
-        server_metrics().ingest_records.add(n);
-      }
-      pipeline->flush();
+      feed_once(tail_batch, push_batch);
+      run_state->flush();
       // The pipeline never flushes per-shard sinks; publish the final
       // deltas so the post-drain master reflects every event.
       for (auto& c : chains) c->publisher.flush();
@@ -355,45 +298,32 @@ struct Daemon::Impl {
   }
 
   /// Freeze the whole daemon into `path`. Caller holds the ingest
-  /// pause, so the server thread owns the pipeline feeder: the shard
-  /// barrier saves and seals (CRC) each detector section on its own
-  /// worker thread and flushes the snapshot publishers, then the
-  /// queue/hub drains make the server-side state (slim events, master
-  /// bundle) current before the container commits. Returns a one-line
-  /// summary payload.
+  /// pause, so the server thread owns the pipeline feeder and the
+  /// tailer: the shard barrier saves and seals each shard's sections on
+  /// its own worker thread and flushes the snapshot publishers, then
+  /// the queue/hub drains make the server-side state (slim events,
+  /// master bundle) current before the container commits. Returns a
+  /// one-line summary payload.
   [[nodiscard]] std::string checkpoint_now(const std::string& path) {
-    const std::size_t shards = static_cast<std::size_t>(pipeline->threads());
-    std::vector<core::CheckpointSection> det_sec(shards);
-    pipeline->with_shard_state(
-        [&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-          util::StateWriter w;
-          det.save(w);
-          det_sec[s] = core::CheckpointSection("shard" + std::to_string(s) + ".detector",
-                                               std::move(w));
-          chains[s]->publisher.flush();
-        });
-    deliver_events();  // barrier-pushed events -> attributor + spill
-    hub.drain();       // barrier-published deltas -> master
     core::CheckpointWriter ck;
-    util::StateWriter meta;
-    meta.u32(static_cast<std::uint32_t>(shards));
-    meta.u64(ingested.load(std::memory_order_relaxed));
-    meta.u64(events_seen);
-    meta.i64(period_s);
-    meta.u8(spill ? 1 : 0);
-    if (spill) {
-      // Spilled events must be durable before the checkpoint that
-      // references their count/offset (the resume constructor
-      // truncates whatever follows them).
-      spill->checkpoint_sync();
-      meta.u64(spill->written());
-      meta.u64(spill->offset());
-    } else {
-      meta.u64(0);
-      meta.u64(0);
-    }
-    ck.add("daemon.meta", std::move(meta));
-    for (auto& sec : det_sec) ck.add(std::move(sec));
+    run_state->checkpoint(ck, [&](std::size_t s, util::StateWriter&) {
+      chains[s]->publisher.flush();
+    });
+    deliver_events();  // barrier-pushed events -> subscribers + attributor
+    hub.drain();       // barrier-published deltas -> master
+    const auto shards = static_cast<std::uint32_t>(run_state->threads());
+    const std::uint64_t records = ingested.load(std::memory_order_relaxed);
+    core::RunMeta{.producer = core::RunMeta::Producer::kDaemon,
+                  .shards = shards,
+                  .records = records,
+                  .outputs = events_seen,
+                  .flags = opts.events_out.empty() ? std::uint8_t{0} : core::RunMeta::kEvents}
+        .save(ck);
+    util::StateWriter dw;
+    dw.i64(period_s);
+    const auto tail = tailer ? tailer->cursor() : LogTailer::Cursor{};
+    for (const std::uint64_t v : {tail.dev, tail.ino, tail.offset, tail.records}) dw.u64(v);
+    ck.add("daemon", std::move(dw));
     util::StateWriter mw;
     hub.save_master(mw);
     ck.add("master", std::move(mw));
@@ -403,32 +333,37 @@ struct Daemon::Impl {
     ck.commit(path);
     server_metrics().checkpoints.add();
     std::string out;
-    appendf(out, "checkpointed %zu shards, %llu records, %llu events\n", shards,
-            static_cast<unsigned long long>(ingested.load(std::memory_order_relaxed)),
+    appendf(out, "checkpointed %u shards, %llu records, %llu events\n", shards,
+            static_cast<unsigned long long>(records),
             static_cast<unsigned long long>(events_seen));
     return out;
   }
 
-  /// Restore-on-start counterpart: called from run() after
-  /// start_pipeline() and before the ingest thread exists, so no
-  /// quiesce is needed. The caller already adopted the checkpoint's
-  /// shard count and resumed the spill from the saved offsets.
-  void restore_checkpoint(const core::CheckpointReader& ck, std::uint64_t meta_ingested,
-                          std::uint64_t meta_events_seen) {
-    pipeline->with_shard_state(
-        [&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-          auto dr = ck.section("shard" + std::to_string(s) + ".detector");
-          det.load(dr);
-          dr.expect_end();
-        });
+  /// Restore-on-start counterpart: called from run() once the pipeline
+  /// runs with the checkpoint's shard count, before the ingest thread
+  /// exists, so no quiesce is needed.
+  void restore_checkpoint(const core::CheckpointReader& ck, const core::RunMeta& meta) {
+    run_state->resume(ck);
     auto mr = ck.section("master");
     hub.restore_master(mr);
     mr.expect_end();
     auto er = ck.section("events");
     attributor.load_level(er, 0);
     er.expect_end();
-    ingested.store(meta_ingested, std::memory_order_relaxed);
-    events_seen = meta_events_seen;
+    auto dr = ck.section("daemon");
+    period_s = dr.i64();
+    const LogTailer::Cursor tail{dr.u64(), dr.u64(), dr.u64(), dr.u64()};  // read left to right
+    dr.expect_end();
+    if (tailer && !tailer->resume(tail))
+      std::fprintf(stderr,
+                   "v6sonard: %s was rotated or replaced since the checkpoint; "
+                   "tailing it from its header\n",
+                   opts.tail_path.c_str());
+    ingested.store(meta.records, std::memory_order_relaxed);
+    events_seen = meta.outputs;
+    std::fprintf(stderr, "v6sonard: restored %s (%llu records, %llu events)\n",
+                 opts.checkpoint_path.c_str(), static_cast<unsigned long long>(meta.records),
+                 static_cast<unsigned long long>(meta.outputs));
   }
 
   [[nodiscard]] std::string render_blocklist_now() {
@@ -501,15 +436,14 @@ struct Daemon::Impl {
     std::size_t subs = 0;
     for (const auto& c : clients) subs += c->subscribed;
     appendf(out, "subscribers %zu\n", subs);
-    appendf(out, "tail_records %llu\n",
-            static_cast<unsigned long long>(tail_records.load(std::memory_order_relaxed)));
+    const LogTailer* t = tailer ? &*tailer : nullptr;
+    appendf(out, "tail_records %llu\n", static_cast<unsigned long long>(t ? t->records() : 0));
     appendf(out, "tail_rotations %llu\n",
-            static_cast<unsigned long long>(tail_rotations.load(std::memory_order_relaxed)));
+            static_cast<unsigned long long>(t ? t->rotations() : 0));
     appendf(out, "tail_truncations %llu\n",
-            static_cast<unsigned long long>(
-                tail_truncations.load(std::memory_order_relaxed)));
+            static_cast<unsigned long long>(t ? t->truncations() : 0));
     appendf(out, "spill_events %llu\n",
-            static_cast<unsigned long long>(spill ? spill->written() : 0));
+            static_cast<unsigned long long>(run_state->spilled()));
     appendf(out, "reattribution_period_s %lld\n", static_cast<long long>(period_s));
     appendf(out, "draining %d\n", draining ? 1 : 0);
     return out;
@@ -727,7 +661,6 @@ struct Daemon::Impl {
         }
       }
       attributor.add(0, ev);
-      if (spill) spill->on_event(std::move(ev));  // last use
     }
   }
 
@@ -767,48 +700,33 @@ struct Daemon::Impl {
 
   int run() {
     util::ShutdownSignal::install();
-    setup_listener();
-    if (!opts.tail_path.empty()) tailer.emplace(opts.tail_path);
-
     // Restore-on-start: an existing --checkpoint file is the state of
     // a previous incarnation (stop / upgrade / resume). Its shard
     // count is adopted — shard routing is a function of the count, so
     // per-shard detector state only loads back into the same layout.
     std::optional<core::CheckpointReader> resume;
-    std::uint64_t meta_ingested = 0, meta_events_seen = 0;
-    std::uint64_t spill_count = 0, spill_offset = 0;
-    bool had_spill = false;
+    std::optional<core::RunMeta> meta;
     if (!opts.checkpoint_path.empty() &&
         ::access(opts.checkpoint_path.c_str(), F_OK) == 0) {
       resume.emplace(opts.checkpoint_path);
-      auto mr = resume->section("daemon.meta");
-      opts.threads = static_cast<int>(mr.u32());
-      meta_ingested = mr.u64();
-      meta_events_seen = mr.u64();
-      period_s = mr.i64();
-      had_spill = mr.u8() != 0;
-      spill_count = mr.u64();
-      spill_offset = mr.u64();
-      mr.expect_end();
+      meta = core::RunMeta::load(*resume, core::RunMeta::Producer::kDaemon,
+                                 opts.checkpoint_path);
     }
+    const int threads = core::shard_count(opts.threads, meta ? &*meta : nullptr);
+    setup_listener();
+    if (!opts.tail_path.empty()) tailer.emplace(opts.tail_path);
+    run_state.emplace(opts.detector,
+                      core::ParallelConfig{.threads = threads, .ring_capacity = opts.ring_capacity},
+                      opts.events_out, [this](std::size_t) -> core::EventSink& {
+                        chains.push_back(std::make_unique<ShardChain>(
+                            queue, hub.add_slot(), opts.snapshot_every, opts.top));
+                        return chains.back()->fan;
+                      });
+    if (resume) restore_checkpoint(*resume, *meta);
     // Past kMaxSeconds, now() + period overflows the steady clock.
     if (period_s < 0 || period_s > util::kMaxSeconds)
       throw std::runtime_error("daemon: re-attribution period " + std::to_string(period_s) +
                                " s is out of range");
-    if (!opts.events_out.empty()) {
-      if (resume && had_spill)
-        spill.emplace(opts.events_out, spill_count, spill_offset);
-      else
-        spill.emplace(opts.events_out);
-    }
-    start_pipeline();
-    if (resume) {
-      restore_checkpoint(*resume, meta_ingested, meta_events_seen);
-      std::fprintf(stderr, "v6sonard: restored %s (%llu records, %llu events)\n",
-                   opts.checkpoint_path.c_str(),
-                   static_cast<unsigned long long>(meta_ingested),
-                   static_cast<unsigned long long>(meta_events_seen));
-    }
     if (period_s > 0) next_pass = Clock::now() + std::chrono::seconds(period_s);
     ingest = std::thread([this] { ingest_main(); });
 
@@ -864,24 +782,24 @@ struct Daemon::Impl {
     ingest_cv.notify_all();
     if (ingest.joinable()) ingest.join();
     // 3. The last events are now in the queue; deliver them so
-    //    subscribers, the spill, and the blocklist see everything.
+    //    subscribers and the blocklist see everything.
     deliver_events();
     hub.drain();
     // 4. Finalize the durable outputs (both fsync before reporting
-    //    success — the satellite-1 contract).
+    //    success). The shard spills merge into --events unless ingest
+    //    failed; with --checkpoint they stay, for a restore to reopen.
     int rc = 0;
-    if (spill) {
+    if (!opts.events_out.empty() && get_ingest_error().empty()) {
       try {
-        spill->close();
+        const std::uint64_t n = run_state->close(!opts.checkpoint_path.empty());
         std::fprintf(stderr, "v6sonard: spilled %llu events to %s\n",
-                     static_cast<unsigned long long>(spill->written()),
-                     opts.events_out.c_str());
+                     static_cast<unsigned long long>(n), opts.events_out.c_str());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "v6sonard: %s\n", e.what());
         rc = 1;
       }
     }
-    if (opts.write_metrics && !write_metrics_file()) rc = 1;
+    if (opts.write_metrics && !util::dump_metrics(opts.metrics_out, "v6sonard")) rc = 1;
     // 5. Best-effort flush of pending client output, then close all.
     const auto flush_deadline = Clock::now() + std::chrono::milliseconds(500);
     for (const auto& c : clients) {
@@ -901,30 +819,6 @@ struct Daemon::Impl {
     server_metrics().drain_us.note(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count()));
     return rc;
-  }
-
-  [[nodiscard]] bool write_metrics_file() {
-    util::note_max_rss();
-    const std::string json = util::metrics::snapshot().to_json();
-    if (opts.metrics_out.empty() || opts.metrics_out == "-") {
-      std::printf("%s\n", json.c_str());
-      return true;
-    }
-    std::FILE* f = std::fopen(opts.metrics_out.c_str(), "wb");
-    if (!f) {
-      std::fprintf(stderr, "v6sonard: cannot write metrics to %s\n",
-                   opts.metrics_out.c_str());
-      return false;
-    }
-    const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-                    std::fputc('\n', f) != EOF && util::flush_to_disk(f);
-    if (std::fclose(f) != 0 || !ok) {
-      std::fprintf(stderr, "v6sonard: metrics write to %s failed\n",
-                   opts.metrics_out.c_str());
-      return false;
-    }
-    std::fprintf(stderr, "v6sonard: metrics written to %s\n", opts.metrics_out.c_str());
-    return true;
   }
 };
 

@@ -40,7 +40,10 @@ struct DaemonOptions {
   std::string socket_path;  ///< Unix-domain socket to serve on (required)
   std::string tail_path;    ///< .v6slog to tail; empty = socket ingest only
   core::DetectorConfig detector;
-  int threads = 1;               ///< pipeline shards; 0 = one per hardware thread
+  /// Pipeline shards: -1 when not given (one, or the checkpoint's on
+  /// restore); 0 = one per hardware thread. An explicit count that
+  /// differs from the checkpoint's is refused.
+  int threads = -1;
   std::size_t ring_capacity = 1 << 14;
   std::size_t top = 20;          ///< table depth for report verbs
   std::size_t snapshot_every = 32;  ///< events per shard between snapshot publishes

@@ -4,6 +4,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <stdexcept>
+
 namespace v6sonar::util {
 
 void UniqueFd::close() noexcept {
@@ -18,6 +20,15 @@ bool set_nonblocking(int fd, bool on) noexcept {
   if (flags < 0) return false;
   const int next = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
   return ::fcntl(fd, F_SETFL, next) == 0;
+}
+
+std::pair<UniqueFd, UniqueFd> nonblocking_pipe() {
+  int p[2];
+  if (::pipe(p) != 0) throw std::runtime_error("cannot create a pipe");
+  std::pair<UniqueFd, UniqueFd> ends{UniqueFd(p[0]), UniqueFd(p[1])};
+  set_nonblocking(p[0], true);
+  set_nonblocking(p[1], true);
+  return ends;
 }
 
 bool flush_to_disk(std::FILE* f) noexcept {

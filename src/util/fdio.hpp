@@ -44,6 +44,10 @@ class UniqueFd {
 /// Set or clear O_NONBLOCK. Returns false on fcntl failure.
 bool set_nonblocking(int fd, bool on) noexcept;
 
+/// A pipe (read end, write end), both non-blocking: a poll() wake-up
+/// channel. Throws std::runtime_error on failure.
+std::pair<UniqueFd, UniqueFd> nonblocking_pipe();
+
 /// Flush a stdio stream's buffered data all the way to stable storage:
 /// fflush + fsync(fileno). Returns false (with errno set) on failure.
 /// This is the missing half of "the writer finalized the header": an

@@ -2,6 +2,9 @@
 
 #include <sys/resource.h>
 
+#include <cstdio>
+
+#include "util/fdio.hpp"
 #include "util/metrics.hpp"
 
 namespace v6sonar::util {
@@ -18,6 +21,28 @@ void note_max_rss() {
   if (!m::enabled()) return;
   static const m::Gauge gauge{"process.maxrss_kb"};
   gauge.note(max_rss_kb());
+}
+
+bool dump_metrics(const std::string& file, const char* who) {
+  note_max_rss();
+  const std::string json = metrics::snapshot().to_json();
+  if (file.empty() || file == "-") {
+    std::printf("%s\n", json.c_str());
+    return true;
+  }
+  std::FILE* f = std::fopen(file.c_str(), "wb");
+  if (!f) {
+    std::fprintf(stderr, "%s: cannot write metrics to %s\n", who, file.c_str());
+    return false;
+  }
+  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
+                  std::fputc('\n', f) != EOF && flush_to_disk(f);
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "%s: metrics write to %s failed\n", who, file.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "%s: metrics written to %s\n", who, file.c_str());
+  return true;
 }
 
 }  // namespace v6sonar::util

@@ -22,6 +22,7 @@
 
 #include "analysis/report_render.hpp"
 #include "core/artifact_filter.hpp"
+#include "core/detect_run.hpp"
 #include "core/detector.hpp"
 #include "core/event_io.hpp"
 #include "core/parallel_pipeline.hpp"
@@ -315,31 +316,48 @@ TEST(CheckpointResume, StreamingIdsAlertsAndBlocklist) {
   }
 }
 
-// ---------------- parallel pipeline (sharded ownership) ----------------
+// ---------------- sharded runs (DetectRun) ----------------
 
 struct BundleSink final : EventSink {
   analysis::ReportBundle bundle{10};
   void on_event(ScanEvent&& ev) override { bundle.observe(ev); }
 };
 
+/// The composition `detect` and v6sonard run: a DetectRun whose shard
+/// chains are report bundles, spilling to `events` when it is given.
 struct ShardedRun {
   std::vector<std::unique_ptr<BundleSink>> sinks;
-  ParallelScanPipeline pipeline;
+  DetectRun run;
 
-  ShardedRun(const DetectorConfig& cfg, int threads)
-      : pipeline(cfg, ParallelConfig{.threads = threads, .ring_capacity = 64},
-                 ParallelScanPipeline::ShardSinkFactory([this](std::size_t) -> EventSink& {
-                   sinks.push_back(std::make_unique<BundleSink>());
-                   return *sinks.back();
-                 })) {}
+  ShardedRun(int threads, std::string events = "")
+      : run(detector_config(), ParallelConfig{.threads = threads, .ring_capacity = 64},
+            std::move(events), [this](std::size_t) -> EventSink& {
+              sinks.push_back(std::make_unique<BundleSink>());
+              return *sinks.back();
+            }) {}
+
+  void checkpoint(const std::string& path) {
+    CheckpointWriter ck;
+    run.checkpoint(ck, [&](std::size_t s, util::StateWriter& w) { sinks[s]->bundle.save(w); });
+    ck.commit(path);
+  }
+  void resume(const std::string& path) {
+    run.resume(CheckpointReader(path),
+               [&](std::size_t s, util::StateReader& r) { sinks[s]->bundle.load(r); });
+  }
 
   std::string finish() {
-    pipeline.flush();
+    run.flush();
     analysis::ReportBundle master(10);
     for (auto& s : sinks) master.merge(std::move(s->bundle));
     return analysis::render_report(master, 10);
   }
 };
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 TEST(CheckpointResume, ShardedPipelineAcrossThreadCounts) {
   const auto recs = workload();
@@ -347,127 +365,30 @@ TEST(CheckpointResume, ShardedPipelineAcrossThreadCounts) {
   const ScratchDir scratch;
 
   for (const int threads : {1, 2, 8}) {
-    ShardedRun base(detector_config(), threads);
-    base.pipeline.feed_batch(recs);
+    ShardedRun base(threads);
+    base.run.feed_batch(recs);
     const std::string base_report = base.finish();
     EXPECT_EQ(base_report, serial_report) << "threads=" << threads;
 
     for (const std::size_t k : checkpoint_points(recs)) {
-      const auto n = static_cast<std::size_t>(threads);
       const std::string path = scratch.file("sharded.v6ckpt");
       {
-        ShardedRun first(detector_config(), threads);
-        first.pipeline.feed_batch(std::span(recs).first(k));
-        // Save and seal every shard's sections on its own worker, as
-        // the CLI and the daemon do, then commit through the container.
-        std::vector<CheckpointSection> det_sec(n), an_sec(n);
-        first.pipeline.with_shard_state(
-            [&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-              util::StateWriter dw, aw;
-              det.save(dw);
-              first.sinks[s]->bundle.save(aw);
-              det_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".detector",
-                                             std::move(dw));
-              an_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".analyzers",
-                                            std::move(aw));
-            });
-        CheckpointWriter ck;
-        for (std::size_t s = 0; s < n; ++s) {
-          ck.add(std::move(det_sec[s]));
-          ck.add(std::move(an_sec[s]));
-        }
-        ck.commit(path);
+        ShardedRun first(threads);
+        first.run.feed_batch(std::span(recs).first(k));
+        first.checkpoint(path);
         // Simulated crash: `first` is dropped mid-stream (its own
         // destructor flush output is discarded).
       }
-      const CheckpointReader ck(path);
-      ShardedRun second(detector_config(), threads);
-      second.pipeline.with_shard_state(
-          [&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-            auto dr = ck.section("shard" + std::to_string(s) + ".detector");
-            det.load(dr);
-            dr.expect_end();
-            auto ar = ck.section("shard" + std::to_string(s) + ".analyzers");
-            second.sinks[s]->bundle.load(ar);
-            ar.expect_end();
-          });
-      second.pipeline.feed_batch(std::span(recs).subspan(k));
+      ShardedRun second(threads);
+      second.resume(path);
+      second.run.feed_batch(std::span(recs).subspan(k));
       EXPECT_EQ(second.finish(), base_report) << "threads=" << threads << " k=" << k;
     }
+    // Shard routing depends on the count: another one is refused.
+    ShardedRun other(threads + 1);
+    EXPECT_THROW(other.resume(scratch.file("sharded.v6ckpt")), std::runtime_error);
   }
 }
-
-/// The composition `detect --events` runs: every shard spills to its
-/// own scratch file, a checkpoint syncs each spill on its worker and
-/// records its cursor next to the shard's detector, and after flush
-/// the spills merge into one event file in the serial order.
-struct SpillRun {
-  std::vector<std::string> paths;
-  std::vector<std::unique_ptr<EventWriter>> spills;
-  ParallelScanPipeline pipeline;
-
-  /// With `resume`, each spill reopens at its checkpointed cursor and
-  /// each detector loads its saved state.
-  SpillRun(const ScratchDir& dir, int threads, const CheckpointReader* resume)
-      : pipeline(detector_config(), ParallelConfig{.threads = threads, .ring_capacity = 64},
-                 ParallelScanPipeline::ShardSinkFactory([&](std::size_t s) -> EventSink& {
-                   const std::string name = "spill.shard" + std::to_string(s);
-                   paths.push_back(dir.file(name.c_str()));
-                   constexpr auto kScratch = EventWriter::Durability::kScratch;
-                   if (resume) {
-                     auto r = resume->section("shard" + std::to_string(s) + ".spill");
-                     const std::uint64_t count = r.u64();
-                     const std::uint64_t offset = r.u64();
-                     spills.push_back(
-                         std::make_unique<EventWriter>(paths.back(), count, offset, kScratch));
-                   } else {
-                     spills.push_back(std::make_unique<EventWriter>(paths.back(), kScratch));
-                   }
-                   return *spills.back();
-                 })) {
-    if (resume)
-      pipeline.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-        auto r = resume->section("shard" + std::to_string(s) + ".detector");
-        det.load(r);
-        r.expect_end();
-      });
-  }
-
-  void checkpoint(const std::string& path) {
-    std::vector<CheckpointSection> det_sec(spills.size()), spill_sec(spills.size());
-    pipeline.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-      util::StateWriter dw, sw;
-      det.save(dw);
-      spills[s]->checkpoint_sync();
-      sw.u64(spills[s]->written());
-      sw.u64(spills[s]->offset());
-      det_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".detector", std::move(dw));
-      spill_sec[s] = CheckpointSection("shard" + std::to_string(s) + ".spill", std::move(sw));
-    });
-    CheckpointWriter ck;
-    for (std::size_t s = 0; s < spills.size(); ++s) {
-      ck.add(std::move(det_sec[s]));
-      ck.add(std::move(spill_sec[s]));
-    }
-    ck.commit(path);
-  }
-
-  /// Flush, merge the shard spills into `out`, and return its bytes.
-  std::string finish(const std::string& out) {
-    pipeline.flush();
-    std::vector<std::unique_ptr<EventReader>> readers;
-    for (std::size_t s = 0; s < spills.size(); ++s) {
-      spills[s]->close();
-      readers.push_back(std::make_unique<EventReader>(paths[s]));
-    }
-    EventWriter merged(out);
-    pipeline.merge_shard_events(
-        [&](std::size_t s, ScanEvent& ev) { return readers[s]->next(ev); }, merged);
-    merged.close();
-    std::ifstream in(out, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  }
-};
 
 TEST(CheckpointResume, ShardedSpillResumesAtItsCursors) {
   // A run that crashes after a checkpoint leaves every shard spill
@@ -484,29 +405,85 @@ TEST(CheckpointResume, ShardedSpillResumesAtItsCursors) {
     for (const auto& r : recs) det.feed(r);
     det.flush();
     write_events(scratch.file("serial.v6ev"), events);
-    std::ifstream in(scratch.file("serial.v6ev"), std::ios::binary);
-    serial.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    serial = file_bytes(scratch.file("serial.v6ev"));
   }
+  const std::string events = scratch.file("spill.v6ev");
   std::vector<std::size_t> ks = checkpoint_points(recs);
   ks.push_back(recs.size());
   for (const int threads : {1, 2, 8}) {
-    SpillRun base(scratch, threads, nullptr);
-    base.pipeline.feed_batch(recs);
-    EXPECT_EQ(base.finish(scratch.file("base.v6ev")), serial) << "threads=" << threads;
-
+    {
+      ShardedRun base(threads, events);
+      base.run.feed_batch(recs);
+      base.finish();
+      EXPECT_EQ(base.run.close(false), base.run.spilled());
+      EXPECT_EQ(file_bytes(events), serial) << "threads=" << threads;
+      EXPECT_FALSE(std::filesystem::exists(events + ".shard0"));
+    }
     for (const std::size_t k : ks) {
       const std::string path = scratch.file("spill.v6ckpt");
       {
-        SpillRun first(scratch, threads, nullptr);
-        first.pipeline.feed_batch(std::span(recs).first(k));
+        ShardedRun first(threads, events);
+        first.run.feed_batch(std::span(recs).first(k));
         first.checkpoint(path);
       }  // a crash after the checkpoint: the spills run on past their cursors
-      const CheckpointReader ck(path);
-      SpillRun second(scratch, threads, &ck);
-      second.pipeline.feed_batch(std::span(recs).subspan(k));
-      EXPECT_EQ(second.finish(scratch.file("resumed.v6ev")), serial)
-          << "threads=" << threads << " k=" << k;
+      ShardedRun second(threads, events);
+      second.resume(path);
+      second.run.feed_batch(std::span(recs).subspan(k));
+      second.finish();
+      second.run.close(true);  // kept: a run that may resume again
+      EXPECT_TRUE(std::filesystem::exists(events + ".shard0"));
+      EXPECT_EQ(file_bytes(events), serial) << "threads=" << threads << " k=" << k;
     }
+  }
+}
+
+TEST(CheckpointResume, RunMetaNamesItsProducerAndRefusesOthers) {
+  const ScratchDir scratch;
+  const std::string path = scratch.file("run.v6ckpt");
+  {
+    CheckpointWriter ck;
+    RunMeta{.producer = RunMeta::Producer::kIds, .shards = 3, .records = 7, .outputs = 2}.save(ck);
+    ck.commit(path);
+  }
+  const CheckpointReader ck(path);
+  const RunMeta m = RunMeta::load(ck, RunMeta::Producer::kIds, path);
+  EXPECT_EQ(m.shards, 3u);
+  EXPECT_EQ(m.records, 7u);
+  EXPECT_EQ(m.outputs, 2u);
+  try {
+    (void)RunMeta::load(ck, RunMeta::Producer::kDaemon, path);
+    FAIL() << "an ids checkpoint loaded as a daemon's";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("v6sonar ids, not of v6sonard"), std::string::npos)
+        << e.what();
+  }
+  // No "run" section: a file of an older version.
+  {
+    CheckpointWriter old;
+    util::StateWriter w;
+    w.u64(0);
+    old.add("meta", std::move(w));
+    old.commit(path);
+  }
+  try {
+    (void)RunMeta::load(CheckpointReader(path), RunMeta::Producer::kDetect, path);
+    FAIL() << "a checkpoint without a run section loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("older version"), std::string::npos) << e.what();
+  }
+
+  // The shard count: given, defaulted, or the checkpoint's.
+  EXPECT_EQ(shard_count(-1, nullptr), 1);
+  EXPECT_EQ(shard_count(4, nullptr), 4);
+  EXPECT_EQ(shard_count(-1, &m), 3);
+  EXPECT_EQ(shard_count(0, &m), 3);
+  EXPECT_EQ(shard_count(3, &m), 3);
+  try {
+    (void)shard_count(2, &m);
+    FAIL() << "a different explicit shard count was adopted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("3 shards; got --threads 2"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -13,13 +13,17 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/report_render.hpp"
 #include "core/adaptive.hpp"
+#include "core/detect_run.hpp"
 #include "core/detector.hpp"
 #include "core/event_io.hpp"
 #include "core/state_codec.hpp"
@@ -258,16 +262,60 @@ class DaemonServerTest : public ::testing::Test {
   /// Poll status until events_folded reaches `n` (kStatus drains the
   /// hub first, so this is an exact rendezvous with the publishers).
   static bool wait_folded(TestClient& c, unsigned long long n, int timeout_ms = 10'000) {
+    return wait_status(c, "events_folded", n, timeout_ms);
+  }
+
+  /// Poll status until `key` reaches `n`.
+  static bool wait_status(TestClient& c, const std::string& key, unsigned long long n,
+                          int timeout_ms = 10'000) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
     std::uint16_t seq = 1000;
     while (std::chrono::steady_clock::now() < deadline) {
       Frame resp = c.roundtrip(Verb::kStatus, seq++);
-      const auto folded = status_value(resp.payload, "events_folded");
-      if (folded && *folded >= n) return true;
+      const auto value = status_value(resp.payload, key);
+      if (value && *value >= n) return true;
       std::this_thread::sleep_for(20ms);
     }
     return false;
+  }
+
+  /// Append `recs` to the tailed log `path`, behind a live-file header
+  /// (count 0) when `header`.
+  static void append_log(const std::string& path, std::span<const LogRecord> recs,
+                         bool header) {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    if (header) {
+      const std::uint64_t head[2] = {sim::kLogMagic, 0};
+      out.write(reinterpret_cast<const char*>(head), sizeof head);
+    }
+    out << encode_records({recs.begin(), recs.end()});
+  }
+
+  /// A tailing daemon across a restart: the first incarnation tails the
+  /// first two thirds of `recs`, checkpoints, tails the rest past the
+  /// checkpoint, and stops; the second restores the checkpoint, which
+  /// resumes the tail at its cursor, and stays up to be queried.
+  std::unique_ptr<RunningDaemon> restart_across_checkpoint(const std::vector<LogRecord>& recs,
+                                                           DaemonOptions opts) {
+    const std::string log = (dir_ / "tail.v6slog").string();
+    opts.tail_path = log;
+    opts.checkpoint_path = (dir_ / "d.v6ckpt").string();
+    std::filesystem::remove(log);
+    std::filesystem::remove(opts.checkpoint_path);
+    const std::size_t cut = recs.size() * 2 / 3;
+    append_log(log, std::span(recs).first(cut), true);
+    {
+      RunningDaemon rd(opts);
+      TestClient c(sock_);
+      EXPECT_TRUE(wait_status(c, "ingested_records", cut));
+      Frame resp = c.roundtrip(Verb::kCheckpoint, 1);
+      EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk)) << resp.payload;
+      append_log(log, std::span(recs).subspan(cut), false);
+      EXPECT_TRUE(wait_status(c, "ingested_records", recs.size()));
+      EXPECT_EQ(rd.stop_and_join(), 0);
+    }
+    return std::make_unique<RunningDaemon>(std::move(opts));
   }
 
   std::filesystem::path dir_;
@@ -665,6 +713,124 @@ TEST_F(DaemonServerTest, EventListCheckpointRestoresTheSameBlocklist) {
     Frame resp = c.roundtrip(Verb::kBlocklist, 1);
     EXPECT_EQ(resp.payload, expected);
     EXPECT_EQ(rd.stop_and_join(), 0);
+  }
+}
+
+/// Two rounds of scans a timeout apart, then the sentinel: the first
+/// round's events finalize mid-stream, the second's at the sentinel.
+std::vector<LogRecord> two_rounds() {
+  std::vector<LogRecord> recs;
+  sim::TimeUs ts = 1'000 * kSec;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (std::uint64_t d = 0; d < 6; ++d)
+      for (std::uint64_t s = 0; s < 4; ++s)
+        recs.push_back(probe(ts += kSec, s + 4 * round, d, static_cast<std::uint16_t>(443 + s)));
+    ts += 100 * kSec;
+  }
+  recs.push_back(probe(ts + 200 * kSec, 0x9999, 0));  // sentinel
+  return recs;
+}
+
+TEST_F(DaemonServerTest, TailRestoreResumesAtTheCheckpointCursor) {
+  // A restored --tail continues where the checkpoint stopped: the
+  // records tailed after it are fed once more, the ones before it not
+  // again (a restart used to re-read the log from its header, double
+  // the record count and fail on the out-of-order records).
+  const auto recs = two_rounds();
+  const SerialFold serial = serial_fold(recs);
+  ASSERT_EQ(serial.events.size(), 8u);
+  auto rd = restart_across_checkpoint(recs, options());
+  TestClient c(sock_);
+  ASSERT_GE(c.fd, 0);
+  ASSERT_TRUE(wait_folded(c, serial.events.size()));
+  Frame resp = c.roundtrip(Verb::kStatus, 1);
+  EXPECT_EQ(status_value(resp.payload, "ingested_records"), recs.size()) << resp.payload;
+  EXPECT_EQ(status_value(resp.payload, "tail_records"), recs.size()) << resp.payload;
+  resp = c.roundtrip(Verb::kReport, 2);
+  EXPECT_EQ(resp.payload, analysis::render_report(serial.bundle, 10));
+  EXPECT_EQ(rd->stop_and_join(), 0);
+}
+
+TEST_F(DaemonServerTest, SpillResumesByteIdenticalAtEveryShardCount) {
+  // The drained spill of a restored daemon is the serial detector's
+  // event file byte for byte — what `detect --events` writes — at
+  // every shard count: each shard spill reopens at its cursor.
+  const auto recs = two_rounds();
+  const SerialFold serial = serial_fold(recs);
+  const std::string reference = (dir_ / "serial.v6ev").string();
+  core::write_events(reference, serial.events);
+  const std::string spill = (dir_ / "spill.v6ev").string();
+  for (const int threads : {1, 2, 3}) {
+    auto opts = options();
+    opts.threads = threads;
+    opts.events_out = spill;
+    auto rd = restart_across_checkpoint(recs, opts);
+    {
+      TestClient c(sock_);
+      ASSERT_TRUE(wait_folded(c, serial.events.size()));
+      Frame resp = c.roundtrip(Verb::kStatus, 1);
+      EXPECT_EQ(status_value(resp.payload, "spill_events"), serial.events.size());
+    }
+    EXPECT_EQ(rd->stop_and_join(), 0);
+    const auto bytes = [](const std::string& path) {
+      std::ifstream in(path, std::ios::binary);
+      return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(bytes(spill), bytes(reference)) << "threads=" << threads;
+  }
+}
+
+TEST_F(DaemonServerTest, RestoreRefusesADifferentShardCount) {
+  const std::string ckpt = (dir_ / "d.v6ckpt").string();
+  {
+    auto opts = options();  // two shards
+    opts.checkpoint_path = ckpt;
+    RunningDaemon rd(std::move(opts));
+    TestClient c(sock_);
+    ASSERT_GE(c.fd, 0);
+    Frame resp = c.roundtrip(Verb::kCheckpoint, 1);
+    ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk)) << resp.payload;
+    EXPECT_EQ(rd.stop_and_join(), 0);
+  }
+  {
+    auto opts = options();
+    opts.checkpoint_path = ckpt;
+    opts.threads = 3;
+    Daemon d(std::move(opts));
+    try {
+      (void)d.run();
+      ADD_FAILURE() << "a 2-shard checkpoint restored into 3 shards";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("2 shards; got --threads 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Not given: the checkpoint's count is adopted.
+  auto opts = options();
+  opts.checkpoint_path = ckpt;
+  opts.threads = -1;
+  RunningDaemon rd(std::move(opts));
+  TestClient c(sock_);
+  ASSERT_GE(c.fd, 0);
+  Frame resp = c.roundtrip(Verb::kStatus, 1);
+  EXPECT_EQ(status_value(resp.payload, "snapshot_shards"), 2u);
+  EXPECT_EQ(rd.stop_and_join(), 0);
+}
+
+TEST_F(DaemonServerTest, RestoreRefusesAnotherProducersCheckpoint) {
+  const std::string ckpt = (dir_ / "detect.v6ckpt").string();
+  core::CheckpointWriter w;
+  core::RunMeta{.producer = core::RunMeta::Producer::kDetect, .shards = 2}.save(w);
+  w.commit(ckpt);
+  auto opts = options();
+  opts.checkpoint_path = ckpt;
+  Daemon d(std::move(opts));
+  try {
+    (void)d.run();
+    ADD_FAILURE() << "a detect checkpoint restored into the daemon";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("v6sonar detect, not of v6sonard"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -24,7 +24,9 @@
 # gauges, full guard-fallback breakdown), then runs `v6sonar filter`
 # and checks its read/work/write timers cover >= 95 % of its wall time.
 # `bench-guard` is the performance gate: it builds the Release
-# `bench_guard` binary and runs it. The binary times pairs of variants
+# `bench_guard` binary and runs it. Its tree and the `daemon` tree are
+# Release builds with warnings as errors, so warnings only -O3 raises
+# fail there. The binary times pairs of variants
 # in one process, alternately for 15 rounds after a warm-up, and fails
 # if the median per-round ratio falls below its floor: feed_batch() vs
 # per-record feed(), 3 shards vs 1 (on hosts with >= 4 hardware
@@ -45,19 +47,24 @@
 # subscriber and concurrent query clients are attached; the live
 # report must be byte-identical to a batch `detect --report` over the
 # same records, and SIGTERM must drain cleanly — exit 0, socket
-# unlinked, spill finalized, metrics written. `checkpoint` is the
+# unlinked, spill finalized and byte-identical to the batch
+# `--events` spill, metrics written. `checkpoint` is the
 # freeze/thaw durability smoke (docs/CHECKPOINT.md): a 4 M-record
 # replay is SIGKILLed mid-run while checkpointing every 250k records,
 # then resumed from the surviving checkpoint; the resumed report and
 # spilled event stream (`detect --events` at one and two shards, and
-# `detect` at two without a spill) and the resumed `ids` output (one
-# and two shards) must be byte-identical to an uninterrupted run. A
+# `detect` at two without a spill), the resumed `ids` output (one
+# and two shards), and a `v6sonard --tail --events` restarted from its
+# checkpoint verb's file (live report and drained spill against
+# `detect --report --events`) must be byte-identical to an
+# uninterrupted run. A
 # resume against an input shorter than the checkpoint must fail, a
 # `--checkpoint-every` of 2^64-1 on a resumed run must write no
 # checkpoint, and a corrupt checkpoint must be refused. `docs` is a grep-based
 # lint needing no build:
 # every metric-name literal in src/ must appear in
 # docs/OBSERVABILITY.md and every CLI flag in tools/v6sonar_cli.cpp
+# and tools/cli_args.cpp (the flags detect shares with v6sonard)
 # must appear in README.md, so the reference docs cannot silently fall
 # behind the code, and no doc or source comment may name a bench
 # binary that bench/CMakeLists.txt does not build, or the retired perf
@@ -98,7 +105,8 @@ if [[ "$kind" == docs ]]; then
       echo "docs lint: CLI flag '$flag' missing from README.md" >&2
       fail=1
     fi
-  done < <(grep -oE -- '"--[a-z][a-z-]*' tools/v6sonar_cli.cpp | tr -d '"' | sort -u)
+  done < <(grep -ohE -- '"--[a-z][a-z-]*' tools/v6sonar_cli.cpp tools/cli_args.cpp \
+           | tr -d '"' | sort -u)
 
   # Docs and source comments may name only the bench binaries that
   # bench/CMakeLists.txt builds (as bench_<name>, build/bench/bench_<name>
@@ -139,7 +147,7 @@ fi
 
 if [[ "$kind" == bench-guard ]]; then
   tree=build-perf
-  cmake -B "$tree" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+  cmake -B "$tree" -S . -DCMAKE_BUILD_TYPE=Release -DV6SONAR_WERROR=ON > /dev/null
   cmake --build "$tree" -j"$(nproc)" --target bench_guard
   "$tree/bench/bench_guard"
   echo "check.sh: bench-guard passed (every in-run ratio at or above its floor)"
@@ -222,7 +230,7 @@ fi
 
 if [[ "$kind" == daemon ]]; then
   tree=build-daemon
-  cmake -B "$tree" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+  cmake -B "$tree" -S . -DCMAKE_BUILD_TYPE=Release -DV6SONAR_WERROR=ON > /dev/null
   cmake --build "$tree" -j"$(nproc)" --target v6sonar v6sonard
 
   work="$(mktemp -d)"
@@ -380,6 +388,12 @@ PY
     echo "daemon smoke check FAILED: spill holds $spilled events, batch made $expected" >&2
     exit 1
   fi
+  # The drain merges the shard spills in the serial event order: the
+  # spill is the batch run's --events file byte for byte.
+  if ! cmp -s "$work/ref.v6ev" "$work/spill.v6ev"; then
+    echo "daemon smoke check FAILED: spill differs from batch detect --events" >&2
+    exit 1
+  fi
   "$v6sonar" report "$work/spill.v6ev" --top 10 > "$work/spill_report.txt"
   if ! cmp -s "$work/batch_report.txt" "$work/spill_report.txt"; then
     echo "daemon smoke check FAILED: spill replay differs from batch report" >&2
@@ -422,7 +436,7 @@ fi
 if [[ "$kind" == checkpoint ]]; then
   tree=build-ckpt
   cmake -B "$tree" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  cmake --build "$tree" -j"$(nproc)" --target v6sonar
+  cmake --build "$tree" -j"$(nproc)" --target v6sonar v6sonard
 
   work="$(mktemp -d)"
   victim_pid=""
@@ -435,6 +449,7 @@ if [[ "$kind" == checkpoint ]]; then
   }
   trap cleanup EXIT
   v6sonar="$PWD/$tree/tools/v6sonar"
+  v6sonard="$PWD/$tree/tools/v6sonard"
 
   # 4 M records: the standard bench replay size, sliced from the small
   # world so the smoke shares its traffic shape with everything else.
@@ -571,6 +586,82 @@ PY
     exit 1
   fi
 
+  # daemon leg: v6sonard --tail --events --checkpoint at two shards.
+  # The log holds the first 2 M records when the checkpoint verb runs;
+  # the rest (plus a sentinel probe two timeouts past the last record,
+  # which finalizes every scan without becoming one) is appended after
+  # it, and the daemon is SIGKILLed. Restarted on the same files, it
+  # resumes the tail and the shard spills at the checkpoint's cursors:
+  # its live report and drained spill must be the batch run's.
+  python3 - "$work" <<'PY'
+import os, struct, sys
+work = sys.argv[1]
+with open(os.path.join(work, "world.v6slog"), "rb") as fh:
+    blob = fh.read()
+magic, body = blob[:8], blob[16:]
+n = len(body) // 52
+last_ts = struct.unpack_from("<q", body, (n - 1) * 52)[0]
+sentinel = struct.pack("<q", last_ts + 2 * 3600 * 1_000_000)
+sentinel += struct.pack("<QQ", 0x20010DB800000BAD, 1)   # src hi, lo
+sentinel += struct.pack("<QQ", 0x2600000000000000, 99)  # dst hi, lo
+sentinel += struct.pack("<IHHH", 0, 40000, 443, 60)     # asn, sport, dport, len
+sentinel += bytes([6, 0])                               # proto tcp, not in DNS
+half = 2_000_000
+with open(os.path.join(work, "tail_part1.bin"), "wb") as fh:
+    fh.write(magic + struct.pack("<Q", 0) + body[: half * 52])
+with open(os.path.join(work, "tail_part2.bin"), "wb") as fh:
+    fh.write(body[half * 52 :] + sentinel)
+with open(os.path.join(work, "daemon_all.v6slog"), "wb") as fh:
+    fh.write(magic + struct.pack("<Q", n + 1) + body + sentinel)
+PY
+  "$v6sonar" detect "$work/daemon_all.v6slog" --mmap --report \
+      --events "$work/daemon_ref.v6ev" > "$work/daemon_ref.txt" 2> /dev/null
+  daemon_events=$(python3 -c 'import struct, sys; print(struct.unpack("<Q", open(sys.argv[1], "rb").read(16)[8:])[0])' "$work/daemon_ref.v6ev")
+  cp "$work/tail_part1.bin" "$work/tail.v6slog"
+  sock="$work/d.sock"
+  start_daemon() {
+    rm -f "$sock"
+    "$v6sonard" --socket "$sock" --tail "$work/tail.v6slog" --threads 2 --snapshot-every 1 \
+        --events "$work/daemon_spill.v6ev" --checkpoint "$work/daemon.v6ckpt" \
+        2>> "$work/daemon.stderr" &
+    victim_pid=$!
+    for _ in $(seq 1 100); do
+      [[ -S "$sock" ]] && break
+      sleep 0.1
+    done
+  }
+  start_daemon
+  "$v6sonar" query "$sock" status --wait-key ingested_records --wait-min 2000000 \
+      --timeout-sec 60 > /dev/null
+  "$v6sonar" query "$sock" checkpoint > /dev/null
+  cat "$work/tail_part2.bin" >> "$work/tail.v6slog"
+  sleep 0.2
+  kill -9 "$victim_pid"
+  wait "$victim_pid" 2> /dev/null || true
+  start_daemon
+  "$v6sonar" query "$sock" status --wait-key events_folded --wait-min "$daemon_events" \
+      --timeout-sec 60 > /dev/null
+  "$v6sonar" query "$sock" report > "$work/daemon_report.txt"
+  "$v6sonar" query "$sock" status > "$work/daemon_status.txt"
+  kill -TERM "$victim_pid"
+  rc=0
+  wait "$victim_pid" || rc=$?
+  victim_pid=""
+  if [[ "$rc" -ne 0 ]] || ! grep -q "^ingested_records $(( 4000000 + 1 ))$" "$work/daemon_status.txt"; then
+    echo "checkpoint smoke FAILED: restored v6sonard exited $rc or re-ingested its log:" >&2
+    cat "$work/daemon_status.txt" "$work/daemon.stderr" >&2
+    exit 1
+  fi
+  if ! cmp -s "$work/daemon_ref.txt" "$work/daemon_report.txt"; then
+    echo "checkpoint smoke FAILED: restored v6sonard report differs from detect --report" >&2
+    diff "$work/daemon_ref.txt" "$work/daemon_report.txt" | head -40 >&2
+    exit 1
+  fi
+  if ! cmp -s "$work/daemon_ref.v6ev" "$work/daemon_spill.v6ev"; then
+    echo "checkpoint smoke FAILED: restored v6sonard spill differs from detect --events" >&2
+    exit 1
+  fi
+
   # Corrupt checkpoints must be refused, not half-loaded.
   cp "$work/ck.v6ckpt" "$work/bad.v6ckpt"
   python3 - "$work/bad.v6ckpt" <<'PY'
@@ -589,8 +680,8 @@ PY
   fi
 
   echo "check.sh: checkpoint smoke passed (SIGKILL + resume == uninterrupted for detect" \
-       "--events and ids at 1 and 2 shards; short input, cadence overflow and corruption" \
-       "handled)"
+       "--events and ids at 1 and 2 shards and for v6sonard --tail --events; short input," \
+       "cadence overflow and corruption handled)"
   exit 0
 fi
 

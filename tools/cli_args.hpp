@@ -1,13 +1,15 @@
-// Number parsing shared by the v6sonar and v6sonard command lines. A
+// Option parsing shared by the v6sonar and v6sonard command lines. A
 // value is parsed whole; a bad one exits 2 with a message naming its
 // flag.
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <system_error>
 
 #include "util/timebase.hpp"
@@ -46,5 +48,30 @@ inline std::int64_t parse_seconds(const char* flag, const char* text) {
   }
   return sec;
 }
+
+/// The options of a detect run, the same for `v6sonar detect` and
+/// v6sonard: thresholds, shards, the event spill and the checkpoint.
+struct RunOptions {
+  int agg = 64;
+  std::uint32_t min_dsts = 100;
+  std::int64_t timeout_sec = 3'600;
+  std::int64_t cold_after_sec = 0;  ///< demote idle sources (0 = off)
+  std::size_t top = 20;             ///< rows printed; top-ports ranking width
+  /// Shards: -1 when not given (one, or the checkpoint's when
+  /// resuming); 0 = one per hardware thread.
+  int threads = -1;
+  std::size_t ring_cap = 1 << 14;  ///< per-worker ring slots
+  std::string events_out;          ///< --events: spill the events here
+  std::string checkpoint;          ///< --checkpoint: container path
+};
+
+/// Print "error: <what>" and exit(2): a bad command line.
+[[noreturn]] void fail(const std::string& what);
+/// The value after flag argv[i], advancing i; exit(2) when it is missing.
+const char* value_of(int argc, char** argv, int& i);
+
+/// If argv[i] is one of RunOptions' flags, parse it (and its value,
+/// advancing i) into `o` and return true. A bad or missing value exits 2.
+bool parse_run_option(RunOptions& o, int argc, char** argv, int& i);
 
 }  // namespace v6sonar::cli

@@ -16,19 +16,10 @@
 //   v6sonar mawi-day  <YYYY-MM-DD> <out.pcap>   export a MAWI-style capture day
 //   v6sonar query     <socket> <verb> [arg]     client for a running v6sonard daemon
 //
-// Options for detect/fh: --agg <len>  --min-dsts <n>  --timeout <sec>  --top <n>
-// detect/ids run the sharded pipeline, on one worker thread by default
-// and on --threads <n>: each worker owns its slice end to end,
-// analyzer state merges at flush, per-shard event spills merge into
-// the serial event order on close, and the IDS alerts are the same at
-// every shard count. Both checkpoint at any thread count. detect also
-// accepts --report to run the full streaming analyzer
-// chain inline and --events <file> to spill the event stream for
-// later `report` runs. detect/ids/fh/fingerprint accept --mmap to
-// stream a .v6slog through the zero-copy mapped reader in batches
-// instead of materialising every record up front — detection and
-// analysis run in memory bounded by active sources, never by records
-// or events.
+// detect (through core::DetectRun) and ids run the sharded pipeline on
+// --threads workers, one by default: their output and their
+// checkpoints are the same at every count. usage() and README.md list
+// every option.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -41,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
@@ -57,6 +47,7 @@
 #include "cli_args.hpp"
 #include "core/adaptive.hpp"
 #include "core/artifact_filter.hpp"
+#include "core/detect_run.hpp"
 #include "core/detector.hpp"
 #include "core/event_io.hpp"
 #include "core/event_sink.hpp"
@@ -81,25 +72,16 @@ namespace {
 
 using namespace v6sonar;
 using cli::parse_int;
+using cli::fail;
 using cli::parse_seconds;
+using cli::value_of;
 
-struct Options {
-  int agg = 64;
-  std::uint32_t min_dsts = 100;
-  std::int64_t timeout_sec = 3'600;
+struct Options : cli::RunOptions {
   std::int64_t period_sec = 86'400;  ///< ids: reattribution period
-  std::size_t top = 20;
-  /// Shards: -1 when not given (one, or the checkpoint's on --resume);
-  /// 0 = one per hardware thread.
-  int threads = -1;
-  std::size_t ring_cap = 1 << 14;  ///< per-worker ring slots (detect/ids)
   bool mmap = false;
-  bool report = false;     ///< detect: render the full analyzer report
-  std::string events_out;  ///< detect: spill events here (--events)
-  std::string checkpoint;  ///< detect/ids: checkpoint container path
+  bool report = false;  ///< detect: render the full analyzer report
   std::uint64_t checkpoint_every = 1'000'000;  ///< records between checkpoints
-  bool resume = false;            ///< restore from --checkpoint before feeding
-  std::int64_t cold_after_sec = 0;  ///< detect: demote idle sources (0 = off)
+  bool resume = false;  ///< restore from --checkpoint before feeding
 };
 
 [[noreturn]] void usage() {
@@ -168,15 +150,18 @@ struct Options {
   std::exit(2);
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+bool is_pcap(const std::string& path) {
+  const auto ends_with = [&](const char* suffix) {
+    const std::size_t n = std::strlen(suffix);
+    return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
+  };
+  return ends_with(".pcap") || ends_with(".cap");
 }
 
 /// Load any supported input into records (pcap paths go through the
 /// frame parser; .v6slog streams through the log reader).
 std::vector<sim::LogRecord> load_records(const std::string& path) {
-  if (ends_with(path, ".pcap") || ends_with(path, ".cap")) {
+  if (is_pcap(path)) {
     std::uint64_t skipped = 0;
     auto records = mawi::MawiWorld::import_pcap(path, &skipped);
     if (skipped)
@@ -205,7 +190,7 @@ std::vector<sim::LogRecord> load_records(const std::string& path) {
 template <typename Fn>
 void for_each_record_batch(const std::string& path, bool use_mmap, Fn&& fn) {
   constexpr std::size_t kBatch = 4'096;
-  if (ends_with(path, ".pcap") || ends_with(path, ".cap")) {
+  if (is_pcap(path)) {
     const auto records = load_records(path);
     const std::span<const sim::LogRecord> all{records};
     for (std::size_t i = 0; i < all.size(); i += kBatch) {
@@ -215,103 +200,41 @@ void for_each_record_batch(const std::string& path, bool use_mmap, Fn&& fn) {
     return;
   }
   std::array<sim::LogRecord, kBatch> batch;
-  if (use_mmap) {
-    sim::MappedLogReader reader(path);
+  const auto stream = [&](auto&& reader) {
     for (std::size_t n; (n = reader.next_batch(batch.data(), batch.size())) > 0;) {
       if (util::ShutdownSignal::requested()) return;
       fn(std::span<const sim::LogRecord>{batch.data(), n});
     }
-  } else {
-    sim::LogReader reader(path);
-    for (std::size_t n; (n = reader.next_batch(batch.data(), batch.size())) > 0;) {
-      if (util::ShutdownSignal::requested()) return;
-      fn(std::span<const sim::LogRecord>{batch.data(), n});
-    }
-  }
+  };
+  if (use_mmap)
+    stream(sim::MappedLogReader(path));
+  else
+    stream(sim::LogReader(path));
 }
 
 Options parse_options(int argc, char** argv, int first) {
   Options o;
   for (int i = first; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--agg") == 0) {
-      o.agg = parse_int<int>("--agg", need_value("--agg"));
-      if (o.agg < 0 || o.agg > 128) {
-        std::fprintf(stderr, "error: --agg must be between 0 and 128, got %d\n", o.agg);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--min-dsts") == 0) {
-      o.min_dsts = parse_int<std::uint32_t>("--min-dsts", need_value("--min-dsts"));
-      if (o.min_dsts == 0) {
-        std::fprintf(stderr, "error: --min-dsts must be at least 1\n");
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--timeout") == 0) {
-      o.timeout_sec = parse_seconds("--timeout", need_value("--timeout"));
-      if (o.timeout_sec < 1) {
-        std::fprintf(stderr, "error: --timeout must be at least 1 second\n");
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--top") == 0) {
-      o.top = parse_int<std::size_t>("--top", need_value("--top"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = parse_int<int>("--threads", need_value("--threads"));
-      if (o.threads < 0) {
-        std::fprintf(stderr, "error: --threads must be >= 0 (0 = auto), got %d\n",
-                     o.threads);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--ring-cap") == 0) {
-      o.ring_cap = parse_int<std::size_t>("--ring-cap", need_value("--ring-cap"));
-      if (o.ring_cap < 8) {
-        std::fprintf(stderr, "error: --ring-cap must be at least 8 slots, got %zu\n",
-                     o.ring_cap);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--period") == 0) {
-      o.period_sec = parse_seconds("--period", need_value("--period"));
-      if (o.period_sec < 1) {
-        std::fprintf(stderr, "error: --period must be at least 1 second\n");
-        std::exit(2);
-      }
+    if (cli::parse_run_option(o, argc, argv, i)) continue;
+    if (std::strcmp(argv[i], "--period") == 0) {
+      o.period_sec = parse_seconds("--period", value_of(argc, argv, i));
+      if (o.period_sec < 1) fail("--period must be at least 1 second");
     } else if (std::strcmp(argv[i], "--mmap") == 0) {
       o.mmap = true;
     } else if (std::strcmp(argv[i], "--report") == 0) {
       o.report = true;
-    } else if (std::strcmp(argv[i], "--events") == 0) {
-      o.events_out = need_value("--events");
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      o.checkpoint = need_value("--checkpoint");
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
       o.checkpoint_every =
-          parse_int<std::uint64_t>("--checkpoint-every", need_value("--checkpoint-every"));
-      if (o.checkpoint_every == 0) {
-        std::fprintf(stderr, "error: --checkpoint-every must be at least 1 record\n");
-        std::exit(2);
-      }
+          parse_int<std::uint64_t>("--checkpoint-every", value_of(argc, argv, i));
+      if (o.checkpoint_every == 0) fail("--checkpoint-every must be at least 1 record");
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       o.resume = true;
-    } else if (std::strcmp(argv[i], "--cold-after") == 0) {
-      o.cold_after_sec = parse_seconds("--cold-after", need_value("--cold-after"));
-      if (o.cold_after_sec < 0) {
-        std::fprintf(stderr, "error: --cold-after must be >= 0 (0 = off)\n");
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr, "error: unknown option %s\n", argv[i]);
       std::exit(2);
     }
   }
-  if (o.resume && o.checkpoint.empty()) {
-    std::fprintf(stderr, "error: --resume needs --checkpoint <file>\n");
-    std::exit(2);
-  }
+  if (o.resume && o.checkpoint.empty()) fail("--resume needs --checkpoint <file>");
   return o;
 }
 
@@ -334,81 +257,29 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-/// One shard's private sink chain: the analyzers (the full report
-/// bundle, or just the per-source table) plus, with --events, the
-/// shard's own spill file `<events>.shard<i>`. Each chain is fed on its
-/// shard's worker thread; the analyzer states merge after flush, and
-/// merge_shard_events() rebuilds the serial event order from the
-/// spills. The bundle itself (analysis::ReportBundle) and the renderer
-/// live in analysis/report_render.hpp, shared with the v6sonard query
-/// plane.
+/// One shard's private sink chain: the analyzers — the full report
+/// bundle, or just the per-source table. Each chain is fed on its
+/// shard's worker thread (core::DetectRun adds the shard's spill), and
+/// the analyzer states merge after flush. The bundle itself
+/// (analysis::ReportBundle) and the renderer live in
+/// analysis/report_render.hpp, shared with the v6sonard query plane.
 struct ShardChain {
   core::FanOutSink fan;
   analysis::SourceAnalyzer sources_only;
   std::optional<analysis::ReportBundle> report;
-  std::string name;        ///< "shard<i>": names its file and checkpoint sections
-  std::string spill_path;  ///< empty without --events
-  std::optional<core::EventWriter> spill;
 
-  /// With `resume`, the spill reopens at its checkpointed cursor: the
-  /// events written after it are dropped, and the resumed run emits
-  /// them again.
-  ShardChain(std::size_t shard, const Options& o, const core::CheckpointReader* resume)
-      : name("shard" + std::to_string(shard)) {
+  explicit ShardChain(const Options& o) {
     if (o.report) {
       report.emplace(o.top);
       report->attach(fan);
     } else {
       fan.add(sources_only);
     }
-    if (o.events_out.empty()) return;
-    spill_path = o.events_out + "." + name;
-    constexpr auto kScratch = core::EventWriter::Durability::kScratch;
-    if (resume) {
-      auto r = resume->section(name + ".spill");
-      const std::uint64_t count = r.u64();
-      const std::uint64_t offset = r.u64();
-      r.expect_end();
-      spill.emplace(spill_path, count, offset, kScratch);
-    } else {
-      spill.emplace(spill_path, kScratch);
-    }
-    fan.add(*spill);
   }
 
-  /// This shard's checkpoint sections, saved and sealed on its worker
-  /// while it is quiesced (only worker s ever writes chain s, so this
-  /// is race-free). The spill is synced first: its events must be
-  /// durable before a checkpoint naming their cursor can commit.
-  void save(const core::ScanDetector& det, std::vector<core::CheckpointSection>& out) {
-    util::StateWriter dw, aw;
-    det.save(dw);
-    if (report)
-      report->save(aw);
-    else
-      sources_only.save(aw);
-    out.emplace_back(name + ".detector", std::move(dw));
-    out.emplace_back(name + ".analyzers", std::move(aw));
-    if (spill) {
-      spill->checkpoint_sync();
-      util::StateWriter sw;
-      sw.u64(spill->written());
-      sw.u64(spill->offset());
-      out.emplace_back(name + ".spill", std::move(sw));
-    }
-  }
-
-  void load(core::ScanDetector& det, const core::CheckpointReader& ck) {
-    auto dr = ck.section(name + ".detector");
-    det.load(dr);
-    dr.expect_end();
-    auto ar = ck.section(name + ".analyzers");
-    if (report)
-      report->load(ar);
-    else
-      sources_only.load(ar);
-    ar.expect_end();
-  }
+  /// This shard's analyzer state, saved and loaded on its worker.
+  void save(util::StateWriter& w) const { report ? report->save(w) : sources_only.save(w); }
+  void load(util::StateReader& r) { report ? report->load(r) : sources_only.load(r); }
 
   void merge(ShardChain&& other) {
     if (report)
@@ -417,70 +288,6 @@ struct ShardChain {
       sources_only.merge(std::move(other.sources_only));
   }
 };
-
-/// Print the shared rendering. `detect --report`, `report`, and the
-/// daemon's report verb all emit render_report's bytes, so the three
-/// paths are byte-identical by construction — anything run-specific
-/// (e.g. the spill note) goes to stderr.
-void print_report(const analysis::ReportBundle& a, std::size_t top) {
-  const std::string text = analysis::render_report(a, top);
-  std::fwrite(text.data(), 1, text.size(), stdout);
-}
-
-// ------------------------------------------------------------------ //
-// Checkpoint plumbing (docs/CHECKPOINT.md). detect and ids run their
-// sharded pipeline at every thread count. A checkpoint holds a "meta"
-// section with the run shape and stream position, plus per-shard
-// sections sealed on the shard workers: "shard<i>.detector",
-// "shard<i>.analyzers" and, with --events, "shard<i>.spill" for
-// detect; "shard<i>.ids" next to the caller-side "ids" for ids.
-
-/// detect's meta section; its byte layout is unchanged since serial
-/// runs wrote it, so sharded checkpoints of older versions resume.
-struct DetectMeta {
-  std::uint8_t sharded = 1;  ///< 0 only in older serial checkpoints
-  std::uint32_t threads = 0;  ///< shard count
-  std::uint8_t has_report = 0;
-  std::uint8_t has_spill = 0;
-  std::uint64_t records_fed = 0;
-  std::uint64_t spill_count = 0;   ///< 0: the cursors are in "shard<i>.spill"
-  std::uint64_t spill_offset = 0;  ///< 0: the cursors are in "shard<i>.spill"
-};
-
-void save_detect_meta(util::StateWriter& w, const DetectMeta& m) {
-  w.u8(m.sharded);
-  w.u32(m.threads);
-  w.u8(m.has_report);
-  w.u8(m.has_spill);
-  w.u64(m.records_fed);
-  w.u64(m.spill_count);
-  w.u64(m.spill_offset);
-}
-
-DetectMeta load_detect_meta(util::StateReader& r) {
-  DetectMeta m;
-  m.sharded = r.u8();
-  m.threads = r.u32();
-  m.has_report = r.u8();
-  m.has_spill = r.u8();
-  m.records_fed = r.u64();
-  m.spill_count = r.u64();
-  m.spill_offset = r.u64();
-  r.expect_end();
-  return m;
-}
-
-/// The shard count of a run: --threads (default 1, 0 = one per
-/// hardware thread), or on --resume the checkpoint's (`saved`). Shard
-/// routing is a function of the shard count, so a resumed run refuses
-/// an explicit --threads that differs.
-int shard_count(const Options& o, std::optional<std::uint32_t> saved) {
-  if (!saved) return o.threads < 0 ? 1 : o.threads;
-  if (o.threads > 0 && static_cast<std::uint32_t>(o.threads) != *saved)
-    throw std::runtime_error("checkpoint has " + std::to_string(*saved) +
-                             " shards; got --threads " + std::to_string(o.threads));
-  return static_cast<int>(*saved);
-}
 
 /// a + b, clamped at UINT64_MAX: a checkpoint cadence past the end of
 /// any input means never, not a wrapped-around "at once".
@@ -523,69 +330,26 @@ void run_records(const std::string& path, const Options& o, std::uint64_t skip, 
                              std::to_string(covered - skip));
 }
 
-void write_detect_checkpoint(const Options& o, std::uint64_t fed,
-                             core::ParallelScanPipeline& pipeline,
-                             std::vector<std::unique_ptr<ShardChain>>& chains) {
-  std::vector<std::vector<core::CheckpointSection>> sections(chains.size());
-  pipeline.with_shard_state([&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-    chains[s]->save(det, sections[s]);
-  });
-  core::CheckpointWriter ck;
-  util::StateWriter mw;
-  save_detect_meta(mw, {.threads = static_cast<std::uint32_t>(chains.size()),
-                        .has_report = o.report,
-                        .has_spill = !o.events_out.empty(),
-                        .records_fed = fed});
-  ck.add("meta", std::move(mw));
-  for (auto& shard : sections)
-    for (auto& section : shard) ck.add(std::move(section));
-  ck.commit(o.checkpoint);
-}
-
-/// After flush(): merge the shard spills into --events in the serial
-/// event order — one fsync, on close — then delete them, unless a
-/// drained checkpointing run may still resume from them.
-void merge_spills(const Options& o, const core::ParallelScanPipeline& pipeline,
-                  std::vector<std::unique_ptr<ShardChain>>& chains) {
-  std::vector<std::unique_ptr<core::EventReader>> readers;
-  for (auto& c : chains) {
-    c->spill->close();
-    readers.push_back(std::make_unique<core::EventReader>(c->spill_path, 1 << 16));
-  }
-  core::EventWriter out(o.events_out);
-  pipeline.merge_shard_events(
-      [&](std::size_t s, core::ScanEvent& ev) { return readers[s]->next(ev); }, out);
-  // Explicit close: the count header is backpatched and fsync'd before
-  // we report success (interrupted runs included — the drain stopped
-  // the feed, not the finalize).
-  out.close();
-  std::fprintf(stderr, "spilled %llu events to %s\n",
-               static_cast<unsigned long long>(out.written()), o.events_out.c_str());
-  readers.clear();
-  if (o.checkpoint.empty() || !util::ShutdownSignal::requested())
-    for (const auto& c : chains) std::filesystem::remove(c->spill_path);
-}
+/// A resumed run's checkpoint and its "run" section, refused unless `producer` wrote it.
+struct Resumed {
+  core::CheckpointReader ck;
+  core::RunMeta meta;
+  Resumed(const std::string& path, core::RunMeta::Producer producer)
+      : ck(path), meta(core::RunMeta::load(ck, producer, path)) {}
+};
 
 int cmd_detect(const std::string& path, const Options& o) {
   const core::DetectorConfig cfg{.source_prefix_len = o.agg,
                                  .min_destinations = o.min_dsts,
                                  .timeout_us = o.timeout_sec * 1'000'000,
                                  .demote_idle_us = o.cold_after_sec * 1'000'000};
-
-  std::optional<core::CheckpointReader> ck;
-  DetectMeta resumed;
+  const std::uint8_t flags = (o.report ? core::RunMeta::kReport : 0) |
+                             (o.events_out.empty() ? 0 : core::RunMeta::kEvents);
+  std::optional<Resumed> resumed;
   if (o.resume) {
-    ck.emplace(o.checkpoint);
-    auto mr = ck->section("meta");
-    resumed = load_detect_meta(mr);
-    if (!resumed.sharded)
-      throw std::runtime_error(o.checkpoint +
-                               " was written by the serial detector of an older version, "
-                               "which no longer resumes; run again without --resume");
-    if ((resumed.has_report != 0) != o.report)
-      throw std::runtime_error("checkpoint --report setting does not match this run");
-    if ((resumed.has_spill != 0) != !o.events_out.empty())
-      throw std::runtime_error("checkpoint --events setting does not match this run");
+    resumed.emplace(o.checkpoint, core::RunMeta::Producer::kDetect);
+    if (resumed->meta.flags != flags)
+      throw std::runtime_error("checkpoint --report/--events settings do not match this run");
   }
 
   // Events stream from each shard's detector straight into its chain
@@ -593,33 +357,46 @@ int cmd_detect(const std::string& path, const Options& o) {
   // active sources. The report and the spill are byte-identical at
   // every shard count.
   std::vector<std::unique_ptr<ShardChain>> chains;
-  core::ParallelScanPipeline pipeline(
+  core::DetectRun run(
       cfg,
-      {.threads = shard_count(o, ck ? std::optional(resumed.threads) : std::nullopt),
+      {.threads = core::shard_count(o.threads, resumed ? &resumed->meta : nullptr),
        .ring_capacity = o.ring_cap},
-      core::ParallelScanPipeline::ShardSinkFactory([&](std::size_t s) -> core::EventSink& {
-        chains.push_back(std::make_unique<ShardChain>(s, o, ck ? &*ck : nullptr));
+      o.events_out, [&](std::size_t) -> core::EventSink& {
+        chains.push_back(std::make_unique<ShardChain>(o));
         return chains.back()->fan;
-      }));
-  if (ck)
-    // Each shard's saved state goes in on its own worker thread,
-    // before the first record reaches any ring.
-    pipeline.with_shard_state([&](std::size_t s, core::ScanDetector& det, core::ArtifactFilter*) {
-      chains[s]->load(det, *ck);
-    });
+      });
+  if (resumed)
+    run.resume(resumed->ck, [&](std::size_t s, util::StateReader& r) { chains[s]->load(r); });
   run_records(
-      path, o, resumed.records_fed,
-      [&](std::span<const sim::LogRecord> batch) { pipeline.feed_batch(batch); },
-      [&](std::uint64_t fed) { write_detect_checkpoint(o, fed, pipeline, chains); });
-  pipeline.flush();
-  if (!o.events_out.empty()) merge_spills(o, pipeline, chains);
+      path, o, resumed ? resumed->meta.records : 0,
+      [&](std::span<const sim::LogRecord> batch) { run.feed_batch(batch); },
+      [&](std::uint64_t fed) {
+        core::CheckpointWriter ck;
+        run.checkpoint(ck, [&](std::size_t s, util::StateWriter& w) { chains[s]->save(w); });
+        core::RunMeta{.producer = core::RunMeta::Producer::kDetect,
+                      .shards = static_cast<std::uint32_t>(run.threads()),
+                      .records = fed,
+                      .flags = flags}
+            .save(ck);
+        ck.commit(o.checkpoint);
+      });
+  run.flush();
+  if (!o.events_out.empty()) {
+    // A drained checkpointing run keeps its shard spills for --resume.
+    const std::uint64_t n =
+        run.close(!o.checkpoint.empty() && util::ShutdownSignal::requested());
+    std::fprintf(stderr, "spilled %llu events to %s\n", static_cast<unsigned long long>(n),
+                 o.events_out.c_str());
+  }
   // Fold every shard's analyzers into shard 0's chain, then flush that
   // chain once.
   for (std::size_t s = 1; s < chains.size(); ++s) chains[0]->merge(std::move(*chains[s]));
   chains[0]->fan.flush();
 
+  // `detect --report`, `report` and the daemon's report verb print
+  // render_report's bytes: byte-identical by construction.
   if (o.report) {
-    print_report(*chains[0]->report, o.top);
+    std::fputs(analysis::render_report(*chains[0]->report, o.top).c_str(), stdout);
     return 0;
   }
 
@@ -630,19 +407,7 @@ int cmd_detect(const std::string& path, const Options& o) {
               static_cast<unsigned long long>(t.sources), o.agg,
               static_cast<unsigned long long>(t.packets));
 
-  auto sources = merged.sources();
-  std::sort(sources.begin(), sources.end(),
-            [](const analysis::SourceReport& a, const analysis::SourceReport& b) {
-              return a.packets > b.packets;
-            });
-  util::TextTable table({"source", "scans", "packets", "max dsts/scan"});
-  for (std::size_t i = 0; i < std::min(o.top, sources.size()); ++i) {
-    const auto& s = sources[i];
-    table.add_row({s.source.to_string(), util::with_commas(s.scans),
-                   util::with_commas(s.packets), util::with_commas(s.distinct_dsts_max)});
-  }
-  std::printf("%s", table.render().c_str());
-  if (sources.size() > o.top) std::printf("(+%zu more sources)\n", sources.size() - o.top);
+  std::fputs(analysis::render_source_table(merged, o.top, /*with_as=*/false).c_str(), stdout);
   return 0;
 }
 
@@ -661,37 +426,24 @@ int cmd_report(const std::string& path, const Options& o) {
 
   std::fprintf(stderr, "replayed %llu events from %s\n",
                static_cast<unsigned long long>(reader.total_events()), path.c_str());
-  print_report(analyzers, o.top);
+  std::fputs(analysis::render_report(analyzers, o.top).c_str(), stdout);
   return 0;
 }
 
 /// Streaming multi-level IDS (§5): alert lines as attribution passes
 /// fire, then the final blocklist — the same at every --threads.
-/// Checkpoints hold "meta" (records fed, alerts printed, shard count)
-/// next to ParallelIds' own sections.
+/// Checkpoints hold the "run" section (records fed, alerts printed,
+/// shard count) next to ParallelIds' own sections.
 int cmd_ids(const std::string& path, const Options& o) {
   core::IdsConfig cfg;
   cfg.min_destinations = o.min_dsts;
   cfg.timeout_us = o.timeout_sec * 1'000'000;
   cfg.reattribution_period_us = o.period_sec * 1'000'000;
 
-  std::optional<core::CheckpointReader> ck;
-  std::uint64_t skip = 0;
-  std::uint64_t alerts = 0;  // the summary line counts pre-checkpoint alerts too
-  std::optional<std::uint32_t> saved_shards;
-  if (o.resume) {
-    ck.emplace(o.checkpoint);
-    if (!ck->has("shard0.ids"))
-      throw std::runtime_error(o.checkpoint +
-                               " was written by the serial ids of an older version, "
-                               "which no longer resumes; run again without --resume");
-    auto mr = ck->section("meta");
-    skip = mr.u64();
-    alerts = mr.u64();
-    saved_shards = mr.u32();
-    mr.expect_end();
-  }
-
+  std::optional<Resumed> resumed;
+  if (o.resume) resumed.emplace(o.checkpoint, core::RunMeta::Producer::kIds);
+  // The summary line counts the alerts before the checkpoint too.
+  std::uint64_t alerts = resumed ? resumed->meta.outputs : 0;
   const auto sink = [&](const core::IdsAlert& a) {
     ++alerts;
     std::printf("alert %-10s %s  %s /%d  packets=%llu\n", a.is_new ? "new" : "escalation",
@@ -699,19 +451,23 @@ int cmd_ids(const std::string& path, const Options& o) {
                 a.attribution.source.to_string().c_str(), a.attribution.level,
                 static_cast<unsigned long long>(a.attribution.packets));
   };
-  core::ParallelIds ids(cfg, {.threads = shard_count(o, saved_shards), .ring_capacity = o.ring_cap},
-                        sink);
-  if (ck) ids.resume(*ck);
+  core::ParallelIds ids(
+      cfg,
+      {.threads = core::shard_count(o.threads, resumed ? &resumed->meta : nullptr),
+       .ring_capacity = o.ring_cap},
+      sink);
+  if (resumed) ids.resume(resumed->ck);
   run_records(
-      path, o, skip, [&](std::span<const sim::LogRecord> batch) { ids.feed_batch(batch); },
+      path, o, resumed ? resumed->meta.records : 0,
+      [&](std::span<const sim::LogRecord> batch) { ids.feed_batch(batch); },
       [&](std::uint64_t fed) {
         core::CheckpointWriter w;
         ids.checkpoint(w);  // delivers every finished pass first: `alerts` is current
-        util::StateWriter mw;
-        mw.u64(fed);
-        mw.u64(alerts);
-        mw.u32(static_cast<std::uint32_t>(ids.threads()));
-        w.add("meta", std::move(mw));
+        core::RunMeta{.producer = core::RunMeta::Producer::kIds,
+                      .shards = static_cast<std::uint32_t>(ids.threads()),
+                      .records = fed,
+                      .outputs = alerts}
+            .save(w);
         w.commit(o.checkpoint);
       });
   ids.flush();
@@ -719,14 +475,7 @@ int cmd_ids(const std::string& path, const Options& o) {
   const std::vector<core::Attribution> blocklist = ids.blocklist();
   std::printf("%llu alerts; final blocklist (%zu entries):\n",
               static_cast<unsigned long long>(alerts), blocklist.size());
-  util::TextTable table({"blocked prefix", "level", "packets", "covered sources"});
-  for (const auto& a : blocklist) {
-    std::string level = "/";
-    level += std::to_string(a.level);
-    table.add_row({a.source.to_string(), std::move(level), util::with_commas(a.packets),
-                   util::with_commas(a.children)});
-  }
-  std::printf("%s", table.render().c_str());
+  std::fputs(analysis::render_blocklist(blocklist).c_str(), stdout);
   return 0;
 }
 
@@ -781,16 +530,7 @@ int cmd_adaptive(const std::string& path) {
     for (auto& d : detectors) d->flush();
   }
   const auto attributions = core::attribute_adaptive(events, ids.adaptive);
-  util::TextTable table({"attributed prefix", "level", "packets", "covered sources"});
-  for (const auto& a : attributions) {
-    // Built with += (not operator+) to dodge GCC 12's -Wrestrict false
-    // positive on const char* + std::string&&.
-    std::string level = "/";
-    level += std::to_string(a.level);
-    table.add_row({a.source.to_string(), std::move(level), util::with_commas(a.packets),
-                   util::with_commas(a.children)});
-  }
-  std::printf("%s", table.render().c_str());
+  std::fputs(analysis::render_blocklist(attributions, "attributed prefix").c_str(), stdout);
   return 0;
 }
 
@@ -798,11 +538,11 @@ int cmd_fingerprint(const std::string& path, const Options& o) {
   // pcap inputs have no streaming parser: parse once and reuse the
   // records across both passes. .v6slog inputs are streamed twice in
   // batches, so memory stays bounded by active sources.
-  const bool is_pcap = ends_with(path, ".pcap") || ends_with(path, ".cap");
+  const bool pcap = is_pcap(path);
   std::vector<sim::LogRecord> pcap_records;
-  if (is_pcap) pcap_records = load_records(path);
+  if (pcap) pcap_records = load_records(path);
   const auto each_batch = [&](auto&& fn) {
-    if (is_pcap)
+    if (pcap)
       fn(std::span<const sim::LogRecord>{pcap_records});
     else
       for_each_record_batch(path, o.mmap, fn);
@@ -874,10 +614,7 @@ int cmd_generate(const std::string& out, bool small) {
 
 int cmd_mawi_day(const std::string& date, const std::string& out) {
   int y = 0, m = 0, d = 0;
-  if (std::sscanf(date.c_str(), "%d-%d-%d", &y, &m, &d) != 3) {
-    std::fprintf(stderr, "error: date must be YYYY-MM-DD\n");
-    return 2;
-  }
+  if (std::sscanf(date.c_str(), "%d-%d-%d", &y, &m, &d) != 3) fail("date must be YYYY-MM-DD");
   const int day = mawi::day_index(util::CivilDate{y, m, d});
   sim::AsRegistry registry;
   scanner::Hitlist hitlist({.seed = 3, .external_addresses = 20'000}, {});
@@ -891,31 +628,6 @@ int cmd_mawi_day(const std::string& date, const std::string& out) {
   std::printf("wrote %llu frames for %s to %s\n",
               static_cast<unsigned long long>(frames), date.c_str(), out.c_str());
   return 0;
-}
-
-/// Write the metrics snapshot as JSON to `file` (stdout when empty).
-/// File output is fsync'd before success is reported — the metrics
-/// dump is a run's only record of what the pipeline did, and it often
-/// happens right before process exit (including interrupted runs).
-void dump_metrics(const std::string& file) {
-  util::note_max_rss();  // peak RSS rides in every snapshot
-  const std::string json = util::metrics::snapshot().to_json();
-  if (file.empty()) {
-    std::printf("%s\n", json.c_str());
-    return;
-  }
-  std::FILE* f = std::fopen(file.c_str(), "wb");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot write metrics to %s\n", file.c_str());
-    return;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-                  std::fputc('\n', f) != EOF && util::flush_to_disk(f);
-  if (std::fclose(f) != 0 || !ok) {
-    std::fprintf(stderr, "error: metrics write to %s failed\n", file.c_str());
-    return;
-  }
-  std::fprintf(stderr, "metrics written to %s\n", file.c_str());
 }
 
 // ------------------------------------------------------------------ //
@@ -1023,14 +735,7 @@ bool status_value(const std::string& text, const std::string& key, std::uint64_t
 /// `v6sonar query <socket> <verb> [arg] [options]` — the daemon's
 /// client. Prints the response payload to stdout; exit 0 on kOk.
 int cmd_query(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: v6sonar query <socket> <verb> [arg] [--top <n>] [--count <n>]\n"
-                 "       [--timeout-sec <s>] [--wait-key <key> [--wait-min <n>]]\n"
-                 "verbs: ping status report top-sources top-ports as-report blocklist\n"
-                 "       metrics subscribe ingest shutdown set-period checkpoint\n");
-    return 2;
-  }
+  if (argc < 4) usage();
   const std::string sock = argv[2];
   const std::string verb_str = argv[3];
   daemon::Verb verb;
@@ -1041,27 +746,17 @@ int cmd_query(int argc, char** argv) {
   QueryOptions q;
   std::string arg;  // ping payload / ingest file
   for (int i = 4; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (std::strcmp(argv[i], "--top") == 0) {
-      q.top = parse_int<std::size_t>("--top", need_value("--top"));
+      q.top = parse_int<std::size_t>("--top", value_of(argc, argv, i));
     } else if (std::strcmp(argv[i], "--count") == 0) {
-      q.count = parse_int<std::size_t>("--count", need_value("--count"));
+      q.count = parse_int<std::size_t>("--count", value_of(argc, argv, i));
     } else if (std::strcmp(argv[i], "--timeout-sec") == 0) {
-      q.timeout_sec = parse_seconds("--timeout-sec", need_value("--timeout-sec"));
-      if (q.timeout_sec < 0) {
-        std::fprintf(stderr, "error: --timeout-sec must be >= 0\n");
-        return 2;
-      }
+      q.timeout_sec = parse_seconds("--timeout-sec", value_of(argc, argv, i));
+      if (q.timeout_sec < 0) fail("--timeout-sec must be >= 0");
     } else if (std::strcmp(argv[i], "--wait-key") == 0) {
-      q.wait_key = need_value("--wait-key");
+      q.wait_key = value_of(argc, argv, i);
     } else if (std::strcmp(argv[i], "--wait-min") == 0) {
-      q.wait_min = parse_int<std::uint64_t>("--wait-min", need_value("--wait-min"));
+      q.wait_min = parse_int<std::uint64_t>("--wait-min", value_of(argc, argv, i));
     } else if (argv[i][0] != '-' && arg.empty()) {
       arg = argv[i];
     } else {
@@ -1103,10 +798,7 @@ int cmd_query(int argc, char** argv) {
   // ingest <file.v6slog>: push the file's records through the socket
   // in chunks, awaiting the ack for each.
   if (verb == daemon::Verb::kIngest) {
-    if (arg.empty()) {
-      std::fprintf(stderr, "error: ingest needs a .v6slog file argument\n");
-      return 2;
-    }
+    if (arg.empty()) fail("ingest needs a .v6slog file argument");
     sim::LogReader reader(arg);
     std::array<sim::LogRecord, 4'096> batch;
     std::uint64_t pushed = 0;
@@ -1210,7 +902,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     rc = 1;
   }
-  if (metrics_on) dump_metrics(metrics_file);
+  if (metrics_on) util::dump_metrics(metrics_file, "v6sonar");
   // Interrupted-but-drained runs report the conventional 128+signo
   // (130 SIGINT, 143 SIGTERM): outputs are finalized, analysis is
   // partial. See README "Interrupting long runs".

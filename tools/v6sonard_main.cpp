@@ -21,7 +21,9 @@ namespace {
 
 using namespace v6sonar;
 using cli::parse_int;
+using cli::fail;
 using cli::parse_seconds;
+using cli::value_of;
 
 [[noreturn]] void usage() {
   std::fputs(
@@ -39,8 +41,9 @@ using cli::parse_seconds;
       "  --agg <len>            source aggregation prefix length (default 64)\n"
       "  --min-dsts <n>         minimum distinct destinations (default 100)\n"
       "  --timeout <sec>        scan inter-packet timeout (default 3600)\n"
-      "  --threads <n>          detection shards (default 1; 0 = one per\n"
-      "                         hardware thread)\n"
+      "  --threads <n>          detection shards (default 1, or the\n"
+      "                         checkpoint's on restore, which refuses a\n"
+      "                         different count; 0 = one per hardware thread)\n"
       "  --ring-cap <n>         records buffered per worker ring (default\n"
       "                         16384, minimum 8)\n"
       "  --top <n>              default rows in report verbs (default 20)\n"
@@ -49,15 +52,19 @@ using cli::parse_seconds;
       "                         event, freshest queries)\n"
       "  --client-timeout <ms>  drop a client stalled mid-frame or mid-\n"
       "                         response for this long (default 5000)\n"
-      "  --events <file.v6ev>   spill every scan event; finalized (fsync'd\n"
+      "  --events <file.v6ev>   spill every scan event, in the order `v6sonar\n"
+      "                         detect --events` writes; finalized (fsync'd\n"
       "                         count header) during drain\n"
       "  --metrics[=FILE]       enable pipeline metrics; JSON written to\n"
       "                         FILE (fsync'd) or stdout at drain\n"
       "  --cold-after <sec>     demote sources idle this long to the compact\n"
       "                         cold tier (must be < --timeout; default off)\n"
       "  --checkpoint <file>    state checkpoint file: restored on start if\n"
-      "                         it exists, written by the checkpoint verb\n"
-      "                         (`v6sonar query <sock> checkpoint`)\n"
+      "                         it exists (--tail resumes at its cursor),\n"
+      "                         written by the checkpoint verb (`v6sonar\n"
+      "                         query <sock> checkpoint`); with --events the\n"
+      "                         shard spills <file.v6ev>.shard<i> are kept\n"
+      "                         for the next restore\n"
       "  --period <sec>         blocklist re-attribution cadence (0 = on\n"
       "                         demand only; the set-period verb adjusts\n"
       "                         this at runtime)\n",
@@ -69,79 +76,24 @@ using cli::parse_seconds;
 
 int main(int argc, char** argv) {
   daemon::DaemonOptions opts;
+  cli::RunOptions run;
   for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    if (cli::parse_run_option(run, argc, argv, i)) continue;
     if (std::strcmp(argv[i], "--socket") == 0) {
-      opts.socket_path = need_value("--socket");
+      opts.socket_path = value_of(argc, argv, i);
     } else if (std::strcmp(argv[i], "--tail") == 0) {
-      opts.tail_path = need_value("--tail");
-    } else if (std::strcmp(argv[i], "--agg") == 0) {
-      opts.detector.source_prefix_len = parse_int<int>("--agg", need_value("--agg"));
-      if (opts.detector.source_prefix_len < 0 || opts.detector.source_prefix_len > 128) {
-        std::fprintf(stderr, "error: --agg must be between 0 and 128\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--min-dsts") == 0) {
-      opts.detector.min_destinations =
-          parse_int<std::uint32_t>("--min-dsts", need_value("--min-dsts"));
-    } else if (std::strcmp(argv[i], "--timeout") == 0) {
-      const auto sec = parse_seconds("--timeout", need_value("--timeout"));
-      if (sec < 1) {
-        std::fprintf(stderr, "error: --timeout must be at least 1 second\n");
-        return 2;
-      }
-      opts.detector.timeout_us = sec * 1'000'000;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = parse_int<int>("--threads", need_value("--threads"));
-      if (opts.threads < 0) {
-        std::fprintf(stderr, "error: --threads must be >= 0 (0 = auto)\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--ring-cap") == 0) {
-      opts.ring_capacity = parse_int<std::size_t>("--ring-cap", need_value("--ring-cap"));
-      if (opts.ring_capacity < 8) {
-        std::fprintf(stderr, "error: --ring-cap must be at least 8 slots\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--top") == 0) {
-      opts.top = parse_int<std::size_t>("--top", need_value("--top"));
+      opts.tail_path = value_of(argc, argv, i);
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0) {
       opts.snapshot_every =
-          parse_int<std::size_t>("--snapshot-every", need_value("--snapshot-every"));
-      if (opts.snapshot_every == 0) {
-        std::fprintf(stderr, "error: --snapshot-every must be at least 1\n");
-        return 2;
-      }
+          parse_int<std::size_t>("--snapshot-every", value_of(argc, argv, i));
+      if (opts.snapshot_every == 0) fail("--snapshot-every must be at least 1");
     } else if (std::strcmp(argv[i], "--client-timeout") == 0) {
       opts.client_timeout_ms =
-          parse_int<int>("--client-timeout", need_value("--client-timeout"));
-      if (opts.client_timeout_ms < 1) {
-        std::fprintf(stderr, "error: --client-timeout must be at least 1 ms\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--events") == 0) {
-      opts.events_out = need_value("--events");
-    } else if (std::strcmp(argv[i], "--cold-after") == 0) {
-      const auto sec = parse_seconds("--cold-after", need_value("--cold-after"));
-      if (sec < 0) {
-        std::fprintf(stderr, "error: --cold-after must be >= 0\n");
-        return 2;
-      }
-      opts.detector.demote_idle_us = sec * 1'000'000;
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      opts.checkpoint_path = need_value("--checkpoint");
+          parse_int<int>("--client-timeout", value_of(argc, argv, i));
+      if (opts.client_timeout_ms < 1) fail("--client-timeout must be at least 1 ms");
     } else if (std::strcmp(argv[i], "--period") == 0) {
-      opts.reattribution_period_s = parse_seconds("--period", need_value("--period"));
-      if (opts.reattribution_period_s < 0) {
-        std::fprintf(stderr, "error: --period must be >= 0\n");
-        return 2;
-      }
+      opts.reattribution_period_s = parse_seconds("--period", value_of(argc, argv, i));
+      if (opts.reattribution_period_s < 0) fail("--period must be >= 0");
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       opts.write_metrics = true;
     } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
@@ -152,6 +104,15 @@ int main(int argc, char** argv) {
       usage();
     }
   }
+  opts.detector = {.source_prefix_len = run.agg,
+                   .min_destinations = run.min_dsts,
+                   .timeout_us = run.timeout_sec * 1'000'000,
+                   .demote_idle_us = run.cold_after_sec * 1'000'000};
+  opts.threads = run.threads;
+  opts.ring_capacity = run.ring_cap;
+  opts.top = run.top;
+  opts.events_out = run.events_out;
+  opts.checkpoint_path = run.checkpoint;
   if (opts.socket_path.empty()) usage();
   if (opts.write_metrics) v6sonar::util::metrics::enable(true);
 
