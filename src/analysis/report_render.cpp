@@ -115,10 +115,9 @@ std::string render_report(const ReportBundle& a, std::size_t top) {
   return out;
 }
 
-std::string render_blocklist(const std::vector<core::Attribution>& blocklist,
-                             const char* prefix_column) {
+std::string render_blocklist(const std::vector<core::Attribution>& blocklist) {
   std::string out;
-  util::TextTable table({prefix_column, "level", "packets", "covered sources"});
+  util::TextTable table({"blocked prefix", "level", "packets", "covered sources"});
   for (const auto& a : blocklist) {
     // Built with += (not operator+) to dodge GCC 12's -Wrestrict false
     // positive on const char* + std::string&&.

@@ -121,9 +121,7 @@ void appendf(std::string& out, const char* fmt, Args... args) {
 [[nodiscard]] std::string render_top_ports(const ReportBundle& a);
 [[nodiscard]] std::string render_as_report(const ReportBundle& a, std::size_t top);
 
-/// Render an attribution set as the IDS blocklist table (`v6sonar
-/// adaptive` names its first column "attributed prefix").
-[[nodiscard]] std::string render_blocklist(const std::vector<core::Attribution>& blocklist,
-                                           const char* prefix_column = "blocked prefix");
+/// Render an attribution set as the IDS blocklist table.
+[[nodiscard]] std::string render_blocklist(const std::vector<core::Attribution>& blocklist);
 
 }  // namespace v6sonar::analysis

@@ -146,16 +146,6 @@ void ArtifactFilter::feed_batch(std::span<const sim::LogRecord> batch) {
   }
 }
 
-void ArtifactFilter::advance(sim::TimeUs now) {
-  if (now < last_ts_) return;
-  last_ts_ = now;
-  const std::int64_t day = day_of(now);
-  if (current_day_ != INT64_MIN && day != current_day_) {
-    close_day();
-    current_day_ = day;
-  }
-}
-
 void ArtifactFilter::close_day() {
   if (buffer_.empty()) {
     destroy_days();
@@ -210,44 +200,6 @@ void ArtifactFilter::close_day() {
 void ArtifactFilter::flush() {
   close_day();
   current_day_ = INT64_MIN;
-}
-
-void ArtifactFilter::save(util::StateWriter& w) const {
-  w.u32(config_.duplicate_threshold);
-  w.f64(config_.max_duplicate_fraction);
-  w.i32(config_.source_prefix_len);
-  w.i64(last_ts_);
-  w.i64(current_day_);
-  w.u64(buffer_.size());
-  for (const auto& r : buffer_) w.pod(r);
-}
-
-void ArtifactFilter::load(util::StateReader& r) {
-  if (last_ts_ != INT64_MIN || !buffer_.empty())
-    throw std::runtime_error("ArtifactFilter::load: filter already fed");
-  if (r.u32() != config_.duplicate_threshold ||
-      r.f64() != config_.max_duplicate_fraction || r.i32() != config_.source_prefix_len)
-    throw std::runtime_error("ArtifactFilter::load: configuration mismatch");
-  last_ts_ = r.i64();
-  current_day_ = r.i64();
-  const std::uint64_t n = r.count(sizeof(sim::LogRecord));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto rec = r.pod<sim::LogRecord>();
-    buffer_.push_back(rec);
-    // Same per-record accounting as feed_one(), minus the ordering and
-    // day-boundary checks (the buffer is one partial day by
-    // construction).
-    const net::PrefixKeyDeriver::Derived d = deriver_(rec.src);
-    SourceDay*& slot = sources_.insert_hashed(d.key, d.hash);
-    if (slot == nullptr) slot = new_day();
-    SourceDay& sd = *slot;
-    ++sd.packets;
-    const FlowKey fk{rec.dst, proto_port_key(rec.proto, rec.dst_port)};
-    if (++sd.hits.insert_hashed(fk, FlowKeyHash{}(fk)) > config_.duplicate_threshold)
-      ++sd.duplicates;
-  }
-  // No expect_end(): the payload may be embedded mid-section; the
-  // outermost section consumer asserts end-of-section.
 }
 
 namespace {

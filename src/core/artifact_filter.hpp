@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/state_codec.hpp"
 #include "net/prefix.hpp"
 #include "sim/log_io.hpp"
 #include "sim/record.hpp"
@@ -59,7 +58,7 @@ struct FilterDayStats {
   std::unordered_map<std::uint32_t, std::uint64_t> dropped_by_port;
 };
 
-class ArtifactFilter : public StateCodec {
+class ArtifactFilter {
  public:
   using RecordSink = std::function<void(const sim::LogRecord&)>;
   using StatsSink = std::function<void(const FilterDayStats&)>;
@@ -80,21 +79,8 @@ class ArtifactFilter : public StateCodec {
   /// hides the source-index and hit-table probe misses.
   void feed_batch(std::span<const sim::LogRecord> batch);
 
-  /// Advance the clock without a packet: if `now` has moved past the
-  /// buffered day, close it and release its clean records — exactly
-  /// what the first record of a later day would have triggered. No-op
-  /// if `now` is not ahead.
-  void advance(sim::TimeUs now);
-
   /// Flush the final partial day.
   void flush();
-
-  /// Freeze/thaw (core::StateCodec). Only the clock and the buffered
-  /// (incomplete) day are serialized — the per-source hit tables are a
-  /// pure function of the buffered records, so load() rebuilds them by
-  /// replaying the buffer through the same accounting as feed().
-  void save(util::StateWriter& w) const override;
-  void load(util::StateReader& r) override;
 
  private:
   /// Below this many tracked sources the per-day tables are

@@ -21,10 +21,6 @@ std::string producer_name(RunMeta::Producer p) {
   return kNames[i < kNames.size() ? i : 0];
 }
 
-std::string section_name(std::size_t shard, const char* what) {
-  return "shard" + std::to_string(shard) + what;
-}
-
 constexpr auto kScratch = EventWriter::Durability::kScratch;
 
 }  // namespace
@@ -89,7 +85,7 @@ DetectRun::DetectRun(const DetectorConfig& config, const ParallelConfig& paralle
     : events_(std::move(events)),
       pipeline_(config, parallel, [&](std::size_t s) -> EventSink& {
         shards_.push_back(std::make_unique<Shard>(
-            chain(s), events_.empty() ? "" : events_ + "." + section_name(s, "")));
+            chain(s), events_.empty() ? "" : events_ + "." + shard_section(s, "")));
         return *shards_.back();
       }) {}
 
@@ -113,15 +109,15 @@ void DetectRun::checkpoint(CheckpointWriter& ck, const ShardSave& save) {
   pipeline_.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
     util::StateWriter dw, aw;
     det.save(dw);
-    sections[s].emplace_back(section_name(s, ".detector"), std::move(dw));
+    sections[s].emplace_back(shard_section(s, ".detector"), std::move(dw));
     if (save) save(s, aw);
-    if (aw.size() > 0) sections[s].emplace_back(section_name(s, ".analyzers"), std::move(aw));
+    if (aw.size() > 0) sections[s].emplace_back(shard_section(s, ".analyzers"), std::move(aw));
     if (auto& spill = shards_[s]->spill) {
       spill->checkpoint_sync();  // durable before a checkpoint names its cursor
       util::StateWriter sw;
       sw.u64(spill->written());
       sw.u64(spill->offset());
-      sections[s].emplace_back(section_name(s, ".spill"), std::move(sw));
+      sections[s].emplace_back(shard_section(s, ".spill"), std::move(sw));
     }
   });
   for (auto& shard : sections)
@@ -131,13 +127,11 @@ void DetectRun::checkpoint(CheckpointWriter& ck, const ShardSave& save) {
 void DetectRun::resume(const CheckpointReader& ck, const ShardLoad& load) {
   if (started_) throw std::logic_error("DetectRun: resume after feed");
   const std::size_t n = shards_.size();
-  if (!ck.has(section_name(n - 1, ".detector")) || ck.has(section_name(n, ".detector")))
-    throw std::runtime_error("checkpoint has a different shard count than the " +
-                             std::to_string(n) + " configured");
+  check_shard_count(ck, n, ".detector");
   for (std::size_t s = 0; s < n; ++s) {
     Shard& sh = *shards_[s];
-    if (sh.spill_path.empty() || !ck.has(section_name(s, ".spill"))) continue;
-    auto r = ck.section(section_name(s, ".spill"));
+    if (sh.spill_path.empty() || !ck.has(shard_section(s, ".spill"))) continue;
+    auto r = ck.section(shard_section(s, ".spill"));
     const std::uint64_t count = r.u64();
     const std::uint64_t offset = r.u64();
     r.expect_end();
@@ -147,11 +141,11 @@ void DetectRun::resume(const CheckpointReader& ck, const ShardLoad& load) {
   start();  // the spills without a cursor open fresh
   // Each shard's state goes in on its own worker, before any record.
   pipeline_.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-    auto dr = ck.section(section_name(s, ".detector"));
+    auto dr = ck.section(shard_section(s, ".detector"));
     det.load(dr);
     dr.expect_end();
     if (!load) return;
-    auto ar = ck.section(section_name(s, ".analyzers"));
+    auto ar = ck.section(shard_section(s, ".analyzers"));
     load(s, ar);
     ar.expect_end();
   });

@@ -3,23 +3,24 @@
 // Detection state is keyed purely by the aggregated source prefix
 // (§2.2), so the record stream shards cleanly by source: every record
 // of one aggregated source visits exactly one worker, and each worker
-// runs a private, completely ordinary serial detector over its shard.
-// The feeder thread hash-partitions records across bounded SPSC rings
-// (util/spsc_ring.hpp). Each worker owns its slice of state end to
-// end: detection, artifact filtering, expiry, and a caller-supplied
-// per-shard EventSink chain, all on the worker thread. Workers never
-// rendezvous with each other; each shard's own event stream stays in
-// serial order. Mergeable sinks (analysis::Analyzer::merge) recover
+// runs a private, completely ordinary serial stage over its shard.
+// One shard engine runs every front end: a feeder thread
+// hash-partitions records across bounded SPSC rings
+// (util/spsc_ring.hpp) and broadcasts the clock ticks, and each worker
+// owns its slice of state end to end on its own thread. Workers never
+// rendezvous with each other; each shard's own output stays in serial
+// order. Mergeable sinks (analysis::Analyzer::merge) recover
 // bit-identical *reports* at flush, and merge_shard_events() recovers
 // the serial event *stream* from per-shard streams (docs/
 // ARCHITECTURE.md §3 has the argument).
 //
-// Two front ends are provided; at one shard each is the serial stage
-// on one worker thread:
-//   ParallelScanPipeline           ==  ScanDetector
-//   ParallelScanPipeline(+filter)  ==  ArtifactFilter -> ScanDetector
-//   ParallelIds                    ==  the streaming IDS (§5): IdsCore
-//                                      plus the periodic pass clock
+// There is one mode, and two front ends on the one engine; at one
+// shard each is the serial stage on one worker thread:
+//   ParallelScanPipeline  ==  ScanDetector, plus a caller-supplied
+//                             per-shard EventSink chain
+//   ParallelIds           ==  the streaming IDS (§5): IdsCore plus the
+//                             periodic pass clock, which the feeder
+//                             keeps beside the timeout tick
 //
 // Threading contract: feed()/flush() must be called from one thread;
 // each per-shard event sink runs on its worker thread (sinks must not
@@ -32,15 +33,18 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/artifact_filter.hpp"
 #include "core/detector.hpp"
 #include "core/state_codec.hpp"
 #include "core/streaming_ids.hpp"
 #include "sim/record.hpp"
 
 namespace v6sonar::core {
+
+class ArtifactFilter;
 
 /// Kept only because perfbench/pbtool.cpp names it when it constructs
 /// a ParallelIds, and perfbench changes only with the benchmark
@@ -58,8 +62,7 @@ struct ParallelConfig {
   std::size_t ring_capacity = 1 << 14;
 };
 
-/// Sharded equivalent of one ScanDetector (optionally fronted by the
-/// §2.1 artifact filter): the same events, N cores.
+/// Sharded equivalent of one ScanDetector: the same events, N cores.
 class ParallelScanPipeline {
  public:
   /// Per-shard sink factory: called once per shard, on the
@@ -70,22 +73,15 @@ class ParallelScanPipeline {
   /// chains after ParallelScanPipeline::flush() returns.
   using ShardSinkFactory = std::function<EventSink&(std::size_t shard)>;
 
-  /// Plain sharded detection.
   ParallelScanPipeline(const DetectorConfig& config, const ParallelConfig& parallel,
                        ShardSinkFactory per_shard);
 
-  /// Sharded ArtifactFilter -> ScanDetector chain. Each shard filters
-  /// its own sources (the 5-duplicate rule is per-source, so per-shard
-  /// filtering decides exactly as the serial filter does); per-day
-  /// filter statistics are summed across shards.
-  ParallelScanPipeline(const DetectorConfig& config, const ArtifactFilterConfig& filter,
-                       const ParallelConfig& parallel, ShardSinkFactory per_shard);
-
   /// Per-shard state visitor for the checkpoint rendezvous: invoked on
-  /// the shard's own worker thread against its private detector and
-  /// (in filtered mode) artifact filter; `filter` is nullptr in plain
-  /// mode. The visitor may read or mutate the state freely — the
-  /// worker is quiesced for the duration of its call.
+  /// the shard's own worker thread against its private detector. The
+  /// visitor may read or mutate the state freely — the worker is
+  /// quiesced for the duration of its call. The ArtifactFilter argument
+  /// is always nullptr; it stays only because perfbench/pbtool.cpp
+  /// names it (see OrderMode).
   using ShardStateFn =
       std::function<void(std::size_t shard, ScanDetector& detector, ArtifactFilter* filter)>;
 
@@ -106,20 +102,20 @@ class ParallelScanPipeline {
   /// Close the shards, join all threads, rethrow any worker/sink
   /// error. Every shard sink has received all its events once this
   /// returns. Every shard's detector ends at the serial detector's
-  /// final clock (the latest shard detector clock: the last record in
-  /// plain mode, the last record any shard's filter released in
-  /// filtered mode, restored state included) before it flushes, so
+  /// final clock (the latest shard detector clock: the last record,
+  /// restored state included) before it flushes, so
   /// each shard times out and flushes exactly the events the serial
   /// detector would.
   void flush();
 
   /// Checkpoint rendezvous: publish any staged records, push a barrier
-  /// through every shard's ring, and run `fn(shard, detector, filter)`
+  /// through every shard's ring, and run `fn(shard, detector, nullptr)`
   /// on each worker thread once that worker has consumed everything
   /// fed before the barrier. Blocks the feeding thread until every
   /// shard has run the visitor, then rethrows the first visitor
-  /// exception, if any. Used both to save per-shard state mid-stream
-  /// (checkpoint) and to load it before the first record (resume).
+  /// exception, or the error of a worker that failed earlier, if any.
+  /// Used both to save per-shard state mid-stream (checkpoint) and to
+  /// load it before the first record (resume).
   /// Throws std::logic_error after flush().
   void with_shard_state(const ShardStateFn& fn);
 
@@ -137,11 +133,6 @@ class ParallelScanPipeline {
   void merge_shard_events(const ShardEventPull& pull, EventSink& out) const;
 
   [[nodiscard]] int threads() const noexcept;
-  /// Merged per-day artifact-filter statistics, sorted by day; empty
-  /// in plain (unfiltered) mode. Only valid after flush() — worker
-  /// threads still append to the per-shard stats before that, so this
-  /// throws std::logic_error on a pre-flush call instead of racing.
-  [[nodiscard]] const std::vector<FilterDayStats>& filter_stats() const;
 
  private:
   struct Impl;
@@ -209,5 +200,13 @@ class ParallelIds {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Checkpoint section "shard<shard><what>", e.g. "shard0.detector".
+[[nodiscard]] std::string shard_section(std::size_t shard, std::string_view what);
+
+/// The resume check both front ends share: shard routing depends on the
+/// shard count, so `ck` must hold section shard_section(i, what) for
+/// every i < n and none for n. Throws std::runtime_error otherwise.
+void check_shard_count(const CheckpointReader& ck, std::size_t n, std::string_view what);
 
 }  // namespace v6sonar::core

@@ -1,6 +1,6 @@
 // Versioned state lifecycle: the freeze/thaw seam and its container.
 //
-// Every long-lived pipeline stage — ScanDetector, ArtifactFilter, the
+// Every long-lived pipeline stage — ScanDetector, the
 // analysis::Analyzer family — implements StateCodec:
 // save() serializes the stage's complete accumulated state into a
 // StateWriter, load() reconstructs it into a same-configured instance.

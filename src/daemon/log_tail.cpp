@@ -69,24 +69,13 @@ bool LogTailer::resume(const Cursor& c) {
   return true;
 }
 
-std::size_t LogTailer::drain_fd(const RecordFn& fn) {
+std::size_t LogTailer::drain_fd(const RecordFn& fn, std::size_t budget, bool& at_eof) {
   std::size_t delivered = 0;
+  std::size_t pos = 0;  // bytes of pending_ consumed
   std::array<std::uint8_t, 64 * 1024> buf;
+  at_eof = false;
   for (;;) {
-    ssize_t got = ::pread(fd_.get(), buf.data(), buf.size(),
-                          static_cast<off_t>(offset_));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("log_tail: read failed on " + path_);
-    }
-    if (got == 0) break;
-    offset_ += static_cast<std::uint64_t>(got);
-    tail_metrics().bytes.add(static_cast<std::uint64_t>(got));
-    pending_.insert(pending_.end(), buf.data(), buf.data() + got);
-
-    std::size_t pos = 0;
-    if (!header_ok_) {
-      if (pending_.size() < sim::kLogHeaderBytes) continue;
+    if (!header_ok_ && pending_.size() >= sim::kLogHeaderBytes) {
       std::uint64_t magic = 0;
       std::memcpy(&magic, pending_.data(), sizeof magic);
       if (magic != sim::kLogMagic)
@@ -94,13 +83,29 @@ std::size_t LogTailer::drain_fd(const RecordFn& fn) {
       header_ok_ = true;
       pos = sim::kLogHeaderBytes;  // count field ignored: live files say 0
     }
-    while (pending_.size() - pos >= sim::kLogRecordBytes) {
-      fn(sim::decode_record(pending_.data() + pos));
-      pos += sim::kLogRecordBytes;
-      ++delivered;
+    if (header_ok_) {
+      for (; delivered < budget && pending_.size() - pos >= sim::kLogRecordBytes; ++delivered) {
+        fn(sim::decode_record(pending_.data() + pos));
+        pos += sim::kLogRecordBytes;
+      }
     }
-    if (pos > 0) pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(pos));
+    if (delivered == budget) break;  // the rest waits for the next poll
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(pos));
+    pos = 0;
+    const ssize_t got = ::pread(fd_.get(), buf.data(), buf.size(), static_cast<off_t>(offset_));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error("log_tail: read failed on " + path_);
+    }
+    if (got == 0) {
+      at_eof = true;
+      break;
+    }
+    offset_ += static_cast<std::uint64_t>(got);
+    tail_metrics().bytes.add(static_cast<std::uint64_t>(got));
+    pending_.insert(pending_.end(), buf.data(), buf.data() + got);
   }
+  pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(pos));
   if (delivered) {
     records_ += delivered;
     tail_metrics().records.add(delivered);
@@ -125,7 +130,9 @@ std::size_t LogTailer::poll(const RecordFn& fn) {
     dev_ = cur.st_dev;
   }
 
-  std::size_t delivered = drain_fd(fn);
+  bool at_eof = false;
+  std::size_t delivered = drain_fd(fn, kMaxPollRecords, at_eof);
+  if (!at_eof) return delivered;  // capped: the file has more
 
   // Rotation: the path now names a different inode. The old fd was
   // just drained to EOF above, so switching loses nothing.
@@ -136,7 +143,7 @@ std::size_t LogTailer::poll(const RecordFn& fn) {
     ++rotations_;
     tail_metrics().rotations.add();
     close_current();
-    if (ensure_open()) delivered += drain_fd(fn);
+    if (ensure_open()) delivered += drain_fd(fn, kMaxPollRecords - delivered, at_eof);
   }
   return delivered;
 }

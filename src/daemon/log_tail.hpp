@@ -3,14 +3,17 @@
 // A telescope collector appends fixed 52-byte records behind the
 // 16-byte header; the daemon follows the file like `tail -F`:
 //
-//   - poll() reads whatever complete records have appeared since the
-//     last call and hands them to the caller. A partial record at EOF
-//     stays buffered until its remaining bytes arrive — appends are
-//     not assumed atomic.
+//   - poll() reads the complete records that have appeared since the
+//     last call, at most kMaxPollRecords of them, and hands them to the
+//     caller; a larger backlog waits for the next calls, so the
+//     caller's batch stays bounded however far behind it is. A partial
+//     record at EOF stays buffered until its remaining bytes arrive —
+//     appends are not assumed atomic.
 //   - Rotation (the collector renames the file away and starts a new
-//     one at the same path) is detected by inode change: the old file
-//     is drained to EOF first, then the tailer switches to the new
-//     file from its header. No records are lost or reordered.
+//     one at the same path) is detected by inode change, checked only
+//     once the current file is at EOF: the old file is drained first,
+//     then the tailer switches to the new file from its header. No
+//     records are lost or reordered.
 //   - Truncation (size shrank below our offset) restarts from the
 //     header; the overwritten tail cannot be recovered and is counted.
 //   - A path that does not exist yet is not an error — poll() simply
@@ -38,12 +41,16 @@ class LogTailer {
  public:
   using RecordFn = std::function<void(const sim::LogRecord&)>;
 
+  /// Records one poll() delivers at most.
+  static constexpr std::size_t kMaxPollRecords = std::size_t{64} * 1024;
+
   explicit LogTailer(std::string path);
 
-  /// Decode every complete record currently available (draining a
-  /// rotated-away file before switching) and call `fn` for each, in
-  /// file order. Returns the number of records delivered. Never
-  /// blocks.
+  /// Decode the complete records currently available, up to
+  /// kMaxPollRecords (draining a rotated-away file before switching),
+  /// and call `fn` for each, in file order. Returns the number of
+  /// records delivered; fewer than kMaxPollRecords means the tailer
+  /// has caught up. Never blocks.
   std::size_t poll(const RecordFn& fn);
 
   /// Where a restart continues: the current file's identity, the byte
@@ -67,7 +74,9 @@ class LogTailer {
  private:
   bool ensure_open();
   void close_current() noexcept;
-  std::size_t drain_fd(const RecordFn& fn);
+  /// Deliver up to `budget` records of the current file; sets `at_eof`
+  /// once every byte of it has been read.
+  std::size_t drain_fd(const RecordFn& fn, std::size_t budget, bool& at_eof);
 
   std::string path_;
   util::UniqueFd fd_;

@@ -267,10 +267,12 @@ struct Daemon::Impl {
         if (pushed_records.empty() && !ingest_stop.load(std::memory_order_relaxed))
           ingest_cv.wait_for(lock, std::chrono::milliseconds(opts.poll_interval_ms));
       }
-      // Drain request: pick up whatever arrived before the stop, then
-      // flush — the pipeline joins its workers and every in-flight
-      // finalizable event reaches the shard chains.
-      feed_once(tail_batch, push_batch);
+      // Drain request: pick up whatever arrived before the stop (the
+      // tailer hands a backlog over in capped slices), then flush — the
+      // pipeline joins its workers and every in-flight finalizable
+      // event reaches the shard chains.
+      do feed_once(tail_batch, push_batch);
+      while (tail_batch.size() == LogTailer::kMaxPollRecords);
       run_state->flush();
       // The pipeline never flushes per-shard sinks; publish the final
       // deltas so the post-drain master reflects every event.

@@ -1,7 +1,7 @@
 // Resume-equivalence property tests — the tentpole's non-negotiable
 // invariant: freeze state at record k, thaw into fresh instances, feed
 // records k.., and the combined output (events, rendered reports,
-// filter output, IDS alerts + blocklist) is byte-identical to one
+// IDS alerts + blocklist) is byte-identical to one
 // uninterrupted run. k sweeps the interesting boundaries (0,
 // mid-batch, first record after an expiry gap, first record of a new
 // UTC day) and the parallel pipeline sweeps thread counts {1, 2, 8},
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "analysis/report_render.hpp"
-#include "core/artifact_filter.hpp"
 #include "core/detect_run.hpp"
 #include "core/detector.hpp"
 #include "core/event_io.hpp"
@@ -220,39 +219,6 @@ TEST(CheckpointResume, TieredDetectorMatchesUntieredAndResumes) {
     const auto resumed = serial_resumed(recs, tiered, k);
     EXPECT_EQ(event_bytes(resumed.events), event_bytes(base.events)) << "k=" << k;
     EXPECT_EQ(resumed.report, base.report) << "k=" << k;
-  }
-}
-
-TEST(CheckpointResume, ArtifactFilterMidDay) {
-  const auto recs = workload();
-  const std::vector<std::size_t> ks = checkpoint_points(recs);
-  const ArtifactFilterConfig cfg{.duplicate_threshold = 3, .max_duplicate_fraction = 0.30,
-                                 .source_prefix_len = 64};
-
-  std::vector<LogRecord> base_out;
-  {
-    ArtifactFilter f(cfg, [&](const LogRecord& r) { base_out.push_back(r); });
-    for (const auto& r : recs) f.feed(r);
-    f.flush();
-  }
-  ASSERT_FALSE(base_out.empty());
-
-  for (const std::size_t k : ks) {
-    std::vector<LogRecord> out;
-    util::StateWriter w;
-    {
-      ArtifactFilter f(cfg, [&](const LogRecord& r) { out.push_back(r); });
-      for (std::size_t i = 0; i < k; ++i) f.feed(recs[i]);
-      f.save(w);
-    }
-    ArtifactFilter f(cfg, [&](const LogRecord& r) { out.push_back(r); });
-    util::StateReader r(w.bytes());
-    f.load(r);
-    r.expect_end();
-    for (std::size_t i = k; i < recs.size(); ++i) f.feed(recs[i]);
-    f.flush();
-
-    EXPECT_EQ(out, base_out) << "k=" << k;
   }
 }
 

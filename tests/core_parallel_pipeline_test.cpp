@@ -1,23 +1,29 @@
 // Determinism tests for the sharded pipeline: across 1/2/3/8 worker
 // threads, every front end must produce byte-identical output —
-// events, ordering, filter statistics, IDS alerts — to its serial
-// reference (the serial detector and filter, the IDS oracle of
-// tests/ids_oracle.hpp) on a seeded multi-day workload. Per-shard event streams
+// events, ordering, IDS alerts — to its serial reference (the serial
+// detector, the IDS oracle of tests/ids_oracle.hpp) on a seeded
+// multi-day workload. Per-shard event streams
 // merged by the library merge must match the serial detector event
 // for event; per-shard analyzers must merge into byte-identical
 // rendered reports.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/reports.hpp"
-#include "core/artifact_filter.hpp"
+#include "core/detect_run.hpp"
 #include "core/detector.hpp"
 #include "core/event_sink.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "core/state_codec.hpp"
 #include "core/streaming_ids.hpp"
 #include "util/rng.hpp"
 #include "util/timebase.hpp"
@@ -212,9 +218,8 @@ TEST(ParallelScanPipeline, MatchesSerialAcrossQuietGaps) {
 /// record that late. Five sources send once in the middle, due just
 /// after the last scanning record; two more send twice, late. With
 /// `artifact_tail`, a duplicate-heavy source sends the stream's last
-/// records: the artifact filter drops them, so the serial filtered
-/// detector ends at the last *kept* record and flushes the middle
-/// events, which the unfiltered one times out.
+/// records, so the detector ends later and times the middle events
+/// out instead of flushing them.
 std::vector<sim::LogRecord> end_of_stream_workload(bool artifact_tail) {
   const sim::TimeUs t0 = sim::us_from_seconds(util::kWindowStart);
   const auto rec = [](sim::TimeUs ts, std::uint64_t src, std::uint64_t dst) {
@@ -252,41 +257,6 @@ TEST(ParallelScanPipeline, EndOfStreamMatchesSerial) {
   }
 }
 
-TEST(ParallelScanPipeline, FilteredEndOfStreamMatchesSerial) {
-  const DetectorConfig dcfg{
-      .source_prefix_len = 64, .min_destinations = 1, .timeout_us = 100 * kSec};
-  const ArtifactFilterConfig fcfg{};
-  for (const bool tail : {false, true}) {
-    const auto records = end_of_stream_workload(tail);
-    std::vector<ScanEvent> serial;
-    {
-      ScanDetector det(dcfg, [&](ScanEvent&& ev) { serial.push_back(std::move(ev)); });
-      ArtifactFilter filter(fcfg, [&](const sim::LogRecord& r) { det.feed(r); });
-      for (const auto& r : records) filter.feed(r);
-      filter.flush();
-      det.flush();
-    }
-    ASSERT_EQ(serial.size(), 37u) << "the artifact tail must be filtered out";
-    for (const int threads : {2, 8}) {
-      testing::ShardCollector shards;
-      ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads}, shards.factory());
-      pipe.feed_batch(records);
-      pipe.flush();
-      EXPECT_TRUE(shards.merged(pipe) == serial) << threads << " threads, artifact tail " << tail;
-    }
-  }
-}
-
-TEST(ParallelScanPipeline, FilterStatsBeforeFlushThrows) {
-  // Pre-flush the per-shard stats are still being written by workers;
-  // reading them would race, so the accessor refuses.
-  testing::ShardCollector shards;
-  ParallelScanPipeline pipe({}, ArtifactFilterConfig{}, {.threads = 2}, shards.factory());
-  EXPECT_THROW((void)pipe.filter_stats(), std::logic_error);
-  pipe.flush();
-  EXPECT_TRUE(pipe.filter_stats().empty());  // empty stream, but now readable
-}
-
 TEST(ParallelScanPipeline, MatchesSerialWithTinyRings) {
   // Stress the ring backpressure path: capacity rounds up to 8 slots,
   // so feeder and workers block constantly.
@@ -298,98 +268,6 @@ TEST(ParallelScanPipeline, MatchesSerialWithTinyRings) {
   for (const auto& r : records) pipe.feed(r);
   pipe.flush();
   EXPECT_TRUE(serial == shards.merged(pipe));
-}
-
-TEST(ParallelScanPipeline, FilteredChainMatchesSerialChain) {
-  const auto records = workload();
-  const DetectorConfig dcfg{.source_prefix_len = 64};
-  const ArtifactFilterConfig fcfg{};
-
-  std::vector<ScanEvent> serial_events;
-  std::vector<FilterDayStats> serial_stats;
-  {
-    ScanDetector det(dcfg, [&](ScanEvent&& ev) { serial_events.push_back(std::move(ev)); });
-    ArtifactFilter filter(
-        fcfg, [&](const sim::LogRecord& r) { det.feed(r); },
-        [&](const FilterDayStats& s) { serial_stats.push_back(s); });
-    for (const auto& r : records) filter.feed(r);
-    filter.flush();
-    det.flush();
-  }
-  ASSERT_FALSE(serial_events.empty());
-  std::uint64_t serial_dropped = 0;
-  for (const auto& s : serial_stats) serial_dropped += s.packets_dropped;
-  ASSERT_GT(serial_dropped, 0u) << "workload exercised no filtering";
-
-  for (const int threads : {1, 2, 8}) {
-    testing::ShardCollector shards;
-    ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads}, shards.factory());
-    for (const auto& r : records) pipe.feed(r);
-    pipe.flush();
-    EXPECT_TRUE(serial_events == shards.merged(pipe)) << threads << " threads";
-
-    // Per-day statistics must sum across shards to the serial values.
-    const auto& stats = pipe.filter_stats();
-    ASSERT_EQ(stats.size(), serial_stats.size()) << threads << " threads";
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      EXPECT_EQ(stats[i].day, serial_stats[i].day);
-      EXPECT_EQ(stats[i].packets_in, serial_stats[i].packets_in);
-      EXPECT_EQ(stats[i].packets_dropped, serial_stats[i].packets_dropped);
-      EXPECT_EQ(stats[i].sources_seen, serial_stats[i].sources_seen);
-      EXPECT_EQ(stats[i].sources_dropped, serial_stats[i].sources_dropped);
-      EXPECT_EQ(stats[i].dropped_by_port, serial_stats[i].dropped_by_port);
-    }
-  }
-}
-
-TEST(ParallelScanPipeline, FilteredChainMatchesSerialAcrossBatchSizes) {
-  // The bulk data plane has two batch boundaries — feeder runs and
-  // worker chunk pops — and neither may show through: every feed
-  // batch size must yield the serial chain's exact events and day
-  // statistics at every thread count.
-  const auto records = workload(60'000);
-  const DetectorConfig dcfg{.source_prefix_len = 64};
-  const ArtifactFilterConfig fcfg{};
-
-  std::vector<ScanEvent> serial_events;
-  std::vector<FilterDayStats> serial_stats;
-  {
-    ScanDetector det(dcfg, [&](ScanEvent&& ev) { serial_events.push_back(std::move(ev)); });
-    ArtifactFilter filter(
-        fcfg, [&](const sim::LogRecord& r) { det.feed(r); },
-        [&](const FilterDayStats& s) { serial_stats.push_back(s); });
-    for (const auto& r : records) filter.feed(r);
-    filter.flush();
-    det.flush();
-  }
-  ASSERT_FALSE(serial_events.empty());
-  std::uint64_t serial_dropped = 0;
-  for (const auto& s : serial_stats) serial_dropped += s.packets_dropped;
-  ASSERT_GT(serial_dropped, 0u) << "workload exercised no filtering";
-
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}, records.size()}) {
-    for (const int threads : {1, 2, 3, 8}) {
-      testing::ShardCollector shards;
-      ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads}, shards.factory());
-      for (std::size_t i = 0; i < records.size(); i += batch)
-        pipe.feed_batch({records.data() + i, std::min(batch, records.size() - i)});
-      pipe.flush();
-      EXPECT_TRUE(serial_events == shards.merged(pipe))
-          << "batch " << batch << ", " << threads << " threads";
-
-      const auto& stats = pipe.filter_stats();
-      ASSERT_EQ(stats.size(), serial_stats.size())
-          << "batch " << batch << ", " << threads << " threads";
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        EXPECT_EQ(stats[i].day, serial_stats[i].day);
-        EXPECT_EQ(stats[i].packets_in, serial_stats[i].packets_in);
-        EXPECT_EQ(stats[i].packets_dropped, serial_stats[i].packets_dropped);
-        EXPECT_EQ(stats[i].sources_seen, serial_stats[i].sources_seen);
-        EXPECT_EQ(stats[i].sources_dropped, serial_stats[i].sources_dropped);
-        EXPECT_EQ(stats[i].dropped_by_port, serial_stats[i].dropped_by_port);
-      }
-    }
-  }
 }
 
 /// Strict-total event order for multiset comparison: (source, last_us)
@@ -470,49 +348,99 @@ TEST(ParallelScanPipeline, ShardedModeRecoversSerialEventsAndReports) {
   }
 }
 
-TEST(ParallelScanPipeline, ShardedFilteredChainMatchesSerialChain) {
-  const auto records = workload(60'000);
-  const DetectorConfig dcfg{.source_prefix_len = 64};
-  const ArtifactFilterConfig fcfg{};
-
-  std::vector<ScanEvent> serial_events;
-  std::vector<FilterDayStats> serial_stats;
-  {
-    ScanDetector det(dcfg, [&](ScanEvent&& ev) { serial_events.push_back(std::move(ev)); });
-    ArtifactFilter filter(
-        fcfg, [&](const sim::LogRecord& r) { det.feed(r); },
-        [&](const FilterDayStats& s) { serial_stats.push_back(s); });
-    for (const auto& r : records) filter.feed(r);
-    filter.flush();
-    det.flush();
+/// A shard sink that fails on its k-th event, as a full disk or a bad
+/// analyzer would: the worker dies mid-stream.
+class FailingSink final : public EventSink {
+ public:
+  explicit FailingSink(std::size_t k) : k_(k) {}
+  void on_event(ScanEvent&&) override {
+    if (++seen_ == k_) throw std::runtime_error("sink failed at event " + std::to_string(k_));
   }
-  ASSERT_FALSE(serial_events.empty());
-  std::sort(serial_events.begin(), serial_events.end(), event_key_less);
 
-  for (const int threads : {2, 8}) {
-    std::vector<std::unique_ptr<ShardChain>> chains;
-    ParallelScanPipeline pipe(dcfg, fcfg, {.threads = threads},
-                              ParallelScanPipeline::ShardSinkFactory(
-                                  [&](std::size_t) -> EventSink& {
-                                    chains.push_back(std::make_unique<ShardChain>());
-                                    return chains.back()->fan;
-                                  }));
-    for (const auto& r : records) pipe.feed(r);
-    pipe.flush();
+ private:
+  std::size_t k_;
+  std::size_t seen_ = 0;
+};
 
-    std::vector<ScanEvent> all;
-    for (const auto& c : chains) all.insert(all.end(), c->events.begin(), c->events.end());
-    std::sort(all.begin(), all.end(), event_key_less);
-    EXPECT_TRUE(all == serial_events) << threads << " threads";
+/// Every event of the gap workload times out mid-stream, so every
+/// shard's sink sees its third event while the worker applies records,
+/// before any barrier queued behind them.
+const DetectorConfig kGapConfig{
+    .source_prefix_len = 64, .min_destinations = 10, .timeout_us = 900 * kSec};
 
-    // Per-shard filtering decides exactly as the serial filter; the
-    // summed day statistics carry over to sharded mode unchanged.
-    const auto& stats = pipe.filter_stats();
-    ASSERT_EQ(stats.size(), serial_stats.size()) << threads << " threads";
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      EXPECT_EQ(stats[i].packets_in, serial_stats[i].packets_in);
-      EXPECT_EQ(stats[i].packets_dropped, serial_stats[i].packets_dropped);
-    }
+template <typename Fn>
+void expect_sink_failure(Fn&& fn, const std::string& where) {
+  try {
+    fn();
+    ADD_FAILURE() << where << ": the sink failure was not rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "sink failed at event 3") << where;
+  }
+}
+
+TEST(ParallelScanPipeline, SinkFailureIsRethrownByFlush) {
+  const auto records = gap_workload();
+  for (const int threads : {1, 2, 3}) {
+    std::vector<std::unique_ptr<FailingSink>> sinks;
+    ParallelScanPipeline pipe(kGapConfig, {.threads = threads},
+                              [&](std::size_t) -> EventSink& {
+                                return *sinks.emplace_back(std::make_unique<FailingSink>(3));
+                              });
+    pipe.feed_batch(records);
+    expect_sink_failure([&] { pipe.flush(); }, std::to_string(threads) + " threads");
+    pipe.flush();  // once closed, a second flush is a no-op
+  }  // and the destructor neither hangs nor terminates
+}
+
+TEST(ParallelScanPipeline, SinkFailureAtEndOfStreamIsRethrownByFlush) {
+  // Nothing times out mid-stream here: every event is emitted by the
+  // workers' final flush, after the end-of-stream rendezvous.
+  const auto records = end_of_stream_workload(false);
+  const DetectorConfig cfg{
+      .source_prefix_len = 64, .min_destinations = 1, .timeout_us = 1'000 * kSec};
+  for (const int threads : {1, 2}) {
+    std::vector<std::unique_ptr<FailingSink>> sinks;
+    ParallelScanPipeline pipe(cfg, {.threads = threads}, [&](std::size_t) -> EventSink& {
+      return *sinks.emplace_back(std::make_unique<FailingSink>(3));
+    });
+    pipe.feed_batch(records);
+    pipe.with_shard_state([](std::size_t, ScanDetector&, ArtifactFilter*) {});  // all alive
+    expect_sink_failure([&] { pipe.flush(); }, std::to_string(threads) + " threads");
+  }
+}
+
+TEST(ParallelScanPipeline, RendezvousAfterSinkFailureRethrows) {
+  // A dead worker still drains its ring and arrives at every barrier
+  // with its error, so neither a checkpoint nor a second one hangs.
+  const auto records = gap_workload();
+  for (const int threads : {1, 3}) {
+    std::vector<std::unique_ptr<FailingSink>> sinks;
+    ParallelScanPipeline pipe(kGapConfig, {.threads = threads},
+                              [&](std::size_t) -> EventSink& {
+                                return *sinks.emplace_back(std::make_unique<FailingSink>(3));
+                              });
+    pipe.feed_batch(records);
+    const auto visit = [](std::size_t, ScanDetector&, ArtifactFilter*) {};
+    const std::string where = std::to_string(threads) + " threads";
+    expect_sink_failure([&] { pipe.with_shard_state(visit); }, where);
+    expect_sink_failure([&] { pipe.with_shard_state(visit); }, where + ", again");
+    expect_sink_failure([&] { pipe.flush(); }, where + ", flush");
+    EXPECT_THROW(pipe.with_shard_state(visit), std::logic_error) << where;
+  }
+}
+
+TEST(DetectRun, CheckpointAfterSinkFailureRethrows) {
+  const auto records = gap_workload();
+  for (const int threads : {1, 2}) {
+    std::vector<std::unique_ptr<FailingSink>> sinks;
+    DetectRun run(kGapConfig, {.threads = threads}, "", [&](std::size_t) -> EventSink& {
+      return *sinks.emplace_back(std::make_unique<FailingSink>(3));
+    });
+    run.feed_batch(records);
+    CheckpointWriter ck;
+    const std::string where = std::to_string(threads) + " threads";
+    expect_sink_failure([&] { run.checkpoint(ck); }, where);
+    expect_sink_failure([&] { run.flush(); }, where + ", flush");
   }
 }
 
@@ -598,6 +526,47 @@ TEST(ParallelIds, ShardedBlocklistMatchesSerial) {
       EXPECT_EQ(alerts[i].at_us, serial_alerts[i].at_us) << "alert " << i;
     }
   }
+}
+
+TEST(ParallelIds, ResumeFromACorruptShardSectionThrows) {
+  // A checkpoint whose shard1.ids section is cut short (a valid CRC
+  // over bad state) fails on shard 1's worker; resume() rethrows it as
+  // std::runtime_error and the instance still destroys cleanly.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("v6sonar_pipeline_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string good = (dir / "good.v6ckpt").string();
+  const std::string bad = (dir / "bad.v6ckpt").string();
+  const auto records = workload(40'000);
+  IdsConfig cfg;
+  cfg.reattribution_period_us = 6LL * 3'600 * kSec;
+  {
+    ParallelIds ids(cfg, {.threads = 2}, [](const IdsAlert&) {});
+    ids.feed_batch(records);
+    CheckpointWriter ck;
+    ids.checkpoint(ck);
+    ck.commit(good);
+  }
+  {
+    const CheckpointReader in(good);
+    ASSERT_TRUE(in.has("shard1.ids"));
+    CheckpointWriter out;
+    for (const auto& name : in.names()) {
+      auto r = in.section(name);
+      std::vector<std::uint8_t> bytes(r.remaining());
+      r.raw(bytes.data(), bytes.size());
+      if (name == "shard1.ids") bytes.resize(bytes.size() / 2);
+      util::StateWriter w;
+      w.raw(bytes.data(), bytes.size());
+      out.add(name, std::move(w));
+    }
+    out.commit(bad);
+  }
+  {
+    ParallelIds ids(cfg, {.threads = 2}, [](const IdsAlert&) {});
+    EXPECT_THROW(ids.resume(CheckpointReader(bad)), std::runtime_error);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ParallelIds, EmptyStreamMatchesSerial) {

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -239,6 +240,80 @@ TEST_F(LogTailTest, WrongMagicThrows) {
   }
   LogTailer t(p);
   EXPECT_THROW(poll_all(t), std::runtime_error);
+}
+
+/// A backlog of three full polls plus a partial record: the shape
+/// v6sonard meets when it starts behind a large log.
+class CappedTailTest : public LogTailTest {
+ protected:
+  static constexpr std::size_t kCap = LogTailer::kMaxPollRecords;
+
+  void SetUp() override {
+    LogTailTest::SetUp();
+    for (std::size_t i = 0; i < 3 * kCap; ++i)
+      backlog_.push_back(record(static_cast<std::int64_t>(i), i % 97, i));
+    append_records(path("backlog.v6slog"), backlog_, /*create=*/true);
+    append_partial(path("backlog.v6slog"), record(1'000'000, 1, 1), sim::kLogRecordBytes / 3);
+  }
+
+  /// Poll until the tailer comes up short; every poll is capped.
+  static std::vector<LogRecord> drain(LogTailer& t) {
+    std::vector<LogRecord> out;
+    for (;;) {
+      const std::size_t n = t.poll([&](const LogRecord& r) { out.push_back(r); });
+      EXPECT_LE(n, kCap);
+      if (n < kCap) return out;
+    }
+  }
+
+  std::vector<LogRecord> backlog_;
+};
+
+TEST_F(CappedTailTest, PollsDeliverTheBacklogInCappedSlices) {
+  LogTailer t(path("backlog.v6slog"));
+  std::vector<LogRecord> got;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n; (n = t.poll([&](const LogRecord& r) { got.push_back(r); })) > 0;)
+    sizes.push_back(n);
+  EXPECT_EQ(sizes, std::vector<std::size_t>(3, kCap));
+  EXPECT_EQ(got, backlog_);  // every record, in file order
+  EXPECT_EQ(t.records(), 3 * kCap);
+}
+
+TEST_F(CappedTailTest, ResumeAfterAnyPollLosesAndRepeatsNothing) {
+  const auto p = path("backlog.v6slog");
+  LogTailer t(p);
+  std::size_t delivered = 0;
+  for (int poll = 0; poll <= 3; ++poll) {
+    if (poll > 0) delivered += t.poll([](const LogRecord&) {});
+    LogTailer resumed(p);
+    ASSERT_TRUE(resumed.resume(t.cursor())) << "after poll " << poll;
+    const auto rest = drain(resumed);
+    EXPECT_TRUE(std::equal(rest.begin(), rest.end(), backlog_.begin() + delivered,
+                           backlog_.end()))
+        << "after poll " << poll;
+    EXPECT_EQ(resumed.records(), backlog_.size()) << "after poll " << poll;
+  }
+  EXPECT_EQ(delivered, backlog_.size());
+}
+
+TEST_F(CappedTailTest, RotationAfterACappedPollDrainsTheOldFileFirst) {
+  const auto p = path("backlog.v6slog");
+  LogTailer t(p);
+  std::vector<LogRecord> got;
+  EXPECT_EQ(t.poll([&](const LogRecord& r) { got.push_back(r); }), kCap);
+
+  // The collector rotates while two thirds of the old file are unread.
+  std::filesystem::rename(p, path("backlog.v6slog.1"));
+  const std::vector<LogRecord> fresh = {record(2'000'000, 5, 1), record(2'000'001, 5, 2)};
+  append_records(p, fresh, /*create=*/true);
+
+  const auto rest = drain(t);
+  got.insert(got.end(), rest.begin(), rest.end());
+  auto want = backlog_;
+  want.insert(want.end(), fresh.begin(), fresh.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(t.rotations(), 1u);
 }
 
 }  // namespace

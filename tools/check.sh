@@ -13,10 +13,11 @@
 # the day-parallel artifact filter, and the IDS oracle differential,
 # whose shards hand their passes back to the feeding thread);
 # `address` additionally covers the mmap log reader, the arena-backed
-# flat containers, the daemon's framing/tailing paths, and the
-# checkpoint byte handling (CRC-32, StateWriter, container reader),
-# and the IDS ladder (streaming IDS, summary-only detector state and
-# its cross-mode loads), whose bugs are memory bugs rather than races. `metrics` builds every
+# flat containers, the mutation fuzz of the log and event readers, the
+# daemon's framing/tailing paths, the checkpoint byte handling
+# (CRC-32, StateWriter, container reader), and the IDS ladder
+# (streaming IDS, summary-only detector state and its cross-mode
+# loads), whose bugs are memory bugs rather than races. `metrics` builds every
 # target, tests included, with warnings as errors (-DV6SONAR_WERROR=ON),
 # generates a small world, runs
 # `v6sonar detect --mmap --threads 4 --metrics=…`, and validates the
@@ -68,7 +69,9 @@
 # must appear in README.md, so the reference docs cannot silently fall
 # behind the code, and no doc or source comment may name a bench
 # binary that bench/CMakeLists.txt does not build, or the retired perf
-# harness's JSON results file or check.sh mode. `all` runs every
+# harness's JSON results file or check.sh mode, and README.md,
+# DESIGN.md, docs/ and the verify skill may name no `v6sonar <cmd>`
+# subcommand that tools/v6sonar_cli.cpp does not dispatch. `all` runs every
 # config. Exits non-zero on any sanitizer report, test failure, new
 # warning in the metrics build, missing/zero metric, report mismatch,
 # undocumented name, or gate ratio below its floor.
@@ -136,12 +139,27 @@ if [[ "$kind" == docs ]]; then
     fail=1
   done < <("${scan[@]}" 'BENCH_[p]ipeline|check\.sh [p]erf\b' "${scan_paths[@]}")
 
+  # The reference docs and the verify skill may name only the v6sonar
+  # subcommands main() in tools/v6sonar_cli.cpp dispatches. A command
+  # is `v6sonar <cmd>` after a backtick, a slash (build/tools/v6sonar)
+  # or a parenthesis, or at the start of a line; prose such as "how
+  # v6sonar is put together" is not one.
+  dispatched=$(grep -oE 'cmd == "[a-z-]+"' tools/v6sonar_cli.cpp | sed -E 's/.*"(.*)"/\1/')
+  while IFS=: read -r file line hit; do
+    cmd="${hit##* }"
+    if ! grep -qxF "$cmd" <<< "$dispatched"; then
+      echo "docs lint: $file:$line names 'v6sonar $cmd', which tools/v6sonar_cli.cpp does not dispatch" >&2
+      fail=1
+    fi
+  done < <(grep -rnoE --include='*.md' '(^[[:space:]]*|[`/(])v6sonar [a-z][a-z-]*' \
+           README.md DESIGN.md docs .claude/skills/verify/SKILL.md)
+
   if [[ "$fail" -ne 0 ]]; then
     echo "check.sh: docs lint FAILED" >&2
     exit 1
   fi
   echo "check.sh: docs lint passed (metric names in OBSERVABILITY.md, CLI flags in README.md," \
-       "bench binaries named in docs exist)"
+       "bench binaries and v6sonar subcommands named in docs exist)"
   exit 0
 fi
 
@@ -775,7 +793,8 @@ case "$kind" in
     tree=build-asan
     targets=(util_spsc_ring_test core_parallel_pipeline_test core_batch_feed_test
              sim_test util_flat_hash_test util_flat_hash_fuzz_test
-             core_event_sink_test core_event_io_test analysis_streaming_test
+             core_event_sink_test core_event_io_test io_reader_fuzz_test
+             analysis_streaming_test
              daemon_framing_test daemon_tail_test daemon_snapshot_test
              daemon_server_test util_signal_test util_test
              core_state_codec_test core_checkpoint_resume_test

@@ -10,7 +10,6 @@
 //   v6sonar ids       <file> [options]          streaming multi-level IDS + blocklist (§5)
 //   v6sonar fh        <file> [options]          Fukuda-Heidemann detection (§4)
 //   v6sonar filter    <in> <out.v6slog>         5-duplicate artifact filter (§2.1)
-//   v6sonar adaptive  <file>                    multi-level adaptive attribution (§5)
 //   v6sonar fingerprint <file> [options]        behavioural fingerprints + actor links (§5/A.4)
 //   v6sonar generate  <out.v6slog> [--small]    simulate the CDN telescope world
 //   v6sonar mawi-day  <YYYY-MM-DD> <out.pcap>   export a MAWI-style capture day
@@ -95,7 +94,6 @@ struct Options : cli::RunOptions {
       "  ids       <file> [options]         streaming multi-level IDS: alerts + final blocklist\n"
       "  fh        <file> [options]         Fukuda-Heidemann per-window scan detection\n"
       "  filter    <in> <out.v6slog>        remove 5-duplicate artifact traffic\n"
-      "  adaptive  <file>                   adaptive source-aggregation attribution\n"
       "  fingerprint <file> [options]       behavioural fingerprints + common-actor links\n"
       "  generate  <out.v6slog> [--small]   simulate the 15-month CDN telescope world\n"
       "  mawi-day  <YYYY-MM-DD> <out.pcap>  export one simulated MAWI capture day\n"
@@ -513,27 +511,6 @@ int cmd_filter(const std::string& in, const std::string& out) {
   return 0;
 }
 
-int cmd_adaptive(const std::string& path) {
-  // The IDS ladder at its default thresholds, summary-only: streamed
-  // batch by batch, so memory is bounded by the active sources.
-  const core::IdsConfig ids;
-  std::vector<std::vector<core::ScanEvent>> events(ids.adaptive.ladder.size());
-  {
-    std::vector<std::unique_ptr<core::ScanDetector>> detectors;
-    for (std::size_t i = 0; i < events.size(); ++i)
-      detectors.push_back(std::make_unique<core::ScanDetector>(
-          core::ladder_detector_config(ids, i),
-          [&events, i](core::ScanEvent&& ev) { events[i].push_back(std::move(ev)); }));
-    for_each_record_batch(path, false, [&](std::span<const sim::LogRecord> batch) {
-      for (auto& d : detectors) d->feed_batch(batch);
-    });
-    for (auto& d : detectors) d->flush();
-  }
-  const auto attributions = core::attribute_adaptive(events, ids.adaptive);
-  std::fputs(analysis::render_blocklist(attributions, "attributed prefix").c_str(), stdout);
-  return 0;
-}
-
 int cmd_fingerprint(const std::string& path, const Options& o) {
   // pcap inputs have no streaming parser: parse once and reuse the
   // records across both passes. .v6slog inputs are streamed twice in
@@ -886,7 +863,6 @@ int main(int argc, char** argv) {
     if (cmd == "ids" && argc >= 3) return cmd_ids(argv[2], parse_options(argc, argv, 3));
     if (cmd == "fh" && argc >= 3) return cmd_fh(argv[2], parse_options(argc, argv, 3));
     if (cmd == "filter" && argc >= 4) return cmd_filter(argv[2], argv[3]);
-    if (cmd == "adaptive" && argc >= 3) return cmd_adaptive(argv[2]);
     if (cmd == "fingerprint" && argc >= 3)
       return cmd_fingerprint(argv[2], parse_options(argc, argv, 3));
     if (cmd == "generate" && argc >= 3)
