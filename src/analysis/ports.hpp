@@ -105,6 +105,12 @@ class TopPortsAnalyzer final : public Analyzer {
     std::uint32_t port = 0;
     net::Ipv6Prefix source;
     friend bool operator==(const PortSourceKey&, const PortSourceKey&) = default;
+    friend void save_elem(util::StateWriter& w, const PortSourceKey& k) {
+      core::save_tagged_prefix(w, k.port, k.source);
+    }
+    friend void load_elem(util::StateReader& r, PortSourceKey& k) {
+      k.port = core::load_tagged_prefix(r, k.source);
+    }
   };
   struct PortSourceHash {
     std::size_t operator()(const PortSourceKey& k) const noexcept {

@@ -58,6 +58,21 @@ class SourceAnalyzer final : public Analyzer {
     std::uint64_t scans = 0;
     std::uint64_t packets = 0;
     std::uint64_t dsts_max = 0;
+    // Checkpoint image: asn, 4 zero bytes (the padding), the counts.
+    friend void save_elem(util::StateWriter& w, const Acc& a) {
+      w.u32(a.asn);
+      w.u32(0);
+      w.u64(a.scans);
+      w.u64(a.packets);
+      w.u64(a.dsts_max);
+    }
+    friend void load_elem(util::StateReader& r, Acc& a) {
+      a.asn = r.u32();
+      r.skip(4);
+      a.scans = r.u64();
+      a.packets = r.u64();
+      a.dsts_max = r.u64();
+    }
   };
   util::FlatMap<net::Ipv6Prefix, Acc> by_source_;
   util::FlatSet<std::uint32_t, util::IntHash> ases_;  ///< distinct nonzero src_asn
@@ -104,6 +119,12 @@ class AsAnalyzer final : public Analyzer {
     std::uint32_t asn = 0;
     net::Ipv6Prefix source;
     friend bool operator==(const AsSourceKey&, const AsSourceKey&) = default;
+    friend void save_elem(util::StateWriter& w, const AsSourceKey& k) {
+      core::save_tagged_prefix(w, k.asn, k.source);
+    }
+    friend void load_elem(util::StateReader& r, AsSourceKey& k) {
+      k.asn = core::load_tagged_prefix(r, k.source);
+    }
   };
   struct AsSourceHash {
     std::size_t operator()(const AsSourceKey& k) const noexcept {

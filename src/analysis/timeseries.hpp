@@ -50,6 +50,12 @@ class TimeSeriesAnalyzer final : public Analyzer {
     std::int32_t week = 0;
     net::Ipv6Prefix source;
     friend bool operator==(const WeekSourceKey&, const WeekSourceKey&) = default;
+    friend void save_elem(util::StateWriter& w, const WeekSourceKey& k) {
+      core::save_tagged_prefix(w, static_cast<std::uint32_t>(k.week), k.source);
+    }
+    friend void load_elem(util::StateReader& r, WeekSourceKey& k) {
+      k.week = static_cast<std::int32_t>(core::load_tagged_prefix(r, k.source));
+    }
   };
   struct WeekSourceHash {
     std::size_t operator()(const WeekSourceKey& k) const noexcept {

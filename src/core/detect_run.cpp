@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/event_io.hpp"
+#include "util/metrics.hpp"
 
 namespace v6sonar::core {
 
@@ -103,25 +105,39 @@ void DetectRun::feed_batch(std::span<const sim::LogRecord> batch) {
   pipeline_.feed_batch(batch);
 }
 
-void DetectRun::checkpoint(CheckpointWriter& ck, const ShardSave& save) {
-  start();
-  std::vector<std::vector<CheckpointSection>> sections(shards_.size());
-  pipeline_.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
-    util::StateWriter dw, aw;
-    det.save(dw);
-    sections[s].emplace_back(shard_section(s, ".detector"), std::move(dw));
-    if (save) save(s, aw);
-    if (aw.size() > 0) sections[s].emplace_back(shard_section(s, ".analyzers"), std::move(aw));
-    if (auto& spill = shards_[s]->spill) {
-      spill->checkpoint_sync();  // durable before a checkpoint names its cursor
-      util::StateWriter sw;
-      sw.u64(spill->written());
-      sw.u64(spill->offset());
-      sections[s].emplace_back(shard_section(s, ".spill"), std::move(sw));
-    }
-  });
-  for (auto& shard : sections)
+DetectRun::PendingCheckpoint::PendingCheckpoint(std::unique_ptr<Sections> sections,
+                                                Rendezvous done) noexcept
+    : sections_(std::move(sections)), done_(std::move(done)) {}
+
+CheckpointWriter DetectRun::PendingCheckpoint::take() {
+  done_.wait();
+  CheckpointWriter ck;
+  for (auto& shard : *sections_)
     for (auto& section : shard) ck.add(std::move(section));
+  return ck;
+}
+
+DetectRun::PendingCheckpoint DetectRun::checkpoint(ShardSave save) {
+  start();
+  auto sections = std::make_unique<PendingCheckpoint::Sections>(shards_.size());
+  Rendezvous done = pipeline_.begin_shard_state(
+      [this, out = sections.get(), save = std::move(save)](std::size_t s, ScanDetector& det,
+                                                           ArtifactFilter*) {
+        auto& mine = (*out)[s];
+        util::StateWriter dw, aw;
+        det.save(dw);
+        mine.emplace_back(shard_section(s, ".detector"), std::move(dw));
+        if (save) save(s, aw);
+        if (aw.size() > 0) mine.emplace_back(shard_section(s, ".analyzers"), std::move(aw));
+        if (auto& spill = shards_[s]->spill) {
+          spill->checkpoint_sync();  // durable before a checkpoint names its cursor
+          util::StateWriter sw;
+          sw.u64(spill->written());
+          sw.u64(spill->offset());
+          mine.emplace_back(shard_section(s, ".spill"), std::move(sw));
+        }
+      });
+  return {std::move(sections), std::move(done)};
 }
 
 void DetectRun::resume(const CheckpointReader& ck, const ShardLoad& load) {
@@ -177,6 +193,33 @@ std::uint64_t DetectRun::spilled() const noexcept {
   std::uint64_t n = 0;
   for (const auto& sh : shards_) n += sh->spilled.load(std::memory_order_relaxed);
   return n;
+}
+
+CheckpointCommitter::~CheckpointCommitter() {
+  try {
+    wait();
+  } catch (...) {  // see the declaration
+  }
+}
+
+void CheckpointCommitter::wait() {
+  if (in_flight_.valid()) in_flight_.get();  // get() leaves it invalid, error or not
+}
+
+void CheckpointCommitter::checkpoint(DetectRun& run, DetectRun::ShardSave save,
+                                     const RunMeta& meta) {
+  static const util::metrics::Histogram stall_us{"checkpoint.stall_us"};
+  const auto t0 = std::chrono::steady_clock::now();
+  wait();
+  in_flight_ = std::async(std::launch::async,
+                          [this, pending = run.checkpoint(std::move(save)), meta]() mutable {
+                            CheckpointWriter ck = pending.take();
+                            meta.save(ck);
+                            ck.commit(path_);
+                          });
+  stall_us.observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t0)
+          .count()));
 }
 
 }  // namespace v6sonar::core

@@ -6,10 +6,13 @@
 // "shard<i>.detector", "shard<i>.analyzers" (the front end's chain
 // state, if any) and "shard<i>.spill" (count, byte cursor). Every
 // front end's checkpoint holds one "run" section (RunMeta).
+// CheckpointCommitter commits `detect`'s checkpoints while the run
+// goes on feeding (docs/CHECKPOINT.md, "The commit pipeline").
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,10 +68,29 @@ class DetectRun {
   using ShardSave = std::function<void(std::size_t shard, util::StateWriter& w)>;
   using ShardLoad = std::function<void(std::size_t shard, util::StateReader& r)>;
 
-  /// Checkpoint rendezvous behind the records fed so far: each worker
-  /// syncs its spill, then saves and seals its sections into `ck`. The
-  /// caller adds the "run" section and commits.
-  void checkpoint(CheckpointWriter& ck, const ShardSave& save = {});
+  /// A checkpoint whose barrier is in the shard rings.
+  class PendingCheckpoint {
+   public:
+    /// Wait until every shard has sealed its sections and return them,
+    /// shard by shard, in a writer the caller completes (the "run"
+    /// section) and commits. Rethrows the first shard failure. Call it
+    /// once.
+    [[nodiscard]] CheckpointWriter take();
+
+   private:
+    friend class DetectRun;
+    using Sections = std::vector<std::vector<CheckpointSection>>;
+    PendingCheckpoint(std::unique_ptr<Sections> sections, Rendezvous done) noexcept;
+
+    std::unique_ptr<Sections> sections_;  ///< filled on the workers
+    Rendezvous done_;  ///< last: its destructor waits for the workers
+  };
+
+  /// Checkpoint behind the records fed so far, without waiting: each
+  /// worker, on reaching the barrier, syncs its spill, then saves and
+  /// seals its sections (`save` runs there too) and goes on. The run
+  /// may be fed while the checkpoint is pending.
+  [[nodiscard]] PendingCheckpoint checkpoint(ShardSave save = {});
   /// Before the first record: load what checkpoint() saved (same shard
   /// count) and reopen each spill at its cursor, dropping the events
   /// after it (the resumed run emits them again), or fresh without one.
@@ -95,6 +117,38 @@ class DetectRun {
   std::vector<std::unique_ptr<Shard>> shards_;
   ParallelScanPipeline pipeline_;
   bool started_ = false;  ///< spills open: fed, checkpointed or resumed
+};
+
+/// Commits a run's checkpoints to one path off the feeding thread, at
+/// most one at a time. checkpoint() returns once the barrier is in the
+/// rings; a committer thread then waits for the shards' sections, adds
+/// the "run" section and calls CheckpointWriter::commit. The next
+/// checkpoint() waits for that commit first, so two writers never share
+/// `<path>.tmp`. Declare it after the DetectRun it serves: its
+/// destructor waits for the commit in flight, which needs the workers.
+class CheckpointCommitter {
+ public:
+  explicit CheckpointCommitter(std::string path) : path_(std::move(path)) {}
+  /// Waits for the commit in flight, dropping its error: a run that is
+  /// unwinding already failed.
+  ~CheckpointCommitter();
+  CheckpointCommitter(const CheckpointCommitter&) = delete;
+  CheckpointCommitter& operator=(const CheckpointCommitter&) = delete;
+
+  /// Wait for the commit in flight (rethrowing its error), then start
+  /// checkpointing `run` behind the records fed so far, with `meta` as
+  /// its "run" section. Observes checkpoint.stall_us: how long the
+  /// feeding thread was held here.
+  void checkpoint(DetectRun& run, DetectRun::ShardSave save, const RunMeta& meta);
+
+  /// Wait for the commit in flight, if any, and rethrow its error (it
+  /// names the path). Call before flushing the run: a run whose last
+  /// checkpoint failed must fail, not report success.
+  void wait();
+
+ private:
+  std::string path_;
+  std::future<void> in_flight_;
 };
 
 }  // namespace v6sonar::core

@@ -1,10 +1,13 @@
 // Implementation notes.
 //
 // One shard engine (ShardEngine below) runs both front ends. It owns
-// the shards, the feeder, the worker loop, the checkpoint rendezvous
-// and the flush/join/rethrow; a front end supplies only its per-shard
-// stage (ShardStage): a ScanDetector for ParallelScanPipeline, an
-// IdsCore and its pass outbox for ParallelIds.
+// the shards, the feeder, the worker loop, the one rendezvous and the
+// flush/join/rethrow; a front end supplies only its per-shard stage
+// (ShardStage): a ScanDetector for ParallelScanPipeline, an IdsCore
+// and its pass outbox for ParallelIds. The rendezvous returns a
+// completion handle (Rendezvous); every blocking caller — flush's
+// final clock, resume, ParallelIds::checkpoint, with_shard_state —
+// waits on it, and DetectRun's checkpoint hands it to a committer.
 //
 // Equivalence argument (docs/ARCHITECTURE.md has the long form): the
 // serial detector emits timed-out events in (end-time, source) order
@@ -80,25 +83,50 @@ struct ShardStage {
 /// with the shard's index, while that worker is quiesced.
 using ShardVisit = std::function<void(std::size_t shard)>;
 
-/// Control block of one rendezvous: every worker runs the visitor
-/// against its private state, and the last arrival releases the
-/// waiting feeder thread. A worker that is already dead (error path)
-/// arrives with its stored exception instead of running the visitor,
-/// so the caller never deadlocks on a shard that cannot comply — it
-/// gets the shard's real error rethrown.
-struct BarrierCtl {
-  const ShardVisit* visit = nullptr;
+}  // namespace
+
+/// Control block of one rendezvous, owned by its handle: every worker
+/// runs the visitor against its private state, and the last arrival
+/// completes it. A worker that is already dead (error path) arrives
+/// with its stored exception instead of running the visitor, so a
+/// waiter never deadlocks on a shard that cannot comply — it gets the
+/// shard's real error rethrown.
+struct Rendezvous::State {
+  State(ShardVisit v, std::size_t shards) : visit(std::move(v)), remaining(shards) {}
+
+  ShardVisit visit;
   std::mutex m;
   std::condition_variable cv;
-  std::size_t remaining = 0;
+  std::size_t remaining;
   std::exception_ptr error;  ///< first visitor/shard failure
 
+  /// A worker's last touch of the state: notify under the lock, since
+  /// the waiter may free the state as soon as it sees the count at 0.
   void arrive(std::exception_ptr err) {
     std::lock_guard lk(m);
     if (err && !error) error = std::move(err);
-    if (--remaining == 0) cv.notify_one();
+    if (--remaining == 0) cv.notify_all();
+  }
+
+  void block() {
+    std::unique_lock lk(m);
+    cv.wait(lk, [&] { return remaining == 0; });
   }
 };
+
+Rendezvous::Rendezvous(std::unique_ptr<State> state) noexcept : state_(std::move(state)) {}
+Rendezvous::Rendezvous(Rendezvous&& other) noexcept = default;
+
+Rendezvous::~Rendezvous() {
+  if (state_) state_->block();
+}
+
+void Rendezvous::wait() {
+  state_->block();
+  if (state_->error) std::rethrow_exception(state_->error);
+}
+
+namespace {
 
 /// One parcel on a feeder->worker ring. A tick or a pass carries its
 /// stream time in rec.ts_us.
@@ -111,7 +139,7 @@ struct InItem {
   };
   sim::LogRecord rec;
   Kind kind = Kind::kRecord;
-  BarrierCtl* barrier = nullptr;
+  Rendezvous::State* barrier = nullptr;
 };
 
 /// One shard: a worker thread, its input ring and its stage.
@@ -284,26 +312,21 @@ class ShardEngine {
     feeder_.publish(shards_);
   }
 
-  /// Run `visit` on every worker once it has consumed everything fed
-  /// before this call: publish the staged records (a barrier must not
-  /// overtake them), push a barrier into every ring, and block until
-  /// every worker has arrived. Rethrows the first visitor or shard
-  /// failure.
-  void rendezvous(const ShardVisit& visit) {
+  /// The one rendezvous: run `visit` on every worker once it has
+  /// consumed everything fed before this call. Publishes the staged
+  /// records (a barrier must not overtake them), pushes a barrier into
+  /// every ring and returns the completion handle without waiting.
+  [[nodiscard]] Rendezvous rendezvous(ShardVisit visit) {
     feeder_.publish(shards_);
-    BarrierCtl ctl;
-    ctl.visit = &visit;
-    ctl.remaining = shards_.size();
+    auto state = std::make_unique<Rendezvous::State>(std::move(visit), shards_.size());
     pm().barriers.add();
     for (auto& sp : shards_) {
       InItem item;
       item.kind = InItem::Kind::kBarrier;
-      item.barrier = &ctl;
+      item.barrier = state.get();
       sp->in.push(std::move(item));
     }
-    std::unique_lock lk(ctl.m);
-    ctl.cv.wait(lk, [&] { return ctl.remaining == 0; });
-    if (ctl.error) std::rethrow_exception(ctl.error);
+    return Rendezvous(std::move(state));
   }
 
   /// End of stream: every stage finishes at `final`, the workers join,
@@ -327,23 +350,27 @@ class ShardEngine {
   /// pass goes to the stage, in ring order. At a barrier everything fed
   /// before it has been applied, so the visitor sees exactly the state
   /// after the records before it — the quiesced point checkpoints are
-  /// built on. A failed worker's last duty is to keep the feeder
-  /// unblocked and arrive at every barrier with its error, or a
+  /// built on — and the worker goes on with the items behind it as soon
+  /// as the visitor returns. A failed worker's last duty is to keep the
+  /// feeder unblocked and arrive at every barrier with its error — those
+  /// left in the chunk it failed in, then those still in its ring — or a
   /// rendezvous would deadlock.
   void worker_main(std::size_t s, util::metrics::MetricId batch_hist) {
     Shard& sh = *shards_[s];
     ShardStage& stage = *sh.stage;
+    std::vector<InItem> chunk;
+    std::size_t got = 0, i = 0;  // the chunk's fill and the item in hand
     try {
-      std::vector<InItem> chunk(kWorkerChunk);
+      chunk.resize(kWorkerChunk);
       std::vector<sim::LogRecord> recs(kWorkerChunk);
-      for (std::size_t got; (got = sh.in.pop_n(chunk.data(), chunk.size())) > 0;) {
+      while ((got = sh.in.pop_n(chunk.data(), chunk.size())) > 0) {
         if (util::metrics::enabled()) util::metrics::observe(batch_hist, got);
-        for (std::size_t i = 0; i < got;) {
+        for (i = 0; i < got;) {
           const InItem& item = chunk[i];
           if (item.kind == InItem::Kind::kBarrier) {
             std::exception_ptr err;
             try {
-              (*item.barrier->visit)(s);
+              item.barrier->visit(s);
             } catch (...) {
               err = std::current_exception();
             }
@@ -364,6 +391,8 @@ class ShardEngine {
       stage.finish(final_.load(std::memory_order_acquire));
     } catch (...) {
       sh.error = std::current_exception();
+      for (; i < got; ++i)
+        if (chunk[i].kind == InItem::Kind::kBarrier) chunk[i].barrier->arrive(sh.error);
       while (auto it = sh.in.pop())
         if (it->kind == InItem::Kind::kBarrier) it->barrier->arrive(sh.error);
     }
@@ -474,10 +503,11 @@ struct ParallelScanPipeline::Impl {
     engine.start(raw, config.source_prefix_len, config.timeout_us, 0, "pipeline");
   }
 
-  void with_shard_state(const ParallelScanPipeline::ShardStateFn& fn) {
+  Rendezvous begin_shard_state(ParallelScanPipeline::ShardStateFn fn) {
     if (engine.closed())
       throw std::logic_error("ParallelScanPipeline: with_shard_state after flush");
-    engine.rendezvous([&](std::size_t s) { fn(s, stages[s]->det, nullptr); });
+    return engine.rendezvous(
+        [this, fn = std::move(fn)](std::size_t s) { fn(s, stages[s]->det, nullptr); });
   }
 
   void flush() {
@@ -487,7 +517,7 @@ struct ParallelScanPipeline::Impl {
     std::vector<sim::TimeUs> clocks(engine.size(), INT64_MIN);
     std::exception_ptr end_error;
     try {
-      engine.rendezvous([&](std::size_t s) { clocks[s] = stages[s]->det.clock(); });
+      engine.rendezvous([&](std::size_t s) { clocks[s] = stages[s]->det.clock(); }).wait();
     } catch (...) {
       end_error = std::current_exception();
     }
@@ -545,9 +575,13 @@ void ParallelScanPipeline::feed_batch(std::span<const sim::LogRecord> batch) {
 
 void ParallelScanPipeline::flush() { impl_->flush(); }
 
-void ParallelScanPipeline::with_shard_state(const ShardStateFn& fn) {
+Rendezvous ParallelScanPipeline::begin_shard_state(ShardStateFn fn) {
   if (!fn) throw std::invalid_argument("ParallelScanPipeline: null shard state visitor");
-  impl_->with_shard_state(fn);
+  return impl_->begin_shard_state(std::move(fn));
+}
+
+void ParallelScanPipeline::with_shard_state(const ShardStateFn& fn) {
+  begin_shard_state(fn).wait();
 }
 
 void ParallelScanPipeline::merge_shard_events(const ShardEventPull& pull, EventSink& out) const {
@@ -664,11 +698,13 @@ struct ParallelIds::Impl {
   void checkpoint(CheckpointWriter& ck) {
     if (engine.closed()) throw std::logic_error("ParallelIds: checkpoint after flush");
     std::vector<CheckpointSection> sections(engine.size());
-    engine.rendezvous([&](std::size_t s) {
-      util::StateWriter w;
-      stages[s]->core.save(w);
-      sections[s] = CheckpointSection(shard_section(s, ".ids"), std::move(w));
-    });
+    engine
+        .rendezvous([&](std::size_t s) {
+          util::StateWriter w;
+          stages[s]->core.save(w);
+          sections[s] = CheckpointSection(shard_section(s, ".ids"), std::move(w));
+        })
+        .wait();
     // Every pass issued before the barrier is finished on every shard:
     // hand them all to the sink before the state that knows of their
     // alerts can become a checkpoint.
@@ -693,11 +729,13 @@ struct ParallelIds::Impl {
     const sim::TimeUs saved_next_pass = r.i64();
     r.expect_end();
     check_shard_count(ck, engine.size(), ".ids");
-    engine.rendezvous([&](std::size_t s) {
-      auto sr = ck.section(shard_section(s, ".ids"));
-      stages[s]->core.load(sr);
-      sr.expect_end();
-    });
+    engine
+        .rendezvous([&](std::size_t s) {
+          auto sr = ck.section(shard_section(s, ".ids"));
+          stages[s]->core.load(sr);
+          sr.expect_end();
+        })
+        .wait();
     engine.feeder().next_pass = saved_next_pass;
   }
 

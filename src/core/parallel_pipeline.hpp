@@ -27,6 +27,13 @@
 // call back into the pipeline); ParallelIds delivers alerts on the
 // calling thread, from feed()/flush(). flush() joins all threads and
 // rethrows the first worker exception, if any.
+//
+// Checkpoints and resumes meet the workers at one rendezvous: a
+// barrier goes into every ring behind the records fed so far, and each
+// worker runs a visitor against its private state when it reaches the
+// barrier, then goes straight on with the records behind it. The
+// caller gets a completion handle (Rendezvous) and decides whether to
+// wait on it at once or to keep feeding.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +59,30 @@ class ArtifactFilter;
 /// accepts and ignores this argument. The next benchmark change drops
 /// both.
 enum class OrderMode { kSharded };
+
+/// Completion handle of one shard rendezvous. Each worker runs the
+/// visitor the handle owns when it reaches the barrier; the last worker
+/// to arrive completes the handle, carrying the first visitor failure
+/// or the error of a worker that failed before the barrier (such a
+/// worker arrives without running the visitor, so nothing hangs).
+/// Destroying an unwaited handle still waits for every worker to
+/// arrive — the visitor must not outlive what it touches — but drops
+/// the error.
+class Rendezvous {
+ public:
+  struct State;
+  explicit Rendezvous(std::unique_ptr<State> state) noexcept;
+  Rendezvous(Rendezvous&& other) noexcept;
+  Rendezvous& operator=(Rendezvous&&) = delete;
+  ~Rendezvous();
+
+  /// Block until every worker has arrived, then rethrow the first
+  /// failure, if any.
+  void wait();
+
+ private:
+  std::unique_ptr<State> state_;
+};
 
 struct ParallelConfig {
   /// Worker threads (shards). 0 = one per hardware thread.
@@ -111,12 +142,17 @@ class ParallelScanPipeline {
   /// Checkpoint rendezvous: publish any staged records, push a barrier
   /// through every shard's ring, and run `fn(shard, detector, nullptr)`
   /// on each worker thread once that worker has consumed everything
-  /// fed before the barrier. Blocks the feeding thread until every
-  /// shard has run the visitor, then rethrows the first visitor
-  /// exception, or the error of a worker that failed earlier, if any.
-  /// Used both to save per-shard state mid-stream (checkpoint) and to
-  /// load it before the first record (resume).
-  /// Throws std::logic_error after flush().
+  /// fed before the barrier. Returns as soon as the barrier is in every
+  /// ring; the handle owns `fn`, and the caller may go on feeding —
+  /// what it feeds lands behind the barrier. Throws std::logic_error
+  /// after flush().
+  [[nodiscard]] Rendezvous begin_shard_state(ShardStateFn fn);
+
+  /// begin_shard_state(fn), then wait on its handle: blocks the feeding
+  /// thread until every shard has run the visitor, then rethrows the
+  /// first visitor exception, or the error of a worker that failed
+  /// earlier, if any. Used both to save per-shard state mid-stream and
+  /// to load it before the first record (resume).
   void with_shard_state(const ShardStateFn& fn);
 
   /// Pulls shard `shard`'s next event, in the order its sink received

@@ -88,6 +88,52 @@ inline net::Ipv6Prefix load_prefix(util::StateReader& r) {
   return net::Ipv6Prefix(net::Ipv6Address{hi, lo}, len);
 }
 
+}  // namespace v6sonar::core
+
+namespace v6sonar::net {
+
+/// A prefix as a flat-container dump element (util::save_flat): the
+/// layout of its in-memory image (length, 4 zero bytes, address high
+/// and low words), so dumps written from raw images still load.
+inline void save_elem(util::StateWriter& w, const Ipv6Prefix& p) {
+  static_assert(sizeof(Ipv6Prefix) == 24, "the dump image is length, padding, address");
+  w.i32(p.length());
+  w.u32(0);
+  w.u64(p.address().hi());
+  w.u64(p.address().lo());
+}
+
+inline void load_elem(util::StateReader& r, Ipv6Prefix& p) {
+  const int len = r.i32();
+  r.skip(4);
+  const std::uint64_t hi = r.u64();
+  const std::uint64_t lo = r.u64();
+  if (len < 0 || len > 128) throw std::runtime_error("state: bad prefix length");
+  p = Ipv6Prefix(Ipv6Address{hi, lo}, len);
+}
+
+}  // namespace v6sonar::net
+
+namespace v6sonar::core {
+
+/// A {32-bit tag, prefix} key as a flat-container dump element, in the
+/// layout of its in-memory image: the tag, 4 zero bytes, the prefix.
+/// The analyzers' (asn, source), (port, source) and (week, source)
+/// keys save and load through these.
+inline void save_tagged_prefix(util::StateWriter& w, std::uint32_t tag,
+                               const net::Ipv6Prefix& p) {
+  w.u32(tag);
+  w.u32(0);
+  save_elem(w, p);
+}
+
+[[nodiscard]] inline std::uint32_t load_tagged_prefix(util::StateReader& r, net::Ipv6Prefix& p) {
+  const std::uint32_t tag = r.u32();
+  r.skip(4);
+  load_elem(r, p);
+  return tag;
+}
+
 inline void save_scan_event(util::StateWriter& w, const ScanEvent& ev) {
   save_prefix(w, ev.source);
   w.i64(ev.first_us);

@@ -307,10 +307,9 @@ struct Daemon::Impl {
   /// master bundle) current before the container commits. Returns a
   /// one-line summary payload.
   [[nodiscard]] std::string checkpoint_now(const std::string& path) {
-    core::CheckpointWriter ck;
-    run_state->checkpoint(ck, [&](std::size_t s, util::StateWriter&) {
-      chains[s]->publisher.flush();
-    });
+    auto pending = run_state->checkpoint(
+        [&](std::size_t s, util::StateWriter&) { chains[s]->publisher.flush(); });
+    core::CheckpointWriter ck = pending.take();
     deliver_events();  // barrier-pushed events -> subscribers + attributor
     hub.drain();       // barrier-published deltas -> master
     const auto shards = static_cast<std::uint32_t>(run_state->threads());

@@ -11,12 +11,14 @@
 // frames these buffers into named, CRC-guarded file sections.
 //
 // The flat-container helpers serialize util::FlatMap / util::FlatSet
-// contents count-prefixed in iteration order. Iteration order is
-// unspecified, so two checkpoints of the same state need not be
-// byte-identical — what load_state() reconstructs is the *contents*,
-// and every consumer of those containers is order-independent (sorts
-// at finalize, or folds commutatively), which is the invariant the
-// resume-equivalence tests pin down.
+// contents count-prefixed in iteration order. Iteration order follows
+// the table's insert history, not its contents, so only states built
+// by the same inserts save to the same bytes — what load_flat()
+// reconstructs is the *contents*, and every consumer of those
+// containers is order-independent (sorts at finalize, or folds
+// commutatively), which is the invariant the resume-equivalence tests
+// pin down. No element image carries padding (see save_elem), so two
+// saves of one state are always byte-identical.
 #pragma once
 
 #include <algorithm>
@@ -66,9 +68,13 @@ class StateWriter {
   }
 
   /// Raw in-memory image of a trivially copyable value (host layout).
+  /// Padding bytes hold whatever memory held, so a type with padding
+  /// is refused: write its fields instead.
   template <typename T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>, "pod() needs a trivially copyable type");
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "pod() would write padding bytes; write the fields");
     put(&v, sizeof v);
   }
 
@@ -219,16 +225,32 @@ class StateReader {
   std::size_t pos_ = 0;
 };
 
-/// Flat-container content dumps: count-prefixed raw (key, value)
-/// images in iteration order. The load side inserts through the normal
-/// hashing path, so the reconstructed table is a valid (possibly
-/// differently laid out) table with identical contents.
+/// One key or value of a flat-container dump: the raw image of a type
+/// without padding. A type with padding supplies its own save_elem and
+/// load_elem, found by argument-dependent lookup, that write the same
+/// image field by field with zero bytes for the padding — the sizes
+/// load_flat() checks counts against stay sizeof(K) + sizeof(V), and a
+/// dump never carries uninitialized memory.
+template <typename T>
+void save_elem(StateWriter& w, const T& v) {
+  w.pod(v);
+}
+
+template <typename T>
+void load_elem(StateReader& r, T& v) {
+  v = r.pod<T>();
+}
+
+/// Flat-container content dumps: count-prefixed (key, value) images in
+/// iteration order. The load side inserts through the normal hashing
+/// path, so the reconstructed table is a valid (possibly differently
+/// laid out) table with identical contents.
 template <typename K, typename V, typename H, typename G>
 void save_flat(StateWriter& w, const FlatMap<K, V, H, G>& m) {
   w.u64(m.size());
   m.for_each([&](const K& k, const V& v) {
-    w.pod(k);
-    w.pod(v);
+    save_elem(w, k);
+    save_elem(w, v);
   });
 }
 
@@ -237,22 +259,27 @@ void load_flat(StateReader& r, FlatMap<K, V, H, G>& m) {
   const std::uint64_t n = r.count(sizeof(K) + sizeof(V));
   m.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const K k = r.template pod<K>();
-    m[k] = r.template pod<V>();
+    K k;
+    load_elem(r, k);
+    load_elem(r, m[k]);
   }
 }
 
 template <typename K, typename H, typename G>
 void save_flat(StateWriter& w, const FlatSet<K, H, G>& s) {
   w.u64(s.size());
-  s.for_each([&](const K& k) { w.pod(k); });
+  s.for_each([&](const K& k) { save_elem(w, k); });
 }
 
 template <typename K, typename H, typename G>
 void load_flat(StateReader& r, FlatSet<K, H, G>& s) {
   const std::uint64_t n = r.count(sizeof(K));
   s.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) s.insert(r.template pod<K>());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    K k;
+    load_elem(r, k);
+    s.insert(k);
+  }
 }
 
 }  // namespace v6sonar::util

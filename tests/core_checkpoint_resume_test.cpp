@@ -6,7 +6,10 @@
 // mid-batch, first record after an expiry gap, first record of a new
 // UTC day) and the parallel pipeline sweeps thread counts {1, 2, 8},
 // per-shard event spills resumed at their checkpointed cursors
-// included.
+// included. DetectRun's checkpoints do not block the feed: their
+// sections must still be the state at the barrier, a failed commit
+// must fail the run, and commits in flight at every barrier must
+// resume byte-identically.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +20,7 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -303,8 +307,9 @@ struct ShardedRun {
             }) {}
 
   void checkpoint(const std::string& path) {
-    CheckpointWriter ck;
-    run.checkpoint(ck, [&](std::size_t s, util::StateWriter& w) { sinks[s]->bundle.save(w); });
+    CheckpointWriter ck =
+        run.checkpoint([&](std::size_t s, util::StateWriter& w) { sinks[s]->bundle.save(w); })
+            .take();
     ck.commit(path);
   }
   void resume(const std::string& path) {
@@ -399,6 +404,193 @@ TEST(CheckpointResume, ShardedSpillResumesAtItsCursors) {
       second.run.close(true);  // kept: a run that may resume again
       EXPECT_TRUE(std::filesystem::exists(events + ".shard0"));
       EXPECT_EQ(file_bytes(events), serial) << "threads=" << threads << " k=" << k;
+    }
+  }
+}
+
+/// Section `name` of `ck`, as bytes.
+std::string section_bytes(const CheckpointReader& ck, const std::string& name) {
+  auto r = ck.section(name);
+  std::string out(r.remaining(), '\0');
+  r.raw(out.data(), out.size());
+  return out;
+}
+
+std::string bytes_of(const util::StateWriter& w) {
+  return {reinterpret_cast<const char*>(w.bytes().data()), w.bytes().size()};
+}
+
+TEST(CheckpointResume, PendingCheckpointHoldsTheStateAtItsBarrier) {
+  // The feed goes on past a pending checkpoint, yet its sections are
+  // byte for byte what a blocking with_shard_state save at the same
+  // record holds.
+  const auto recs = workload();
+  const ScratchDir scratch;
+  const std::string path = scratch.file("pending.v6ckpt");
+  for (const int threads : {1, 2, 3}) {
+    for (const std::size_t k : checkpoint_points(recs)) {
+      const std::string where = "threads=" + std::to_string(threads) + " k=" + std::to_string(k);
+      std::vector<std::unique_ptr<BundleSink>> ref_sinks;
+      ParallelScanPipeline ref(detector_config(), {.threads = threads, .ring_capacity = 64},
+                               [&](std::size_t) -> EventSink& {
+                                 return *ref_sinks.emplace_back(std::make_unique<BundleSink>());
+                               });
+      ref.feed_batch(std::span(recs).first(k));
+      std::vector<std::string> detector(ref_sinks.size()), analyzers(ref_sinks.size());
+      ref.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
+        util::StateWriter dw, aw;
+        det.save(dw);
+        ref_sinks[s]->bundle.save(aw);
+        detector[s] = bytes_of(dw);
+        analyzers[s] = bytes_of(aw);
+      });
+
+      ShardedRun run(threads);
+      run.run.feed_batch(std::span(recs).first(k));
+      auto pending =
+          run.run.checkpoint([&](std::size_t s, util::StateWriter& w) { run.sinks[s]->bundle.save(w); });
+      run.run.feed_batch(std::span(recs).subspan(k));  // behind the barrier
+      pending.take().commit(path);
+      const CheckpointReader ck(path);
+      for (std::size_t s = 0; s < detector.size(); ++s) {
+        EXPECT_EQ(section_bytes(ck, shard_section(s, ".detector")), detector[s]) << where;
+        EXPECT_EQ(section_bytes(ck, shard_section(s, ".analyzers")), analyzers[s]) << where;
+      }
+      run.finish();
+    }
+  }
+}
+
+RunMeta detect_meta(int threads, std::uint64_t records) {
+  return {.producer = RunMeta::Producer::kDetect,
+          .shards = static_cast<std::uint32_t>(threads),
+          .records = records};
+}
+
+TEST(CheckpointResume, FailedCommitFailsTheRunNamingThePath) {
+  const auto recs = workload();
+  const ScratchDir scratch;
+  const std::string dir = scratch.file("ckpts");
+  const std::string path = dir + "/run.v6ckpt";
+  const auto expect_names_path = [&](const auto& call, const std::string& where) {
+    try {
+      call();
+      ADD_FAILURE() << where << ": a failed commit went unreported";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << where << ": " << e.what();
+    }
+  };
+  for (const int threads : {1, 2}) {
+    ShardedRun run(threads);
+    CheckpointCommitter committer(path);
+    const auto save = [&](std::size_t s, util::StateWriter& w) { run.sinks[s]->bundle.save(w); };
+    // No directory yet: the commit fails off the feeding thread, and
+    // the next wait (the one before flush) rethrows it.
+    run.run.feed_batch(std::span(recs).first(50));
+    committer.checkpoint(run.run, save, detect_meta(threads, 50));
+    run.run.feed_batch(std::span(recs).subspan(50, 50));
+    expect_names_path([&] { committer.wait(); }, "missing directory");
+    // The directory appears: a commit lands.
+    std::filesystem::create_directories(dir);
+    committer.checkpoint(run.run, save, detect_meta(threads, 100));
+    committer.wait();
+    EXPECT_TRUE(std::filesystem::exists(path));
+    // It goes away mid-run: the next checkpoint() rethrows the failed
+    // commit before it, and pushes no barrier of its own.
+    std::filesystem::remove_all(dir);
+    run.run.feed_batch(std::span(recs).subspan(100, 50));
+    committer.checkpoint(run.run, save, detect_meta(threads, 150));
+    run.run.feed_batch(std::span(recs).subspan(150));
+    expect_names_path([&] { committer.checkpoint(run.run, save, detect_meta(threads, 0)); },
+                      "directory removed");
+    committer.wait();  // nothing in flight: the failure was reported once
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    run.finish();
+  }
+}
+
+/// A chain that fails on its first event.
+struct ThrowingSink final : EventSink {
+  void on_event(ScanEvent&&) override { throw std::runtime_error("sink failed"); }
+};
+
+TEST(CheckpointResume, WorkerFailureBeforeAPendingBarrierCompletesIt) {
+  // Phase A's events time out at the first phase-B record, so the
+  // failing chain kills its worker before the barrier behind them.
+  const auto recs = workload();
+  const std::size_t k = expiry_boundary_k(recs) + 1;
+  const ScratchDir scratch;
+  for (const int threads : {1, 2, 3}) {
+    const std::string where = "threads=" + std::to_string(threads);
+    std::vector<std::unique_ptr<ThrowingSink>> sinks;
+    DetectRun run(detector_config(), {.threads = threads, .ring_capacity = 64}, "",
+                  [&](std::size_t) -> EventSink& {
+                    return *sinks.emplace_back(std::make_unique<ThrowingSink>());
+                  });
+    run.feed_batch(std::span(recs).first(k));
+    auto pending = run.checkpoint();
+    run.feed_batch(std::span(recs).subspan(k));
+    EXPECT_THROW((void)pending.take(), std::runtime_error) << where;
+    // Through the committer: the error surfaces at its wait.
+    CheckpointCommitter committer(scratch.file("never.v6ckpt"));
+    committer.checkpoint(run, {}, detect_meta(threads, recs.size()));
+    try {
+      committer.wait();
+      ADD_FAILURE() << where << ": worker failure went unreported";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "sink failed") << where;
+    }
+    EXPECT_FALSE(std::filesystem::exists(scratch.file("never.v6ckpt"))) << where;
+    EXPECT_THROW(run.flush(), std::runtime_error) << where;
+  }
+}
+
+TEST(CheckpointResume, CommitsInFlightAtEveryBarrierResume) {
+  // A checkpoint every 5 records keeps a commit in flight at nearly
+  // every barrier. Stopping anywhere and resuming from whatever
+  // checkpoint was last committed gives the uninterrupted report and
+  // spill.
+  const auto recs = workload();
+  const ScratchDir scratch;
+  const std::string events = scratch.file("inflight.v6ev");
+  const std::string path = scratch.file("inflight.v6ckpt");
+  constexpr std::size_t kEvery = 5;
+  for (const int threads : {1, 2, 3}) {
+    std::string want_report, want_spill;
+    {
+      ShardedRun base(threads, events);
+      base.run.feed_batch(recs);
+      want_report = base.finish();
+      base.run.close(false);
+      want_spill = file_bytes(events);
+    }
+    for (const std::size_t stop : {recs.size() / 3, recs.size()}) {
+      const std::string where =
+          "threads=" + std::to_string(threads) + " stop=" + std::to_string(stop);
+      std::filesystem::remove(path);
+      {
+        ShardedRun first(threads, events);
+        CheckpointCommitter committer(path);
+        for (std::size_t fed = 0; fed < stop;) {
+          const std::size_t n = std::min(kEvery, stop - fed);
+          first.run.feed_batch(std::span(recs).subspan(fed, n));
+          fed += n;
+          committer.checkpoint(
+              first.run,
+              [&](std::size_t s, util::StateWriter& w) { first.sinks[s]->bundle.save(w); },
+              detect_meta(threads, fed));
+        }
+        committer.wait();
+      }  // a crash: the spills run on past the last checkpoint's cursors
+      const CheckpointReader ck(path);
+      const RunMeta meta = RunMeta::load(ck, RunMeta::Producer::kDetect, path);
+      EXPECT_EQ(meta.records, stop) << where;
+      ShardedRun second(threads, events);
+      second.resume(path);
+      second.run.feed_batch(std::span(recs).subspan(meta.records));
+      EXPECT_EQ(second.finish(), want_report) << where;
+      second.run.close(false);
+      EXPECT_EQ(file_bytes(events), want_spill) << where;
     }
   }
 }

@@ -2,7 +2,8 @@
 // container, atomic commit, and the corruption contract — wrong magic,
 // unsupported versions, truncation, bit flips, and CRC damage must all
 // surface as std::runtime_error, never as a crash or a silently wrong
-// read.
+// read. Plus reproducible payloads: flat-container dumps carry no
+// padding bytes, so equal states save to equal bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,13 +11,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "analysis/report_render.hpp"
 #include "core/state_codec.hpp"
 #include "util/state_io.hpp"
 
@@ -94,9 +99,12 @@ constexpr std::uint8_t kGoldenFraming[] = {
 };
 
 std::vector<std::uint8_t> golden_container() {
-  std::vector<std::uint8_t> out(std::begin(kGoldenFraming), std::end(kGoldenFraming));
+  // Sized once and filled: GCC 12's -Warray-bounds misreads the
+  // reallocating vector::insert this used to be.
   const util::StateWriter bulk = golden_payload(kGoldenBulk, 101);
-  out.insert(out.end(), bulk.bytes().begin(), bulk.bytes().end());
+  std::vector<std::uint8_t> out(sizeof kGoldenFraming + bulk.size());
+  std::memcpy(out.data(), kGoldenFraming, sizeof kGoldenFraming);
+  std::memcpy(out.data() + sizeof kGoldenFraming, bulk.bytes().data(), bulk.size());
   return out;
 }
 
@@ -323,6 +331,88 @@ TEST_F(StateCodecTest, ReaderBoundsChecks) {
     const std::vector<std::uint8_t> hb(huge.bytes().begin(), huge.bytes().end());
     util::StateReader r(hb);
     EXPECT_THROW((void)r.count(16), std::runtime_error);
+  }
+}
+
+TEST(FlatDump, PrefixImageHasZeroPaddingWhateverMemoryHeld) {
+  // A prefix built in memory full of 0xA5: its 4 padding bytes (after
+  // the length) keep that garbage, and the dump must not carry it.
+  alignas(net::Ipv6Prefix) unsigned char raw[sizeof(net::Ipv6Prefix)];
+  std::memset(raw, 0xA5, sizeof raw);
+  const auto* p =
+      new (raw) net::Ipv6Prefix(net::Ipv6Address{0x2001'0db8'0000'0000ULL, 0}, 32);
+  util::StateWriter w;
+  save_elem(w, *p);
+  util::StateWriter want;  // the in-memory image's layout, padding zeroed
+  want.i32(32);
+  want.u32(0);
+  want.u64(0x2001'0db8'0000'0000ULL);
+  want.u64(0);
+  ASSERT_EQ(w.size(), sizeof(net::Ipv6Prefix));
+  EXPECT_TRUE(std::ranges::equal(w.bytes(), want.bytes()));
+  util::StateReader r(w.bytes());
+  net::Ipv6Prefix back;
+  load_elem(r, back);
+  EXPECT_EQ(back, *p);
+  EXPECT_TRUE(r.at_end());
+}
+
+std::vector<ScanEvent> analyzer_events() {
+  std::vector<ScanEvent> evs;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    ScanEvent ev;
+    ev.source = net::Ipv6Prefix(net::Ipv6Address{0x2a10'0000'0000'0000ULL + i % 97, 0}, 64);
+    ev.first_us = static_cast<sim::TimeUs>(i) * 1'000'000;
+    ev.last_us = ev.first_us + 500'000;
+    ev.packets = 10 + i;
+    ev.distinct_dsts = static_cast<std::uint32_t>(5 + i % 13);
+    ev.distinct_dsts_in_dns = static_cast<std::uint32_t>(i % 5);
+    ev.src_asn = static_cast<std::uint32_t>(64'500 + i % 11);
+    ev.port_packets = {{static_cast<std::uint16_t>(22 + i % 4), ev.packets}};
+    ev.weekly_packets = {{static_cast<std::int32_t>(i % 3), ev.packets}};
+    evs.push_back(std::move(ev));
+  }
+  return evs;
+}
+
+std::vector<std::uint8_t> saved_bundle(const std::vector<ScanEvent>& evs) {
+  analysis::ReportBundle bundle(10);
+  for (const auto& ev : evs) bundle.observe(ev);
+  util::StateWriter w;
+  bundle.save(w);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+TEST(FlatDump, EqualAnalyzerStatesSaveToEqualBytes) {
+  const auto evs = analyzer_events();
+  const auto first = saved_bundle(evs);
+  // Recycle heap blocks full of 0xA5 into the second bundle's tables:
+  // padding copied from memory would now differ between the two saves.
+  {
+    std::vector<std::unique_ptr<unsigned char[]>> junk;
+    for (std::size_t bytes = 64; bytes <= (1u << 16); bytes *= 2)
+      for (int copies = 0; copies < 4; ++copies) {
+        junk.emplace_back(new unsigned char[bytes]);
+        std::memset(junk.back().get(), 0xA5, bytes);
+      }
+  }
+  EXPECT_EQ(saved_bundle(evs), first);
+
+  // SourceAnalyzer's dump, the one whose value type has padding too:
+  // (prefix, {asn, 4 bytes, scans, packets, dsts_max}) entries, every
+  // padding byte zero.
+  analysis::SourceAnalyzer sources;
+  for (const auto& ev : evs) sources.observe(ev);
+  util::StateWriter w;
+  sources.save(w);
+  util::StateReader r(w.bytes());
+  const std::uint64_t n = r.u64();
+  EXPECT_EQ(n, 97u);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint8_t entry[24 + 32];
+    r.raw(entry, sizeof entry);
+    for (const std::size_t pad : {std::size_t{4}, std::size_t{24 + 4}})
+      EXPECT_EQ(std::memcmp(entry + pad, "\0\0\0\0", 4), 0) << "entry " << i << " offset " << pad;
   }
 }
 

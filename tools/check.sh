@@ -22,8 +22,11 @@
 # generates a small world, runs
 # `v6sonar detect --mmap --threads 4 --metrics=…`, and validates the
 # JSON snapshot (nonzero ingestion/feed counters, per-shard ring
-# gauges, full guard-fallback breakdown), then runs `v6sonar filter`
-# and checks its read/work/write timers cover >= 95 % of its wall time.
+# gauges, full guard-fallback breakdown), then a `--checkpoint` run
+# whose snapshot must hold one `checkpoint.stall_us` and one
+# `checkpoint.commit_us` sample per checkpoint, then runs `v6sonar
+# filter` and checks its read/work/write timers cover >= 95 % of its
+# wall time.
 # `bench-guard` is the performance gate: it builds the Release
 # `bench_guard` binary and runs it. Its tree and the `daemon` tree are
 # Release builds with warnings as errors, so warnings only -O3 raises
@@ -53,8 +56,10 @@
 # freeze/thaw durability smoke (docs/CHECKPOINT.md): a 4 M-record
 # replay is SIGKILLed mid-run while checkpointing every 250k records,
 # then resumed from the surviving checkpoint; the resumed report and
-# spilled event stream (`detect --events` at one and two shards, and
-# `detect` at two without a spill), the resumed `ids` output (one
+# spilled event stream (`detect --events` at one and two shards,
+# `detect` at two without a spill, and `detect --events` at three
+# checkpointing every 1000 records, killed mid-commit), the resumed
+# `ids` output (one
 # and two shards), and a `v6sonard --tail --events` restarted from its
 # checkpoint verb's file (live report and drained spill against
 # `detect --report --events`) must be byte-identical to an
@@ -493,18 +498,21 @@ PY
     exit 1
   fi
 
-  # Run "$@" in the background, checkpointing to $1 every 250k records,
-  # and SIGKILL it as soon as the first checkpoint lands (mid-replay).
+  # Run "$@" in the background, checkpointing to $1 every $every
+  # records (default 250k), and SIGKILL it $linger seconds (default 0)
+  # after the first checkpoint lands (mid-replay).
+  every=250000 linger=0
   kill_after_checkpoint() {
     local ck="$1"
     shift
     rm -f "$ck"
-    "$@" --checkpoint "$ck" --checkpoint-every 250000 > /dev/null 2>&1 &
+    "$@" --checkpoint "$ck" --checkpoint-every "$every" > /dev/null 2>&1 &
     victim_pid=$!
     for _ in $(seq 1 600); do
       [[ -s "$ck" ]] && break
       sleep 0.05
     done
+    sleep "$linger"
     kill -9 "$victim_pid" 2> /dev/null || true
     wait "$victim_pid" 2> /dev/null || true
     victim_pid=""
@@ -517,8 +525,12 @@ PY
   # detect legs: one shard and two, with and without --events; each
   # resumes from the surviving checkpoint with the checkpointed shard
   # count, and its report and spill must be the uninterrupted run's.
-  for leg in "1 events" "2 events" "2 -"; do
-    read -r threads spill <<< "$leg"
+  # The last leg checkpoints every 1000 records, so a commit is in
+  # flight at almost every barrier and the SIGKILL, a second into the
+  # run, lands mid-commit: the previous checkpoint and its spill
+  # cursors must resume.
+  for leg in "1 events 250000 0" "2 events 250000 0" "2 - 250000 0" "3 events 1000 1"; do
+    read -r threads spill every linger <<< "$leg"
     events=()
     [[ "$spill" == events ]] && events=(--events "$work/spill.v6ev")
     rm -f "$work/spill.v6ev"*
@@ -539,6 +551,7 @@ PY
     fi
   done
 
+  every=250000 linger=0
   # ids legs: the resumed run prints the alerts after the checkpoint,
   # then the summary (whose count includes the alerts before it) and
   # the blocklist — exactly the tail of the uninterrupted output.
@@ -698,8 +711,9 @@ PY
   fi
 
   echo "check.sh: checkpoint smoke passed (SIGKILL + resume == uninterrupted for detect" \
-       "--events and ids at 1 and 2 shards and for v6sonard --tail --events; short input," \
-       "cadence overflow and corruption handled)"
+       "--events and ids at 1 and 2 shards, detect --events at 3 checkpointing every 1000" \
+       "records, and v6sonard --tail --events; short input, cadence overflow and" \
+       "corruption handled)"
   exit 0
 fi
 
@@ -749,6 +763,29 @@ if failures:
 print(f"metrics snapshot ok: {len(counters)} counters, {len(gauges)} gauges, "
       f"{counters['pipeline.feed.records']} records fed, "
       f"{counters['detector.events.emitted']} events")
+PY
+
+  # A checkpointing detect: every checkpoint records how long it held
+  # the feeding thread and how long its commit took off the feed path.
+  "$tree/tools/v6sonar" detect "$work/world.v6slog" --mmap --threads 3 \
+      --checkpoint "$work/metrics.v6ckpt" --checkpoint-every 2000000 \
+      --metrics="$work/ckpt_metrics.json" > /dev/null
+  python3 - "$work/ckpt_metrics.json" <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as fh:
+    hists = json.load(fh)["histograms"]
+counts = {name: hists.get(name, {"count": 0})["count"]
+          for name in ("checkpoint.stall_us", "checkpoint.commit_us")}
+failures = [f"histogram {name} missing or empty" for name, n in counts.items() if n == 0]
+if len(set(counts.values())) != 1:
+    failures.append(f"one stall and one commit per checkpoint, saw {counts}")
+if failures:
+    print("checkpoint metrics check FAILED:", *failures, sep="\n  ", file=sys.stderr)
+    sys.exit(1)
+stall, commit = (hists[name]["sum"] / 1e3 for name in counts)
+print(f"checkpoint metrics ok: {counts['checkpoint.stall_us']} checkpoints, feeder stalled "
+      f"{stall:.1f} ms, commits took {commit:.1f} ms")
 PY
 
   # The day-parallel filter's stage timers must account for its wall

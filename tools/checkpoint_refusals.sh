@@ -13,7 +13,8 @@
 # `producers`: a checkpoint resumes only in the front end that wrote
 # it — the refusal names both — and v6sonard refuses an explicit
 # --threads that differs from its checkpoint's shard count, naming
-# both counts.
+# both counts; and a detect whose checkpoint cannot be committed fails,
+# naming the path, without printing a report.
 set -u
 mode=$1 v6sonar=$2 v6sonard=$3 data=$4
 in=$data/eight_records.v6slog
@@ -72,3 +73,16 @@ refused 'checkpoint of v6sonar detect, not of v6sonard' daemon "$work/detect.v6c
 refused 'checkpoint of v6sonar ids, not of v6sonar detect' resume detect "$work/ids.v6ckpt"
 refused 'checkpoint of v6sonard, not of v6sonar detect' resume detect "$work/daemon.v6ckpt"
 refused 'checkpoint has 2 shards; got --threads 3' daemon "$work/daemon.v6ckpt" --threads 3
+
+# detect commits off its feeding thread; a failed commit still fails
+# the run before anything is reported.
+if "$v6sonar" detect "$in" --report --checkpoint "$work/gone/detect.v6ckpt" \
+    --checkpoint-every 4 > "$work/out" 2> "$work/err"; then
+  echo "accepted: detect --checkpoint into a missing directory" >&2
+  exit 1
+fi
+if ! grep -qF "$work/gone/detect.v6ckpt" "$work/err" || [ -s "$work/out" ]; then
+  echo "a failed commit was not reported, or a report was printed:" >&2
+  cat "$work/err" "$work/out" >&2
+  exit 1
+fi

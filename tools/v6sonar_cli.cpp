@@ -365,19 +365,21 @@ int cmd_detect(const std::string& path, const Options& o) {
       });
   if (resumed)
     run.resume(resumed->ck, [&](std::size_t s, util::StateReader& r) { chains[s]->load(r); });
+  // Each checkpoint commits while the feed goes on; a failed commit
+  // surfaces at the next checkpoint or before the flush.
+  core::CheckpointCommitter committer(o.checkpoint);
   run_records(
       path, o, resumed ? resumed->meta.records : 0,
       [&](std::span<const sim::LogRecord> batch) { run.feed_batch(batch); },
       [&](std::uint64_t fed) {
-        core::CheckpointWriter ck;
-        run.checkpoint(ck, [&](std::size_t s, util::StateWriter& w) { chains[s]->save(w); });
-        core::RunMeta{.producer = core::RunMeta::Producer::kDetect,
-                      .shards = static_cast<std::uint32_t>(run.threads()),
-                      .records = fed,
-                      .flags = flags}
-            .save(ck);
-        ck.commit(o.checkpoint);
+        committer.checkpoint(
+            run, [&](std::size_t s, util::StateWriter& w) { chains[s]->save(w); },
+            {.producer = core::RunMeta::Producer::kDetect,
+             .shards = static_cast<std::uint32_t>(run.threads()),
+             .records = fed,
+             .flags = flags});
       });
+  committer.wait();
   run.flush();
   if (!o.events_out.empty()) {
     // A drained checkpointing run keeps its shard spills for --resume.
