@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -230,6 +231,7 @@ struct LogReader::Impl {
   std::string path;
   File file;
   std::uint64_t total = 0;
+  std::uint64_t pos = 0;                ///< records consumed or skipped
   std::vector<std::uint8_t> batch_buf;  ///< next_batch() staging
 };
 
@@ -242,6 +244,7 @@ std::optional<LogRecord> LogReader::next() {
   if (got == 0) return std::nullopt;
   if (got != buf.size())
     throw std::runtime_error("log_io: truncated record in " + impl_->path);
+  ++impl_->pos;
   return decode(buf.data());
 }
 
@@ -254,6 +257,7 @@ std::size_t LogReader::next_batch(LogRecord* out, std::size_t max) {
     throw std::runtime_error("log_io: truncated record in " + impl_->path);
   const std::size_t n = got / kRecordBytes;
   for (std::size_t i = 0; i < n; ++i) out[i] = decode(buf.data() + i * kRecordBytes);
+  impl_->pos += n;
   if (n && util::metrics::enabled()) {
     lm().stdio_records.add(n);
     lm().stdio_batch.observe(n);
@@ -261,7 +265,19 @@ std::size_t LogReader::next_batch(LogRecord* out, std::size_t max) {
   return n;
 }
 
+std::uint64_t LogReader::skip(std::uint64_t n) {
+  auto& im = *impl_;
+  const std::uint64_t k = std::min(n, im.total - std::min(im.pos, im.total));
+  if (k == 0) return 0;
+  const std::uint64_t offset = kLogHeaderBytes + (im.pos + k) * kRecordBytes;
+  if (::fseeko(im.file.f, static_cast<off_t>(offset), SEEK_SET) != 0)
+    throw std::runtime_error("log_io: cannot seek in " + im.path);
+  im.pos += k;
+  return k;
+}
+
 std::uint64_t LogReader::total_records() const noexcept { return impl_->total; }
+std::uint64_t LogReader::position() const noexcept { return impl_->pos; }
 
 struct MappedLogReader::Impl {
   explicit Impl(const std::string& p) : path(p) {
@@ -274,12 +290,9 @@ struct MappedLogReader::Impl {
     }
     map_len = static_cast<std::size_t>(st.st_size);
     if (map_len > 0) {
-      // MAP_POPULATE prefaults the whole file in one go — a replay
-      // touches every page exactly once anyway, and taking ~50k minor
-      // faults inside the decode loop costs more than batching them
-      // at open. Fall back to a plain mapping if the kernel refuses.
-      void* m = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE | MAP_POPULATE, fd, 0);
-      if (m == MAP_FAILED) m = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd, 0);
+      // Not MAP_POPULATE: prefault() populates from the cursor on the
+      // first batch, so the records a resumed run skips stay unread.
+      void* m = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd, 0);
       ::close(fd);
       if (m == MAP_FAILED) throw std::runtime_error("log_io: cannot mmap " + path);
       base = static_cast<const std::uint8_t*>(m);
@@ -297,6 +310,21 @@ struct MappedLogReader::Impl {
     lm().bytes_mapped.add(map_len);
   }
   ~Impl() { unmap(); }
+
+  /// Prefault from the cursor's page to the end in one call. A replay
+  /// touches every page once, and ~50k minor faults inside the decode
+  /// loop cost more than one batched populate. A kernel without
+  /// MADV_POPULATE_READ (before Linux 5.14) refuses it, and the pages
+  /// then fault in lazily.
+  void prefault() noexcept {
+    prefaulted = true;
+#ifdef MADV_POPULATE_READ
+    if (pos == total) return;
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t from = (kLogHeaderBytes + pos * kRecordBytes) / page * page;
+    ::madvise(const_cast<std::uint8_t*>(base) + from, map_len - from, MADV_POPULATE_READ);
+#endif
+  }
   void unmap() noexcept {
     if (base) ::munmap(const_cast<std::uint8_t*>(base), map_len);
     base = nullptr;
@@ -307,6 +335,7 @@ struct MappedLogReader::Impl {
   std::size_t map_len = 0;
   std::uint64_t total = 0;
   std::uint64_t pos = 0;
+  bool prefaulted = false;
 };
 
 MappedLogReader::MappedLogReader(const std::string& path)
@@ -319,6 +348,7 @@ std::optional<LogRecord> MappedLogReader::next() {
 }
 
 std::size_t MappedLogReader::next_batch(LogRecord* out, std::size_t max) {
+  if (!impl_->prefaulted) impl_->prefault();
   const std::uint64_t remaining = impl_->total - impl_->pos;
   const std::size_t n =
       static_cast<std::size_t>(remaining < max ? remaining : static_cast<std::uint64_t>(max));
@@ -332,8 +362,13 @@ std::size_t MappedLogReader::next_batch(LogRecord* out, std::size_t max) {
   return n;
 }
 
+std::uint64_t MappedLogReader::skip(std::uint64_t n) {
+  const std::uint64_t k = std::min(n, impl_->total - impl_->pos);
+  impl_->pos += k;
+  return k;
+}
+
 std::uint64_t MappedLogReader::total_records() const noexcept { return impl_->total; }
 std::uint64_t MappedLogReader::position() const noexcept { return impl_->pos; }
-void MappedLogReader::rewind() noexcept { impl_->pos = 0; }
 
 }  // namespace v6sonar::sim

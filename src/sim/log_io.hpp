@@ -18,6 +18,13 @@
 // record count matches the file size exactly) and throw
 // std::runtime_error naming the path on any mismatch — a truncated or
 // corrupt log is refused up front, never silently short-read.
+//
+// Records are fixed-size, so both skip() by moving their cursor (one
+// fseek, or pointer arithmetic over the mapping) instead of decoding:
+// a resumed run starts reading where its checkpoint stopped. The
+// mapped reader prefaults only from the page under its cursor to the
+// end of the file, on its first next_batch(), so the records a resumed
+// run skips are never touched.
 #pragma once
 
 #include <cstddef>
@@ -84,8 +91,12 @@ class LogReader final : public RecordStream {
 
   [[nodiscard]] std::optional<LogRecord> next() override;
   std::size_t next_batch(LogRecord* out, std::size_t max) override;
+  /// One fseek past up to `n` records (clamped at the header's count).
+  std::uint64_t skip(std::uint64_t n) override;
 
   [[nodiscard]] std::uint64_t total_records() const noexcept;
+  /// Records consumed or skipped so far.
+  [[nodiscard]] std::uint64_t position() const noexcept;
 
  private:
   struct Impl;
@@ -95,7 +106,11 @@ class LogReader final : public RecordStream {
 /// Zero-copy reader: maps the whole log and decodes fixed 52-byte
 /// records directly from the mapping. The header is validated once at
 /// open; next_batch() is then a pure decode loop over the mapped
-/// bytes — no syscalls, no buffering, no per-record allocation.
+/// bytes — no syscalls, no buffering, no per-record allocation. The
+/// first next_batch() prefaults the mapping from the cursor's page to
+/// the end in one call (MADV_POPULATE_READ; a kernel without it takes
+/// the faults lazily instead), so a replay takes no page faults inside
+/// the decode loop and a resumed one faults in only what it reads.
 class MappedLogReader final : public RecordStream {
  public:
   explicit MappedLogReader(const std::string& path);
@@ -105,12 +120,12 @@ class MappedLogReader final : public RecordStream {
 
   [[nodiscard]] std::optional<LogRecord> next() override;
   std::size_t next_batch(LogRecord* out, std::size_t max) override;
+  /// Moves the cursor past up to `n` records; touches no mapped byte.
+  std::uint64_t skip(std::uint64_t n) override;
 
   [[nodiscard]] std::uint64_t total_records() const noexcept;
-  /// Records consumed so far (= the cursor into the mapping).
+  /// Records consumed or skipped so far (= the cursor into the mapping).
   [[nodiscard]] std::uint64_t position() const noexcept;
-  /// Rewind to the first record (replays reuse one mapping).
-  void rewind() noexcept;
 
  private:
   struct Impl;

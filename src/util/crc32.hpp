@@ -4,10 +4,20 @@
 // bit-flipped file is rejected at load instead of silently thawing
 // corrupt analyzer state. Every byte of a checkpoint passes through
 // here twice (seal at save, verify at load), so the checksum is a real
-// share of a checkpoint's cost: portable slice-by-8 — eight 256-entry
-// tables built at compile time, eight bytes folded per step — runs
-// several times faster than the byte-at-a-time loop and yields the
-// identical values on any host byte order.
+// share of a checkpoint's cost. Two kernels compute the same values:
+//
+//   crc32_slice8  portable slice-by-8: eight 256-entry tables built at
+//                 compile time, eight bytes folded per step, identical
+//                 values on any host byte order.
+//   crc32         the dispatched entry point. On x86-64 hosts with
+//                 PCLMULQDQ (checked once at run time) it folds spans
+//                 of 64 bytes or more with carry-less multiplies — four
+//                 128-bit lanes, then one lane, then a Barrett
+//                 reduction to 32 bits (Gopal et al., "Fast CRC
+//                 Computation for Generic Polynomials Using PCLMULQDQ
+//                 Instruction", Intel 2009) — and finishes the last
+//                 0-15 bytes with slice-by-8. Elsewhere it is
+//                 slice-by-8.
 #pragma once
 
 #include <array>
@@ -45,10 +55,11 @@ inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
 
 }  // namespace detail
 
-/// Incremental form: pass the previous return value as `seed` to
-/// extend a running checksum (seed 0 starts a fresh one).
-[[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t len,
-                                         std::uint32_t seed = 0) noexcept {
+/// The portable kernel, same contract as crc32(): pass the previous
+/// return value as `seed` to extend a running checksum (seed 0 starts
+/// a fresh one).
+[[nodiscard]] inline std::uint32_t crc32_slice8(const void* data, std::size_t len,
+                                                std::uint32_t seed = 0) noexcept {
   const auto& t = detail::kCrc32Tables;
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
@@ -61,5 +72,11 @@ inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
   for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
+
+/// Incremental form: pass the previous return value as `seed` to
+/// extend a running checksum (seed 0 starts a fresh one). Dispatches to
+/// the carry-less-multiply kernel where the CPU has one.
+[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len,
+                                  std::uint32_t seed = 0) noexcept;
 
 }  // namespace v6sonar::util

@@ -3,10 +3,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
 #include <span>
+#include <vector>
 
 #include "sim/as_registry.hpp"
 #include "sim/log_io.hpp"
@@ -119,6 +121,15 @@ TEST(Merge, TieBreaksBySourceIndexDeterministically) {
   MergedStream m(std::move(sources));
   EXPECT_EQ(m.next()->src.lo(), 111u);
   EXPECT_EQ(m.next()->src.lo(), 222u);
+}
+
+TEST(RecordStream, DefaultSkipDiscardsThatManyRecords) {
+  VectorStream s({rec(10), rec(20), rec(30), rec(40)});
+  EXPECT_EQ(s.skip(0), 0u);
+  EXPECT_EQ(s.skip(2), 2u);
+  EXPECT_EQ(s.next()->ts_us, 30);
+  EXPECT_EQ(s.skip(5), 1u) << "a skip past the end returns the short count";
+  EXPECT_FALSE(s.next().has_value());
 }
 
 TEST(Merge, EmptySourcesYieldNothing) {
@@ -279,7 +290,27 @@ class LogReaderContractTest : public LogIoTest {
     w.close();
     return p;
   }
+
+  /// `n` distinct records, written to `name`.
+  std::vector<LogRecord> write_records(const char* name, std::size_t n) {
+    std::vector<LogRecord> records;
+    for (std::size_t i = 0; i < n; ++i) records.push_back(rec(static_cast<TimeUs>(i), i + 1));
+    LogWriter w(path(name));
+    w.write(records);
+    w.close();
+    return records;
+  }
 };
+
+/// Everything `r` still yields, pulled in batches of `batch`.
+template <typename Reader>
+std::vector<LogRecord> read_rest(Reader& r, std::size_t batch) {
+  std::vector<LogRecord> got;
+  std::vector<LogRecord> buf(batch);
+  for (std::size_t n; (n = r.next_batch(buf.data(), batch)) > 0;)
+    got.insert(got.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+  return got;
+}
 
 using ReaderTypes = ::testing::Types<LogReader, MappedLogReader>;
 TYPED_TEST_SUITE(LogReaderContractTest, ReaderTypes);
@@ -350,7 +381,63 @@ TYPED_TEST(LogReaderContractTest, BatchReadMatchesRecordAtATime) {
   }
 }
 
-TEST_F(LogIoTest, MappedReaderRoundTripAndRewind) {
+TYPED_TEST(LogReaderContractTest, SkipThenReadEqualsDroppingThePrefix) {
+  constexpr std::size_t kRecords = 37;
+  const auto all = this->write_records("skip.bin", kRecords);
+  const auto p = this->path("skip.bin");
+  // Every record boundary, skip(0) included, then past the end: the
+  // skip returns the short count and the reader stays at the end.
+  for (std::size_t k = 0; k <= kRecords + 3; ++k) {
+    TypeParam r(p);
+    const std::size_t expect = std::min(k, kRecords);
+    EXPECT_EQ(r.skip(k), expect) << "k " << k;
+    EXPECT_EQ(r.position(), expect) << "k " << k;
+    const std::vector<LogRecord> tail(all.begin() + static_cast<std::ptrdiff_t>(expect),
+                                      all.end());
+    EXPECT_EQ(read_rest(r, 8), tail) << "k " << k;
+    EXPECT_EQ(r.position(), kRecords);
+    EXPECT_EQ(r.skip(1), 0u) << "k " << k;
+    EXPECT_FALSE(r.next().has_value()) << "k " << k;
+  }
+}
+
+TYPED_TEST(LogReaderContractTest, SkipInterleavesWithNextAndNextBatch) {
+  constexpr std::size_t kRecords = 101;
+  const auto all = this->write_records("mix.bin", kRecords);
+  util::Xoshiro256 rng(5);
+  for (int round = 0; round < 20; ++round) {
+    TypeParam r(this->path("mix.bin"));
+    std::size_t at = 0;  // the model cursor
+    std::vector<LogRecord> buf(16);
+    while (at < kRecords) {
+      const std::size_t want = rng.below(12);
+      switch (rng.below(3)) {
+        case 0: {
+          const std::size_t k = r.skip(want);
+          ASSERT_EQ(k, std::min(want, kRecords - at));
+          at += k;
+          break;
+        }
+        case 1: {
+          const auto got = r.next();
+          ASSERT_TRUE(got.has_value());
+          ASSERT_EQ(*got, all[at++]);
+          break;
+        }
+        default: {
+          const std::size_t n = r.next_batch(buf.data(), want);
+          ASSERT_EQ(n, std::min(want, kRecords - at));
+          for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(buf[i], all[at++]);
+        }
+      }
+      ASSERT_EQ(r.position(), at) << "round " << round;
+    }
+    EXPECT_FALSE(r.next().has_value());
+    EXPECT_EQ(r.skip(3), 0u);
+  }
+}
+
+TEST_F(LogIoTest, MappedReaderRoundTripAndReread) {
   const auto p = path("mmap.bin");
   util::Xoshiro256 rng(7);
   std::vector<LogRecord> original;
@@ -374,11 +461,18 @@ TEST_F(LogIoTest, MappedReaderRoundTripAndRewind) {
   EXPECT_EQ(got, original);
   EXPECT_EQ(reader.position(), original.size());
 
-  reader.rewind();
-  EXPECT_EQ(reader.position(), 0u);
-  const auto first = reader.next();
+  // A second reader over the same file starts at record 0, and a skip
+  // lands it on the record after the skipped ones.
+  MappedLogReader again(p);
+  EXPECT_EQ(again.position(), 0u);
+  const auto first = again.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, original.front());
+  EXPECT_EQ(again.skip(100), 100u);
+  EXPECT_EQ(again.position(), 101u);
+  const auto after = again.next();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(*after, original[101]);
 }
 
 TEST_F(LogIoTest, MappedReaderHandlesEmptyLog) {

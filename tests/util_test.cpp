@@ -331,6 +331,35 @@ TEST(Crc32, IncrementalChainingEqualsOneShot) {
   EXPECT_EQ(c, whole);
 }
 
+// The dispatched crc32() folds spans of 64 bytes or more with
+// carry-less multiplies where the CPU has them; slice-by-8 is the
+// reference it must equal, at every length across the 64-byte switch,
+// every start alignment and a nonzero seed.
+TEST(Crc32, DispatchedMatchesSliceBy8) {
+  EXPECT_EQ(crc32_slice8("123456789", 9), 0xCBF43926u);
+  std::vector<std::uint8_t> buf(2048 + 16);
+  Xoshiro256 rng(13);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (const std::uint32_t seed : {0u, 0xDEADBEEFu})
+    for (std::size_t off = 0; off < 16; ++off)
+      for (std::size_t len = 0; len <= 2048; ++len)
+        ASSERT_EQ(crc32(buf.data() + off, len, seed), crc32_slice8(buf.data() + off, len, seed))
+            << "seed " << seed << " offset " << off << " length " << len;
+}
+
+TEST(Crc32, ChainingSplitAtEveryOffset) {
+  std::vector<std::uint8_t> buf(300);
+  Xoshiro256 rng(17);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = crc32_slice8(buf.data(), buf.size());
+  ASSERT_EQ(crc32(buf.data(), buf.size()), whole);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const std::uint32_t head = crc32(buf.data(), cut);
+    ASSERT_EQ(head, crc32_slice8(buf.data(), cut)) << "cut " << cut;
+    ASSERT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole) << "cut " << cut;
+  }
+}
+
 // ---- StateWriter encoding --------------------------------------------
 
 using Bytes = std::vector<std::uint8_t>;

@@ -24,7 +24,9 @@
 # JSON snapshot (nonzero ingestion/feed counters, per-shard ring
 # gauges, full guard-fallback breakdown), then a `--checkpoint` run
 # whose snapshot must hold one `checkpoint.stall_us` and one
-# `checkpoint.commit_us` sample per checkpoint, then runs `v6sonar
+# `checkpoint.commit_us` sample per checkpoint, a `--resume` from it
+# whose `log.mmap.batch_records` must equal the records after the
+# checkpoint's cursor (the reader seeks past the rest), then runs `v6sonar
 # filter` and checks its read/work/write timers cover >= 95 % of its
 # wall time.
 # `bench-guard` is the performance gate: it builds the Release
@@ -57,14 +59,16 @@
 # replay is SIGKILLed mid-run while checkpointing every 250k records,
 # then resumed from the surviving checkpoint; the resumed report and
 # spilled event stream (`detect --events` at one and two shards,
-# `detect` at two without a spill, and `detect --events` at three
-# checkpointing every 1000 records, killed mid-commit), the resumed
+# `detect` at two without a spill, `detect --events` at three
+# checkpointing every 1000 records, killed mid-commit, and `detect` at
+# two read without `--mmap`), the resumed
 # `ids` output (one
 # and two shards), and a `v6sonard --tail --events` restarted from its
 # checkpoint verb's file (live report and drained spill against
 # `detect --report --events`) must be byte-identical to an
 # uninterrupted run. A
-# resume against an input shorter than the checkpoint must fail, a
+# resume against an input shorter than the checkpoint must fail
+# (through the mapped and the stdio reader), a
 # `--checkpoint-every` of 2^64-1 on a resumed run must write no
 # checkpoint, and a corrupt checkpoint must be refused. `docs` is a grep-based
 # lint needing no build:
@@ -525,21 +529,24 @@ PY
   # detect legs: one shard and two, with and without --events; each
   # resumes from the surviving checkpoint with the checkpointed shard
   # count, and its report and spill must be the uninterrupted run's.
-  # The last leg checkpoints every 1000 records, so a commit is in
+  # The fourth leg checkpoints every 1000 records, so a commit is in
   # flight at almost every barrier and the SIGKILL, a second into the
   # run, lands mid-commit: the previous checkpoint and its spill
-  # cursors must resume.
-  for leg in "1 events 250000 0" "2 events 250000 0" "2 - 250000 0" "3 events 1000 1"; do
-    read -r threads spill every linger <<< "$leg"
-    events=()
+  # cursors must resume. The last leg reads through the stdio reader
+  # (no --mmap), whose resume seeks past the covered records.
+  for leg in "1 events 250000 0 mmap" "2 events 250000 0 mmap" "2 - 250000 0 mmap" \
+             "3 events 1000 1 mmap" "2 - 250000 0 stdio"; do
+    read -r threads spill every linger reader <<< "$leg"
+    events=() mmap=()
     [[ "$spill" == events ]] && events=(--events "$work/spill.v6ev")
+    [[ "$reader" == mmap ]] && mmap=(--mmap)
     rm -f "$work/spill.v6ev"*
-    kill_after_checkpoint "$work/ck.v6ckpt" "$v6sonar" detect "$work/world.v6slog" --mmap \
+    kill_after_checkpoint "$work/ck.v6ckpt" "$v6sonar" detect "$work/world.v6slog" "${mmap[@]}" \
         --report --threads "$threads" "${events[@]}"
-    "$v6sonar" detect "$work/world.v6slog" --mmap --report "${events[@]}" \
+    "$v6sonar" detect "$work/world.v6slog" "${mmap[@]}" --report "${events[@]}" \
         --checkpoint "$work/ck.v6ckpt" --resume > "$work/resumed_report.txt"
     if ! cmp -s "$work/ref_report.txt" "$work/resumed_report.txt"; then
-      echo "checkpoint smoke FAILED: resumed --threads $threads report differs" \
+      echo "checkpoint smoke FAILED: resumed --threads $threads ($reader) report differs" \
            "from uninterrupted run" >&2
       diff "$work/ref_report.txt" "$work/resumed_report.txt" | head -40 >&2
       exit 1
@@ -571,7 +578,8 @@ PY
 
   # A checkpoint at ~3 M records against a 2 M-record prefix of the
   # same log: the input is not the checkpointed one, and --resume must
-  # fail naming both counts rather than print a wrong report.
+  # fail naming both counts rather than print a wrong report, through
+  # either reader.
   rm -f "$work/ck3m.v6ckpt"
   "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
       --checkpoint "$work/ck3m.v6ckpt" --checkpoint-every 3000000 > /dev/null
@@ -588,16 +596,17 @@ PY
   rm -f "$work/ids3m.v6ckpt"
   "$v6sonar" ids "$work/world.v6slog" --mmap --checkpoint "$work/ids3m.v6ckpt" \
       --checkpoint-every 3000000 > /dev/null
-  for leg in "detect ck3m.v6ckpt --report" "ids ids3m.v6ckpt"; do
+  for leg in "detect ck3m.v6ckpt --mmap --report" "ids ids3m.v6ckpt --mmap" \
+             "detect ck3m.v6ckpt --report" "ids ids3m.v6ckpt"; do
     read -r cmd ck flags <<< "$leg"
     # shellcheck disable=SC2086  # $flags is a list of flags
-    if "$v6sonar" "$cmd" "$work/short.v6slog" --mmap $flags --checkpoint "$work/$ck" \
+    if "$v6sonar" "$cmd" "$work/short.v6slog" $flags --checkpoint "$work/$ck" \
         --resume > /dev/null 2> "$work/short.err"; then
-      echo "checkpoint smoke FAILED: $cmd resumed against a shorter input" >&2
+      echo "checkpoint smoke FAILED: $cmd $flags resumed against a shorter input" >&2
       exit 1
     fi
     if ! grep -q "covers [0-9]* records, but .* holds only 2000000" "$work/short.err"; then
-      echo "checkpoint smoke FAILED: $cmd refusal does not name both counts:" >&2
+      echo "checkpoint smoke FAILED: $cmd $flags refusal does not name both counts:" >&2
       cat "$work/short.err" >&2
       exit 1
     fi
@@ -712,8 +721,8 @@ PY
 
   echo "check.sh: checkpoint smoke passed (SIGKILL + resume == uninterrupted for detect" \
        "--events and ids at 1 and 2 shards, detect --events at 3 checkpointing every 1000" \
-       "records, and v6sonard --tail --events; short input, cadence overflow and" \
-       "corruption handled)"
+       "records, detect at 2 through the stdio reader, and v6sonard --tail --events;" \
+       "short input through either reader, cadence overflow and corruption handled)"
   exit 0
 fi
 
@@ -786,6 +795,43 @@ if failures:
 stall, commit = (hists[name]["sum"] / 1e3 for name in counts)
 print(f"checkpoint metrics ok: {counts['checkpoint.stall_us']} checkpoints, feeder stalled "
       f"{stall:.1f} ms, commits took {commit:.1f} ms")
+PY
+
+  # Resumed from that checkpoint (a copy, which the run may overwrite),
+  # the mapped reader must decode exactly the records after the
+  # checkpoint's `run` cursor: it seeks past the covered ones.
+  cp "$work/metrics.v6ckpt" "$work/resume.v6ckpt"
+  "$tree/tools/v6sonar" detect "$work/world.v6slog" --mmap --checkpoint "$work/resume.v6ckpt" \
+      --resume --metrics="$work/resume_metrics.json" > /dev/null
+  python3 - "$work/resume_metrics.json" "$work/world.v6slog" "$work/metrics.v6ckpt" <<'PY'
+import json, struct, sys
+
+with open(sys.argv[1]) as fh:
+    counters = json.load(fh)["counters"]
+with open(sys.argv[2], "rb") as fh:
+    total = struct.unpack("<Q", fh.read(16)[8:])[0]
+# Container: magic, format u32, state version u32, section count u32,
+# then per section name (u32 length + bytes), u64 length, u32 CRC,
+# payload. The run section opens with u8 producer, u32 shards, u64
+# records.
+with open(sys.argv[3], "rb") as fh:
+    blob = fh.read()
+at, covered = 20, None
+for _ in range(struct.unpack_from("<I", blob, 16)[0]):
+    name_len = struct.unpack_from("<I", blob, at)[0]
+    name = blob[at + 4:at + 4 + name_len]
+    at += 4 + name_len
+    length = struct.unpack_from("<Q", blob, at)[0]
+    at += 12
+    if name == b"run":
+        covered = struct.unpack_from("<Q", blob, at + 5)[0]
+    at += length
+decoded = counters.get("log.mmap.batch_records", 0)
+if covered is None or decoded != total - covered:
+    print(f"resume metrics check FAILED: log.mmap.batch_records {decoded}, want {total} records"
+          f" - {covered} covered by the checkpoint", file=sys.stderr)
+    sys.exit(1)
+print(f"resume metrics ok: decoded {decoded} of {total} records, skipped the {covered} covered")
 PY
 
   # The day-parallel filter's stage timers must account for its wall

@@ -174,40 +174,50 @@ std::vector<sim::LogRecord> load_records(const std::string& path) {
   return records;
 }
 
-/// Stream every record of `path` through `fn`, batch by batch,
-/// without materializing the log: --mmap uses the zero-copy mapped
-/// reader, otherwise the buffered log reader streams in chunks. pcap
-/// inputs have no streaming parser: they are parsed in one in-memory
-/// pass and fed in slices of the same batch size, so no consumer
-/// sizes its per-batch scratch to the whole capture.
+/// Stream every record of `path` after the first `skip` through `fn`,
+/// batch by batch, without materializing the log; returns how many
+/// records were skipped (fewer than `skip` only if the input is
+/// shorter). --mmap uses the zero-copy mapped reader, otherwise the
+/// buffered log reader streams in chunks; either skips with one
+/// cursor move, decoding nothing it skips. pcap inputs have no
+/// streaming parser: they are parsed in one in-memory pass and fed in
+/// slices of the same batch size, so no consumer sizes its per-batch
+/// scratch to the whole capture. Batches end where a read from record
+/// 0 would end them, skip or not, so a resumed run checkpoints at the
+/// same records whichever way it got past the skipped ones.
 /// Streaming loops check the drain signal between batches: on
 /// SIGINT/SIGTERM the feed stops early and the caller's normal
 /// flush/finalize path runs over what was read so far — spill files
 /// get a real (fsync'd) count header and --metrics still dumps.
 /// main() then maps the partial run to exit code 128+signo.
 template <typename Fn>
-void for_each_record_batch(const std::string& path, bool use_mmap, Fn&& fn) {
+std::uint64_t for_each_record_batch(const std::string& path, bool use_mmap, Fn&& fn,
+                                    std::uint64_t skip = 0) {
   constexpr std::size_t kBatch = 4'096;
   if (is_pcap(path)) {
     const auto records = load_records(path);
     const std::span<const sim::LogRecord> all{records};
-    for (std::size_t i = 0; i < all.size(); i += kBatch) {
-      if (util::ShutdownSignal::requested()) return;
-      fn(all.subspan(i, std::min(kBatch, all.size() - i)));
+    const std::size_t skipped = static_cast<std::size_t>(std::min<std::uint64_t>(skip, all.size()));
+    for (std::size_t i = skipped; i < all.size();) {
+      if (util::ShutdownSignal::requested()) break;
+      const std::size_t end = std::min((i / kBatch + 1) * kBatch, all.size());
+      fn(all.subspan(i, end - i));
+      i = end;
     }
-    return;
+    return skipped;
   }
   std::array<sim::LogRecord, kBatch> batch;
-  const auto stream = [&](auto&& reader) {
-    for (std::size_t n; (n = reader.next_batch(batch.data(), batch.size())) > 0;) {
-      if (util::ShutdownSignal::requested()) return;
+  const auto stream = [&](sim::RecordStream&& reader) {
+    const std::uint64_t skipped = reader.skip(skip);
+    std::size_t want = kBatch - static_cast<std::size_t>(skipped % kBatch);
+    for (std::size_t n; (n = reader.next_batch(batch.data(), want)) > 0; want = kBatch) {
+      if (util::ShutdownSignal::requested()) break;
       fn(std::span<const sim::LogRecord>{batch.data(), n});
     }
+    return skipped;
   };
-  if (use_mmap)
-    stream(sim::MappedLogReader(path));
-  else
-    stream(sim::LogReader(path));
+  if (use_mmap) return stream(sim::MappedLogReader(path));
+  return stream(sim::LogReader(path));
 }
 
 Options parse_options(int argc, char** argv, int first) {
@@ -294,38 +304,33 @@ constexpr std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
 }
 
 /// The run loop of detect and ids: stream `path` into `feed`, skipping
-/// the first `skip` records (those a resumed checkpoint covers), and
-/// with --checkpoint call `save(records fed)` every --checkpoint-every
-/// records. An input that ends while records are still to be skipped
+/// at the reader the first `covered` records (those a resumed
+/// checkpoint covers), and with --checkpoint call `save(records fed)`
+/// every --checkpoint-every records. An input shorter than `covered`
 /// is not the one the checkpoint was taken on: that throws, unless a
-/// drain signal cut the skip short (the run then exits 128+signo).
+/// drain signal arrived (the run then exits 128+signo).
 template <typename Feed, typename Save>
-void run_records(const std::string& path, const Options& o, std::uint64_t skip, Feed&& feed,
+void run_records(const std::string& path, const Options& o, std::uint64_t covered, Feed&& feed,
                  Save&& save) {
-  const std::uint64_t covered = skip;
   const auto next_after = [&](std::uint64_t fed) {
     return o.checkpoint.empty() ? UINT64_MAX : saturating_add(fed, o.checkpoint_every);
   };
-  std::uint64_t fed = skip;
+  std::uint64_t fed = covered;
   std::uint64_t next_ckpt = next_after(fed);
-  for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
-    if (skip >= batch.size()) {
-      skip -= batch.size();
-      return;
-    }
-    batch = batch.subspan(skip);
-    skip = 0;
-    feed(batch);
-    fed += batch.size();
-    if (fed >= next_ckpt) {
-      save(fed);
-      next_ckpt = next_after(fed);
-    }
-  });
-  if (skip > 0 && !util::ShutdownSignal::requested())
+  const std::uint64_t skipped = for_each_record_batch(
+      path, o.mmap,
+      [&](std::span<const sim::LogRecord> batch) {
+        feed(batch);
+        fed += batch.size();
+        if (fed >= next_ckpt) {
+          save(fed);
+          next_ckpt = next_after(fed);
+        }
+      },
+      covered);
+  if (skipped < covered && !util::ShutdownSignal::requested())
     throw std::runtime_error("the checkpoint covers " + std::to_string(covered) +
-                             " records, but " + path + " holds only " +
-                             std::to_string(covered - skip));
+                             " records, but " + path + " holds only " + std::to_string(skipped));
 }
 
 /// A resumed run's checkpoint and its "run" section, refused unless `producer` wrote it.
