@@ -168,10 +168,6 @@ void ScanDetector::feed_batch(std::span<const sim::LogRecord> batch) {
   // the per-record sweep — demoting on schedule. A demoted source with
   // records inside this batch simply promotes again at its first probe.
   if (config_.demote_idle_us > 0 && n > 0) demote_up_to(batch[0].ts_us);
-  if (counting) {
-    dm().hot_sources.note(states_.size());
-    dm().cold_sources.note(cold_.size());
-  }
   if (n < 2) {
     if (counting) {
       dm().fb_small.add();
@@ -504,6 +500,16 @@ void ScanDetector::advance(sim::TimeUs now) {
   last_ts_ = now;
   expire_up_to(now);
   if (config_.demote_idle_us > 0) demote_up_to(now);
+  note_tiers();
+}
+
+// The tier gauges are noted only where the input decides the state:
+// after advance()'s sweeps and at flush. Worker batch boundaries
+// follow thread timing, so a note at batch start would make the
+// high-water differ between runs of one input.
+void ScanDetector::note_tiers() const noexcept {
+  dm().hot_sources.note(states_.size());
+  dm().cold_sources.note(cold_.size());
 }
 
 void ScanDetector::finalize_cold(const net::Ipv6Prefix& key, const ColdState& cs) {
@@ -545,10 +551,7 @@ void ScanDetector::demote_up_to(sim::TimeUs now) {
     demote(e.key, e.key_hash, *p);
     ++demoted;
   }
-  if (demoted && util::metrics::enabled()) {
-    dm().demotions.add(demoted);
-    dm().cold_sources.note(cold_.size());
-  }
+  if (demoted && util::metrics::enabled()) dm().demotions.add(demoted);
 }
 
 void ScanDetector::demote(const net::Ipv6Prefix& key, std::size_t key_hash, SourceState* st) {
@@ -709,6 +712,7 @@ void ScanDetector::expire_up_to(sim::TimeUs now) {
 }
 
 void ScanDetector::flush() {
+  note_tiers();
   // Finalize in key order so flushed-event order is deterministic
   // regardless of hash-table iteration order. Hot and cold sources
   // interleave in one key-sorted pass — the tier a source happens to

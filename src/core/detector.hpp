@@ -223,6 +223,8 @@ class ScanDetector : public StateCodec {
   /// only with tiering enabled; demotion is output-invisible, so the
   /// sweep may run at any point between records.
   void demote_up_to(sim::TimeUs now);
+  /// Raise the detector.state.{hot,cold}_sources high-waters.
+  void note_tiers() const noexcept;
   void demote(const net::Ipv6Prefix& key, std::size_t key_hash, SourceState* st);
   /// Rehydrate `key`'s cold record into a hot state (nullptr if the
   /// source is not cold). The caller owns wiring it into states_.

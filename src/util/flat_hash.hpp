@@ -14,7 +14,9 @@
 // power of two and erase is tombstone-free (backward-shift deletion
 // keeps chains dense), so probe sequences are plain slot-granular
 // linear probing underneath — the groups are just a vectorized window
-// onto it.
+// onto it. FlatMap and FlatSet are thin front ends over one
+// detail::FlatTable that holds all of this; they only say what a slot
+// holds.
 //
 // Slot storage can be backed by a util::SlabPool so the per-source
 // create/destroy churn recycles slot arrays instead of hitting the
@@ -143,7 +145,7 @@ struct GroupSse2 {
 };
 #endif
 
-#if defined(__SSE2__) && !defined(V6SONAR_FLAT_HASH_SWAR)
+#if defined(__SSE2__)
 using DefaultGroup = GroupSse2;
 #else
 using DefaultGroup = GroupSwar;
@@ -172,77 +174,68 @@ inline void note_rehash() noexcept {
   if (metrics::enabled()) probe_stats().rehashes.add();
 }
 
-}  // namespace detail
+/// A map slot. Not std::pair, which is not trivially copyable: slots
+/// move by plain assignment and whole tables copy with one memcpy.
+template <typename K, typename V>
+struct KeyValue {
+  K first;
+  V second;
+};
 
-template <typename K, typename V, typename Hash = std::hash<K>,
-          typename Group = detail::DefaultGroup>
-class FlatMap {
-  static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>,
-                "FlatMap slots are managed as raw storage");
+/// Key projections: a set slot is its key; a map slot keys by `first`.
+struct SlotIsKey {
+  template <typename K>
+  [[nodiscard]] const K& operator()(const K& slot) const noexcept {
+    return slot;
+  }
+};
+struct SlotFirstIsKey {
+  template <typename Slot>
+  [[nodiscard]] const auto& operator()(const Slot& slot) const noexcept {
+    return slot.first;
+  }
+};
+
+/// The one open-addressing table under FlatMap and FlatSet. It owns the
+/// control bytes and their mirror tail, group probing, growth at 3/4
+/// load, backward-shift erase, pool-backed storage and slot-order
+/// iteration; the front ends only say what a slot holds. Slot placement
+/// does not depend on the group width — the first empty slot or the
+/// matching key on a probe path is the same for 8- and 16-byte groups —
+/// so every Group lays a table out identically.
+template <typename K, typename Slot, typename KeyOf, typename Hash, typename Group>
+class FlatTable {
+  static_assert(std::is_trivially_copyable_v<Slot>, "flat table slots are managed as raw storage");
 
  public:
-  FlatMap() = default;
+  FlatTable() = default;
   /// Pool-backed: slot arrays come from / return to `pool` (which must
   /// outlive this container).
-  explicit FlatMap(SlabPool* pool) noexcept : pool_(pool) {}
+  explicit FlatTable(SlabPool* pool) noexcept : pool_(pool) {}
 
-  FlatMap(const FlatMap& o) : pool_(o.pool_) {
+  FlatTable(const FlatTable& o) : pool_(o.pool_) {
     if (o.cap_ == 0) return;
-    Slot* block = alloc_raw(o.cap_);
-    adopt_block(block, o.cap_);
+    adopt_block(alloc_raw(o.cap_), o.cap_);
     size_ = o.size_;
-    std::memcpy(static_cast<void*>(slots_), o.slots_, block_bytes(cap_));
+    std::memcpy(slots_, o.slots_, block_bytes(cap_));
   }
-  FlatMap(FlatMap&& o) noexcept { steal(o); }
-  FlatMap& operator=(const FlatMap& o) {
+  FlatTable(FlatTable&& o) noexcept { steal(o); }
+  FlatTable& operator=(const FlatTable& o) {
     if (this != &o) {
-      FlatMap copy(o);
-      destroy();
+      FlatTable copy(o);
+      free_block();
       steal(copy);
     }
     return *this;
   }
-  FlatMap& operator=(FlatMap&& o) noexcept {
+  FlatTable& operator=(FlatTable&& o) noexcept {
     if (this != &o) {
-      destroy();
+      free_block();
       steal(o);
     }
     return *this;
   }
-  ~FlatMap() { destroy(); }
-
-  /// Returns a reference to the value for `key`, default-constructing
-  /// it on first access (like operator[]).
-  V& operator[](const K& key) { return insert_hashed(key, Hash{}(key)); }
-
-  /// operator[] with a precomputed hash (must equal Hash{}(key)).
-  V& insert_hashed(const K& key, std::size_t h) {
-    if (cap_ == 0 || (size_ + 1) * 4 > cap_ * 3) grow();
-    const Locate loc = locate(key, h);
-    Slot& s = slots_[loc.idx];
-    if (!loc.found) {
-      set_ctrl(loc.idx, detail::ctrl_tag(h));
-      s.kv.first = key;
-      s.kv.second = V{};
-      ++size_;
-    }
-    return s.kv.second;
-  }
-
-  [[nodiscard]] const V* find(const K& key) const noexcept {
-    return find_hashed(key, Hash{}(key));
-  }
-  [[nodiscard]] V* find(const K& key) noexcept { return find_hashed(key, Hash{}(key)); }
-
-  /// find() with a precomputed hash (must equal Hash{}(key)).
-  [[nodiscard]] const V* find_hashed(const K& key, std::size_t h) const noexcept {
-    if (cap_ == 0) return nullptr;
-    const std::size_t idx = find_index(key, h);
-    return idx == kNpos ? nullptr : &slots_[idx].kv.second;
-  }
-  [[nodiscard]] V* find_hashed(const K& key, std::size_t h) noexcept {
-    return const_cast<V*>(static_cast<const FlatMap*>(this)->find_hashed(key, h));
-  }
+  ~FlatTable() { free_block(); }
 
   /// Remove `key`; returns whether it was present. Backward-shift
   /// deletion: elements probing past the hole are slid back into it
@@ -253,24 +246,25 @@ class FlatMap {
   /// erase() with a precomputed hash (must equal Hash{}(key)).
   bool erase_hashed(const K& key, std::size_t h) noexcept {
     if (cap_ == 0) return false;
-    std::size_t idx = find_index(key, h);
-    if (idx == kNpos) return false;
+    const Locate loc = locate(key, h);
+    if (!loc.found) return false;
     const std::size_t mask = cap_ - 1;
+    std::size_t idx = loc.idx;
     std::size_t j = idx;
     for (;;) {
       j = (j + 1) & mask;
-      if (ctrl_[j] & detail::kCtrlEmpty) break;
+      if (ctrl_[j] & kCtrlEmpty) break;
       // The element at j may fill the hole at idx only if its home
       // slot is cyclically at-or-before idx on the probe path to j —
       // moving it earlier than its home would hide it from lookups.
-      const std::size_t home = Hash{}(slots_[j].kv.first) & mask;
+      const std::size_t home = Hash{}(KeyOf{}(slots_[j])) & mask;
       if (((j - home) & mask) >= ((j - idx) & mask)) {
         slots_[idx] = slots_[j];
         set_ctrl(idx, ctrl_[j]);
         idx = j;
       }
     }
-    set_ctrl(idx, detail::kCtrlEmpty);
+    set_ctrl(idx, kCtrlEmpty);
     --size_;
     return true;
   }
@@ -291,7 +285,7 @@ class FlatMap {
   /// starts at its previous capacity instead of re-growing from the
   /// minimum.
   void reset() noexcept {
-    if (slots_) std::memset(ctrl_, detail::kCtrlEmpty, ctrl_bytes(cap_));
+    if (slots_) std::memset(ctrl_, kCtrlEmpty, ctrl_bytes(cap_));
     size_ = 0;
   }
 
@@ -300,13 +294,6 @@ class FlatMap {
     std::size_t cap = kMinCap;
     while (cap * 3 < n * 4) cap *= 2;  // inverse of the insert-time growth check
     if (cap > cap_) rehash_to(cap);
-  }
-
-  /// Visit all (key, value) pairs (unspecified order).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < cap_; ++i)
-      if (!(ctrl_[i] & detail::kCtrlEmpty)) fn(slots_[i].kv.first, slots_[i].kv.second);
   }
 
   /// Hint the key's home group into cache ahead of a lookup/insert.
@@ -325,17 +312,44 @@ class FlatMap {
 #endif
   }
 
- private:
-  struct Slot {
-    std::pair<K, V> kv;
+ protected:
+  /// The slot holding `key`, or null.
+  [[nodiscard]] Slot* find_slot(const K& key, std::size_t h) const noexcept {
+    if (cap_ == 0) return nullptr;
+    const Locate loc = locate(key, h);
+    return loc.found ? &slots_[loc.idx] : nullptr;
+  }
+
+  struct Claim {
+    Slot* slot;
+    bool fresh;  ///< the key was absent: the caller fills the slot
   };
+  /// The slot holding `key`, claiming the first empty one on its probe
+  /// path (growing first at 3/4 load) when the key is absent.
+  [[nodiscard]] Claim claim(const K& key, std::size_t h) {
+    if (cap_ == 0 || (size_ + 1) * 4 > cap_ * 3) rehash_to(cap_ ? cap_ * 2 : kMinCap);
+    const Locate loc = locate(key, h);
+    if (!loc.found) {
+      set_ctrl(loc.idx, ctrl_tag(h));
+      ++size_;
+    }
+    return {&slots_[loc.idx], !loc.found};
+  }
+
+  /// Visit every full slot in slot order.
+  template <typename Fn>
+  void for_each_slot(Fn&& fn) const {
+    for (std::size_t i = 0; i < cap_; ++i)
+      if (!(ctrl_[i] & kCtrlEmpty)) fn(slots_[i]);
+  }
+
+ private:
   static constexpr std::size_t kMinCap = 16;
   static_assert(kMinCap >= Group::kWidth && kMinCap % Group::kWidth == 0,
                 "group loads at stride kWidth must tile the table");
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   struct Locate {
-    std::size_t idx;
+    std::size_t idx;  ///< the key's slot, or the first empty one on its path
     bool found;
   };
 
@@ -351,50 +365,27 @@ class FlatMap {
     return cap * sizeof(Slot) + ctrl_bytes(cap);
   }
 
-  [[nodiscard]] std::size_t find_index(const K& key, std::size_t h) const noexcept {
+  [[nodiscard]] Locate locate(const K& key, std::size_t h) const noexcept {
     const std::size_t mask = cap_ - 1;
-    const std::uint8_t tag = detail::ctrl_tag(h);
+    const std::uint8_t tag = ctrl_tag(h);
     std::size_t idx = h & mask;
     std::size_t groups = 1;
     for (;;) {
       const Group g(ctrl_ + idx);
       for (auto m = g.match(tag); m.any(); m.advance()) {
         const std::size_t p = (idx + m.offset()) & mask;
-        if (slots_[p].kv.first == key) {
-          detail::note_probe(groups);
-          return p;
+        if (KeyOf{}(slots_[p]) == key) {
+          note_probe(groups);
+          return {p, true};
         }
       }
       // A present key's probe chain from its home slot never crosses
       // an empty slot (insert fills the first empty; backward-shift
       // erase preserves this), so an empty anywhere in the group ends
-      // the search.
-      if (g.has_empty()) {
-        detail::note_probe(groups);
-        return kNpos;
-      }
-      idx = (idx + Group::kWidth) & mask;
-      ++groups;
-    }
-  }
-
-  [[nodiscard]] Locate locate(const K& key, std::size_t h) const noexcept {
-    const std::size_t mask = cap_ - 1;
-    const std::uint8_t tag = detail::ctrl_tag(h);
-    std::size_t idx = h & mask;
-    std::size_t groups = 1;
-    for (;;) {
-      const Group g(ctrl_ + idx);
-      for (auto m = g.match(tag); m.any(); m.advance()) {
-        const std::size_t p = (idx + m.offset()) & mask;
-        if (slots_[p].kv.first == key) {
-          detail::note_probe(groups);
-          return {p, true};
-        }
-      }
+      // the search, and the first one is where the key would go.
       const auto e = g.empty_mask();
       if (e.any()) {
-        detail::note_probe(groups);
+        note_probe(groups);
         return {(idx + e.offset()) & mask, false};
       }
       idx = (idx + Group::kWidth) & mask;
@@ -418,63 +409,57 @@ class FlatMap {
     cap_ = cap;
   }
 
+  void release(Slot* block, std::size_t cap) noexcept {
+    if (pool_)
+      pool_->release(block, block_bytes(cap));
+    else
+      ::operator delete(block);
+  }
+
   void free_block() noexcept {
     if (!slots_) return;
-    if (pool_)
-      pool_->release(slots_, block_bytes(cap_));
-    else
-      ::operator delete(slots_);
+    release(slots_, cap_);
     slots_ = nullptr;
     ctrl_ = nullptr;
     cap_ = 0;
   }
 
+  /// Move every entry into a fresh `new_cap` block, in old slot order,
+  /// each into the first empty slot on its probe path.
   void rehash_to(std::size_t new_cap) {
     Slot* old_slots = slots_;
     const std::uint8_t* old_ctrl = ctrl_;
     const std::size_t old_cap = cap_;
-    const bool pool_backed = pool_ != nullptr;
     adopt_block(alloc_raw(new_cap), new_cap);
-    std::memset(ctrl_, detail::kCtrlEmpty, ctrl_bytes(new_cap));
+    std::memset(ctrl_, kCtrlEmpty, ctrl_bytes(new_cap));
     const std::size_t mask = new_cap - 1;
     for (std::size_t i = 0; i < old_cap; ++i) {
-      if (old_ctrl[i] & detail::kCtrlEmpty) continue;
-      const std::size_t h = Hash{}(old_slots[i].kv.first);
+      if (old_ctrl[i] & kCtrlEmpty) continue;
+      const std::size_t h = Hash{}(KeyOf{}(old_slots[i]));
       std::size_t idx = h & mask;
       for (;;) {
-        const Group g(ctrl_ + idx);
-        const auto e = g.empty_mask();
+        const auto e = Group(ctrl_ + idx).empty_mask();
         if (e.any()) {
           idx = (idx + e.offset()) & mask;
           break;
         }
         idx = (idx + Group::kWidth) & mask;
       }
-      set_ctrl(idx, detail::ctrl_tag(h));
+      set_ctrl(idx, ctrl_tag(h));
       slots_[idx] = old_slots[i];
     }
     if (old_slots) {
-      if (pool_backed)
-        pool_->release(old_slots, block_bytes(old_cap));
-      else
-        ::operator delete(old_slots);
-      detail::note_rehash();
+      release(old_slots, old_cap);
+      note_rehash();
     }
   }
 
-  void grow() { rehash_to(cap_ ? cap_ * 2 : kMinCap); }
-
-  void destroy() noexcept { free_block(); }
-  void steal(FlatMap& o) noexcept {
-    slots_ = o.slots_;
-    ctrl_ = o.ctrl_;
-    cap_ = o.cap_;
-    size_ = o.size_;
+  void steal(FlatTable& o) noexcept {
+    slots_ = std::exchange(o.slots_, nullptr);
+    ctrl_ = std::exchange(o.ctrl_, nullptr);
+    cap_ = std::exchange(o.cap_, 0);
+    size_ = std::exchange(o.size_, 0);
     pool_ = o.pool_;
-    o.slots_ = nullptr;
-    o.ctrl_ = nullptr;
-    o.cap_ = 0;
-    o.size_ = 0;
   }
 
   Slot* slots_ = nullptr;
@@ -484,54 +469,69 @@ class FlatMap {
   SlabPool* pool_ = nullptr;
 };
 
-template <typename K, typename Hash = std::hash<K>, typename Group = detail::DefaultGroup>
-class FlatSet {
-  static_assert(std::is_trivially_copyable_v<K>,
-                "FlatSet slots are managed as raw storage");
+}  // namespace detail
+
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename Group = detail::DefaultGroup>
+class FlatMap
+    : private detail::FlatTable<K, detail::KeyValue<K, V>, detail::SlotFirstIsKey, Hash, Group> {
+  using Table = detail::FlatTable<K, detail::KeyValue<K, V>, detail::SlotFirstIsKey, Hash, Group>;
 
  public:
-  FlatSet() = default;
-  /// Pool-backed: slot arrays come from / return to `pool` (which must
-  /// outlive this container).
-  explicit FlatSet(SlabPool* pool) noexcept : pool_(pool) {}
+  using Table::Table;
+  using Table::size, Table::empty, Table::capacity, Table::clear, Table::reset, Table::reserve,
+      Table::prefetch, Table::prefetch_hash, Table::erase, Table::erase_hashed;
 
-  FlatSet(const FlatSet& o) : pool_(o.pool_) {
-    if (o.cap_ == 0) return;
-    Slot* block = alloc_raw(o.cap_);
-    adopt_block(block, o.cap_);
-    size_ = o.size_;
-    std::memcpy(static_cast<void*>(slots_), o.slots_, block_bytes(cap_));
+  /// Returns a reference to the value for `key`, default-constructing
+  /// it on first access (like operator[]).
+  V& operator[](const K& key) { return insert_hashed(key, Hash{}(key)); }
+
+  /// operator[] with a precomputed hash (must equal Hash{}(key)).
+  V& insert_hashed(const K& key, std::size_t h) {
+    const auto c = this->claim(key, h);
+    if (c.fresh) *c.slot = {key, V{}};
+    return c.slot->second;
   }
-  FlatSet(FlatSet&& o) noexcept { steal(o); }
-  FlatSet& operator=(const FlatSet& o) {
-    if (this != &o) {
-      FlatSet copy(o);
-      destroy();
-      steal(copy);
-    }
-    return *this;
+
+  [[nodiscard]] const V* find(const K& key) const noexcept {
+    return find_hashed(key, Hash{}(key));
   }
-  FlatSet& operator=(FlatSet&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      steal(o);
-    }
-    return *this;
+  [[nodiscard]] V* find(const K& key) noexcept { return find_hashed(key, Hash{}(key)); }
+
+  /// find() with a precomputed hash (must equal Hash{}(key)).
+  [[nodiscard]] const V* find_hashed(const K& key, std::size_t h) const noexcept {
+    const auto* s = this->find_slot(key, h);
+    return s ? &s->second : nullptr;
   }
-  ~FlatSet() { destroy(); }
+  [[nodiscard]] V* find_hashed(const K& key, std::size_t h) noexcept {
+    auto* s = this->find_slot(key, h);
+    return s ? &s->second : nullptr;
+  }
+
+  /// Visit all (key, value) pairs in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    this->for_each_slot([&](const detail::KeyValue<K, V>& s) { fn(s.first, s.second); });
+  }
+};
+
+template <typename K, typename Hash = std::hash<K>, typename Group = detail::DefaultGroup>
+class FlatSet : private detail::FlatTable<K, K, detail::SlotIsKey, Hash, Group> {
+  using Table = detail::FlatTable<K, K, detail::SlotIsKey, Hash, Group>;
+
+ public:
+  using Table::Table;
+  using Table::size, Table::empty, Table::capacity, Table::clear, Table::reset, Table::reserve,
+      Table::prefetch, Table::prefetch_hash;
 
   /// Returns true if the key was newly inserted.
   bool insert(const K& key) { return insert_hashed(key, Hash{}(key)); }
 
   /// insert() with a precomputed hash (must equal Hash{}(key)).
   bool insert_hashed(const K& key, std::size_t h) {
-    if (cap_ == 0 || (size_ + 1) * 4 > cap_ * 3) grow();
-    const Locate loc = locate(key, h);
-    if (loc.found) return false;
-    set_ctrl(loc.idx, detail::ctrl_tag(h));
-    slots_[loc.idx].key = key;
-    ++size_;
-    return true;
+    const auto c = this->claim(key, h);
+    if (c.fresh) *c.slot = key;
+    return c.fresh;
   }
 
   [[nodiscard]] bool contains(const K& key) const noexcept {
@@ -539,207 +539,14 @@ class FlatSet {
   }
   /// contains() with a precomputed hash (must equal Hash{}(key)).
   [[nodiscard]] bool contains_hashed(const K& key, std::size_t h) const noexcept {
-    if (cap_ == 0) return false;
-    return find_index(key, h) != kNpos;
+    return this->find_slot(key, h) != nullptr;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// Slot-array length (diagnostics; load factor is size/capacity).
-  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
-
-  /// Drop all entries and release the slot storage (to the pool when
-  /// pool-backed). Use reset() when the container will be refilled.
-  void clear() noexcept {
-    free_block();
-    size_ = 0;
-  }
-
-  /// Drop all entries but keep the slot array: a reused container
-  /// starts at its previous capacity instead of re-growing from the
-  /// minimum.
-  void reset() noexcept {
-    if (slots_) std::memset(ctrl_, detail::kCtrlEmpty, ctrl_bytes(cap_));
-    size_ = 0;
-  }
-
-  /// Ensure `n` entries fit without any further slot-array growth.
-  void reserve(std::size_t n) {
-    std::size_t cap = kMinCap;
-    while (cap * 3 < n * 4) cap *= 2;  // inverse of the insert-time growth check
-    if (cap > cap_) rehash_to(cap);
-  }
-
+  /// Visit all keys in slot order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < cap_; ++i)
-      if (!(ctrl_[i] & detail::kCtrlEmpty)) fn(slots_[i].key);
+    this->for_each_slot(fn);
   }
-
-  /// Hint the key's home group into cache ahead of a lookup/insert.
-  /// Read-only and never required for correctness; batch consumers
-  /// issue it a few records ahead to hide the probe's cache misses.
-  void prefetch(const K& key) const noexcept { prefetch_hash(Hash{}(key)); }
-  void prefetch_hash(std::size_t h) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    if (cap_ != 0) {
-      const std::size_t idx = h & (cap_ - 1);
-      __builtin_prefetch(ctrl_ + idx);
-      __builtin_prefetch(slots_ + idx);
-    }
-#else
-    (void)h;
-#endif
-  }
-
- private:
-  struct Slot {
-    K key;
-  };
-  static constexpr std::size_t kMinCap = 16;
-  static_assert(kMinCap >= Group::kWidth && kMinCap % Group::kWidth == 0,
-                "group loads at stride kWidth must tile the table");
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-  struct Locate {
-    std::size_t idx;
-    bool found;
-  };
-
-  [[nodiscard]] static constexpr std::size_t ctrl_bytes(std::size_t cap) noexcept {
-    return cap + Group::kWidth - 1;
-  }
-  [[nodiscard]] static constexpr std::size_t block_bytes(std::size_t cap) noexcept {
-    return cap * sizeof(Slot) + ctrl_bytes(cap);
-  }
-
-  [[nodiscard]] std::size_t find_index(const K& key, std::size_t h) const noexcept {
-    const std::size_t mask = cap_ - 1;
-    const std::uint8_t tag = detail::ctrl_tag(h);
-    std::size_t idx = h & mask;
-    std::size_t groups = 1;
-    for (;;) {
-      const Group g(ctrl_ + idx);
-      for (auto m = g.match(tag); m.any(); m.advance()) {
-        const std::size_t p = (idx + m.offset()) & mask;
-        if (slots_[p].key == key) {
-          detail::note_probe(groups);
-          return p;
-        }
-      }
-      if (g.has_empty()) {
-        detail::note_probe(groups);
-        return kNpos;
-      }
-      idx = (idx + Group::kWidth) & mask;
-      ++groups;
-    }
-  }
-
-  [[nodiscard]] Locate locate(const K& key, std::size_t h) const noexcept {
-    const std::size_t mask = cap_ - 1;
-    const std::uint8_t tag = detail::ctrl_tag(h);
-    std::size_t idx = h & mask;
-    std::size_t groups = 1;
-    for (;;) {
-      const Group g(ctrl_ + idx);
-      for (auto m = g.match(tag); m.any(); m.advance()) {
-        const std::size_t p = (idx + m.offset()) & mask;
-        if (slots_[p].key == key) {
-          detail::note_probe(groups);
-          return {p, true};
-        }
-      }
-      const auto e = g.empty_mask();
-      if (e.any()) {
-        detail::note_probe(groups);
-        return {(idx + e.offset()) & mask, false};
-      }
-      idx = (idx + Group::kWidth) & mask;
-      ++groups;
-    }
-  }
-
-  void set_ctrl(std::size_t i, std::uint8_t v) noexcept {
-    ctrl_[i] = v;
-    if (i < Group::kWidth - 1) ctrl_[cap_ + i] = v;
-  }
-
-  [[nodiscard]] Slot* alloc_raw(std::size_t cap) {
-    void* p = pool_ ? pool_->acquire(block_bytes(cap)) : ::operator new(block_bytes(cap));
-    return static_cast<Slot*>(p);
-  }
-
-  void adopt_block(Slot* block, std::size_t cap) noexcept {
-    slots_ = block;
-    ctrl_ = reinterpret_cast<std::uint8_t*>(block + cap);
-    cap_ = cap;
-  }
-
-  void free_block() noexcept {
-    if (!slots_) return;
-    if (pool_)
-      pool_->release(slots_, block_bytes(cap_));
-    else
-      ::operator delete(slots_);
-    slots_ = nullptr;
-    ctrl_ = nullptr;
-    cap_ = 0;
-  }
-
-  void rehash_to(std::size_t new_cap) {
-    Slot* old_slots = slots_;
-    const std::uint8_t* old_ctrl = ctrl_;
-    const std::size_t old_cap = cap_;
-    const bool pool_backed = pool_ != nullptr;
-    adopt_block(alloc_raw(new_cap), new_cap);
-    std::memset(ctrl_, detail::kCtrlEmpty, ctrl_bytes(new_cap));
-    const std::size_t mask = new_cap - 1;
-    for (std::size_t i = 0; i < old_cap; ++i) {
-      if (old_ctrl[i] & detail::kCtrlEmpty) continue;
-      const std::size_t h = Hash{}(old_slots[i].key);
-      std::size_t idx = h & mask;
-      for (;;) {
-        const Group g(ctrl_ + idx);
-        const auto e = g.empty_mask();
-        if (e.any()) {
-          idx = (idx + e.offset()) & mask;
-          break;
-        }
-        idx = (idx + Group::kWidth) & mask;
-      }
-      set_ctrl(idx, detail::ctrl_tag(h));
-      slots_[idx].key = old_slots[i].key;
-    }
-    if (old_slots) {
-      if (pool_backed)
-        pool_->release(old_slots, block_bytes(old_cap));
-      else
-        ::operator delete(old_slots);
-      detail::note_rehash();
-    }
-  }
-
-  void grow() { rehash_to(cap_ ? cap_ * 2 : kMinCap); }
-
-  void destroy() noexcept { free_block(); }
-  void steal(FlatSet& o) noexcept {
-    slots_ = o.slots_;
-    ctrl_ = o.ctrl_;
-    cap_ = o.cap_;
-    size_ = o.size_;
-    pool_ = o.pool_;
-    o.slots_ = nullptr;
-    o.ctrl_ = nullptr;
-    o.cap_ = 0;
-    o.size_ = 0;
-  }
-
-  Slot* slots_ = nullptr;
-  std::uint8_t* ctrl_ = nullptr;
-  std::size_t cap_ = 0;
-  std::size_t size_ = 0;
-  SlabPool* pool_ = nullptr;
 };
 
 /// Avalanching hash for small integer keys (std::hash is identity for

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/artifact_filter.hpp"
@@ -200,6 +201,39 @@ TEST_F(CoreMetricsTest, ParallelPipelineReportsShardTelemetry) {
   // The workers' private detectors route through the same counters.
   EXPECT_GT(counter(snap, "detector.events.emitted"), 0u);
   EXPECT_EQ(counter(snap, "detector.events.emitted"), events);
+}
+
+TEST_F(CoreMetricsTest, TierGaugesDoNotDependOnBatchBoundaries) {
+  // Worker batch boundaries follow the ring size and thread timing;
+  // the tier high-waters must follow only the input. Ring capacity 8
+  // cuts every shard's input into tiny batches, 16384 into a few big
+  // ones, so a gauge noted per batch reads differently between them.
+  util::Xoshiro256 rng(11);
+  std::vector<sim::LogRecord> records;
+  sim::TimeUs t = sim::us_from_seconds(util::kWindowStart);
+  for (int i = 0; i < 30'000; ++i) {
+    t += 1 + static_cast<sim::TimeUs>(rng.below(kSec / 2));
+    records.push_back(rec(t, rng.below(3'000) << 16, rng.below(1 << 18)));
+  }
+  DetectorConfig cfg = det_config();
+  cfg.demote_idle_us = 120 * kSec;
+
+  const auto gauges = [&](std::size_t ring_capacity) {
+    m::reset();
+    testing::ShardCollector shards;
+    ParallelScanPipeline pipe(cfg, {.threads = 3, .ring_capacity = ring_capacity},
+                              shards.factory());
+    pipe.feed_batch(records);
+    pipe.flush();
+    const auto snap = m::snapshot();
+    return std::pair{snap.gauge("detector.state.hot_sources").value_or(0),
+                     snap.gauge("detector.state.cold_sources").value_or(0)};
+  };
+  const auto small_batches = gauges(8);
+  const auto large_batches = gauges(16'384);
+  EXPECT_GT(small_batches.first, 0u);
+  EXPECT_GT(small_batches.second, 0u);
+  EXPECT_EQ(small_batches, large_batches);
 }
 
 TEST_F(CoreMetricsTest, IdsAttributionTimerSamplesEveryPass) {

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "util/arena.hpp"
 #include "util/flat_hash.hpp"
@@ -153,9 +155,8 @@ void growth_walk() {
 }
 
 // The fuzz runs for every Group the build can instantiate. On SSE2
-// hosts that is both the vectorized group and the SWAR fallback, so a
-// divergence between the two schemes fails here long before anyone
-// builds with V6SONAR_FORCE_SWAR on.
+// hosts that is both the vectorized group and the SWAR fallback, so
+// every container operation runs under the fallback on every build.
 template <class Group>
 class FlatHashFuzz : public ::testing::Test {};
 
@@ -200,6 +201,80 @@ TYPED_TEST(FlatHashFuzz, GrowthBoundaries) {
   growth_walk<IntHash, TypeParam>();
   growth_walk<ClusterHash, TypeParam>();
 }
+
+#if defined(__SSE2__)
+/// One seeded churn into containers that differ only in their probe
+/// group. Placement does not depend on the group width — the first
+/// empty slot or the matching key on a probe path is the same for 8-
+/// and 16-byte groups — so slot order (what for_each and every
+/// checkpoint dump follow) must match at every point of the sequence.
+template <class Hash>
+void same_layout_under_both_groups(std::uint64_t seed) {
+  FlatMap<std::uint64_t, std::uint64_t, Hash, detail::GroupSse2> map16;
+  FlatMap<std::uint64_t, std::uint64_t, Hash, detail::GroupSwar> map8;
+  FlatSet<std::uint64_t, Hash, detail::GroupSse2> set16;
+  FlatSet<std::uint64_t, Hash, detail::GroupSwar> set8;
+  Xoshiro256 rng(seed);
+
+  const auto map_order = [](const auto& m) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    m.for_each([&](std::uint64_t k, std::uint64_t v) { out.emplace_back(k, v); });
+    return out;
+  };
+  const auto set_order = [](const auto& s) {
+    std::vector<std::uint64_t> out;
+    s.for_each([&](std::uint64_t k) { out.push_back(k); });
+    return out;
+  };
+  const auto same = [&](int step) {
+    ASSERT_EQ(map16.capacity(), map8.capacity()) << "step " << step;
+    ASSERT_EQ(map_order(map16), map_order(map8)) << "step " << step;
+    ASSERT_EQ(set16.capacity(), set8.capacity()) << "step " << step;
+    ASSERT_EQ(set_order(set16), set_order(set8)) << "step " << step;
+  };
+
+  for (int step = 0; step < 30'000; ++step) {
+    const std::uint64_t k = rng.below(900);
+    const std::uint64_t roll = rng.below(1'000);
+    if (roll < 600) {
+      map16[k] += k;
+      map8[k] += k;
+      set16.insert(k);
+      set8.insert(k);
+    } else if (roll < 960) {
+      ASSERT_EQ(map16.erase(k), map8.erase(k)) << k;
+    } else if (roll < 980) {
+      const auto n = static_cast<std::size_t>(rng.below(4'096));
+      map16.reserve(n);
+      map8.reserve(n);
+      set16.reserve(n);
+      set8.reserve(n);
+    } else if (roll < 985) {
+      map16.clear();
+      map8.clear();
+      set16.reset();
+      set8.reset();
+    } else if (roll < 990) {
+      map16.reset();
+      map8.reset();
+      set16.clear();
+      set8.clear();
+    } else {
+      same(step);
+    }
+    if (step % 1'000 == 0) same(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  same(30'000);
+}
+
+TEST(FlatHashGroups, SwarAndSse2LayOutIdentically) {
+  for (std::uint64_t seed : {0x6209ull, 0x16ull}) {
+    same_layout_under_both_groups<IntHash>(seed);
+    same_layout_under_both_groups<ClusterHash>(seed ^ 0x8);
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace v6sonar::util

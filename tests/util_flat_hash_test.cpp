@@ -2,14 +2,20 @@
 // the standard containers on random workloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
+#include "core/state_codec.hpp"
 #include "net/ipv6.hpp"
+#include "net/prefix.hpp"
 #include "util/arena.hpp"
 #include "util/flat_hash.hpp"
 #include "util/rng.hpp"
+#include "util/state_io.hpp"
 
 namespace v6sonar::util {
 namespace {
@@ -282,6 +288,56 @@ TEST_P(FlatVsStd, MapAgreesWithStd) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsStd, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+/// Checkpoint payloads are save_flat dumps, written in slot order. Pin
+/// the bytes of a seeded insert/erase/grow history of the two shapes
+/// the detector saves (prefix-keyed map, address set) to digests
+/// committed with the table: a change to probing, growth, erase or
+/// iteration that moves one element changes a digest here, not
+/// silently the order of every checkpoint section.
+TEST(FlatGolden, SaveFlatBytesArePinned) {
+  Xoshiro256 rng(0x5107);
+  FlatMap<net::Ipv6Prefix, std::uint64_t> prefixes;
+  FlatSet<net::Ipv6Address> addresses;
+  const auto digests = [&] {
+    StateWriter map_bytes;
+    StateWriter set_bytes;
+    save_flat(map_bytes, prefixes);
+    save_flat(set_bytes, addresses);
+    return std::pair{fnv1a(map_bytes.bytes()), fnv1a(set_bytes.bytes())};
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+  for (int step = 1; step <= 12'000; ++step) {
+    // Small domains: repeated inserts, erase hits, and sizes that
+    // cross several growth points and shrink back.
+    const net::Ipv6Address a{0x2001'0db8'0000'0000ULL | (rng.below(1'500) << 16), rng.below(4)};
+    const net::Ipv6Prefix p(a, 40 + 8 * static_cast<int>(rng.below(2)));
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 60) {
+      prefixes[p] += step;
+      addresses.insert(a);
+    } else if (roll < 95) {
+      prefixes.erase(p);
+    } else {
+      prefixes.reserve(prefixes.size() + rng.below(600));
+    }
+    if (step == 7'000) addresses.reset();  // keeps its slot array; refills land in it
+    if (step % 3'000 == 0) got.push_back(digests());
+  }
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
+      {0x62dd84ee58f1d65bULL, 0xad5a60d1dddb6ba0ULL},
+      {0x7338b701bdf09984ULL, 0x21e89e09852d783fULL},
+      {0xb516ebb2de6fd061ULL, 0xc1a9d2385b226b65ULL},
+      {0x2375b205976e0ec1ULL, 0x8c228637001b468dULL},
+  };
+  EXPECT_EQ(got, want);
+}
 
 }  // namespace
 }  // namespace v6sonar::util

@@ -80,7 +80,8 @@
 # binary that bench/CMakeLists.txt does not build, or the retired perf
 # harness's JSON results file or check.sh mode, and README.md,
 # DESIGN.md, docs/ and the verify skill may name no `v6sonar <cmd>`
-# subcommand that tools/v6sonar_cli.cpp does not dispatch. `all` runs every
+# subcommand that tools/v6sonar_cli.cpp does not dispatch and no
+# `-DV6SONAR_*` option that CMakeLists.txt does not declare. `all` runs every
 # config. Exits non-zero on any sanitizer report, test failure, new
 # warning in the metrics build, missing/zero metric, report mismatch,
 # undocumented name, or gate ratio below its floor.
@@ -163,12 +164,23 @@ if [[ "$kind" == docs ]]; then
   done < <(grep -rnoE --include='*.md' '(^[[:space:]]*|[`/(])v6sonar [a-z][a-z-]*' \
            README.md DESIGN.md docs .claude/skills/verify/SKILL.md)
 
+  # The same docs may name only the -DV6SONAR_* build options that
+  # CMakeLists.txt declares (option() or a cache variable).
+  declared=$(grep -oE '^(option|set)\(V6SONAR_[A-Z0-9_]+' CMakeLists.txt | sed 's/.*(//')
+  while IFS=: read -r file line hit; do
+    if ! grep -qxF "${hit#-D}" <<< "$declared"; then
+      echo "docs lint: $file:$line names '$hit', which CMakeLists.txt does not declare" >&2
+      fail=1
+    fi
+  done < <(grep -rnoE --include='*.md' -- '-DV6SONAR_[A-Z0-9_]+' \
+           README.md DESIGN.md docs .claude/skills/verify/SKILL.md)
+
   if [[ "$fail" -ne 0 ]]; then
     echo "check.sh: docs lint FAILED" >&2
     exit 1
   fi
   echo "check.sh: docs lint passed (metric names in OBSERVABILITY.md, CLI flags in README.md," \
-       "bench binaries and v6sonar subcommands named in docs exist)"
+       "bench binaries, v6sonar subcommands and -DV6SONAR_* options named in docs exist)"
   exit 0
 fi
 

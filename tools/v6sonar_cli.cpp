@@ -599,7 +599,11 @@ int cmd_generate(const std::string& out, bool small) {
 int cmd_mawi_day(const std::string& date, const std::string& out) {
   int y = 0, m = 0, d = 0;
   if (std::sscanf(date.c_str(), "%d-%d-%d", &y, &m, &d) != 3) fail("date must be YYYY-MM-DD");
-  const int day = mawi::day_index(util::CivilDate{y, m, d});
+  // An impossible date (2021-02-30, month 13) normalizes to another
+  // day; refuse it rather than export that day under this label.
+  const util::CivilDate cd{y, m, d};
+  if (util::civil_from_days(util::days_from_civil(cd)) != cd) fail("no such date: " + date);
+  const int day = mawi::day_index(cd);
   sim::AsRegistry registry;
   scanner::Hitlist hitlist({.seed = 3, .external_addresses = 20'000}, {});
   mawi::MawiWorld world({}, registry, hitlist);
@@ -864,17 +868,18 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
   const auto dispatch = [&]() -> int {
-    if (cmd == "info" && argc >= 3) return cmd_info(argv[2]);
+    if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
     if (cmd == "detect" && argc >= 3) return cmd_detect(argv[2], parse_options(argc, argv, 3));
     if (cmd == "report" && argc >= 3) return cmd_report(argv[2], parse_options(argc, argv, 3));
     if (cmd == "ids" && argc >= 3) return cmd_ids(argv[2], parse_options(argc, argv, 3));
     if (cmd == "fh" && argc >= 3) return cmd_fh(argv[2], parse_options(argc, argv, 3));
-    if (cmd == "filter" && argc >= 4) return cmd_filter(argv[2], argv[3]);
+    if (cmd == "filter" && argc == 4) return cmd_filter(argv[2], argv[3]);
     if (cmd == "fingerprint" && argc >= 3)
       return cmd_fingerprint(argv[2], parse_options(argc, argv, 3));
-    if (cmd == "generate" && argc >= 3)
-      return cmd_generate(argv[2], argc >= 4 && std::strcmp(argv[3], "--small") == 0);
-    if (cmd == "mawi-day" && argc >= 4) return cmd_mawi_day(argv[2], argv[3]);
+    if (cmd == "generate" && argc == 3) return cmd_generate(argv[2], false);
+    if (cmd == "generate" && argc == 4 && std::strcmp(argv[3], "--small") == 0)
+      return cmd_generate(argv[2], true);
+    if (cmd == "mawi-day" && argc == 4) return cmd_mawi_day(argv[2], argv[3]);
     if (cmd == "query") return cmd_query(argc, argv);
     usage();
   };
