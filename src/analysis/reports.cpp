@@ -130,16 +130,24 @@ std::vector<AsSources> fold_by_as(const std::vector<core::ScanEvent>& events) {
 
 void DurationAnalyzer::consume(const core::ScanEvent& ev) {
   const double sec = ev.duration_sec();
-  hist_.add(static_cast<std::size_t>(sec));
+  ++bins_[std::min(static_cast<std::uint64_t>(sec), kBins - 1)];
   ++events_;
   max_sec_ = std::max(max_sec_, sec);
 }
 
 void DurationAnalyzer::merge_from(Analyzer& other_base) {
   auto& other = dynamic_cast<DurationAnalyzer&>(other_base);
-  hist_.merge(other.hist_);
+  other.bins_.for_each([this](std::uint64_t bin, std::uint64_t n) { bins_[bin] += n; });
   events_ += other.events_;
   max_sec_ = std::max(max_sec_, other.max_sec_);
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> DurationAnalyzer::sorted_bins() const {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  out.reserve(bins_.size());
+  bins_.for_each([&](std::uint64_t bin, std::uint64_t n) { out.emplace_back(bin, n); });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 DurationStats DurationAnalyzer::stats() const {
@@ -149,16 +157,16 @@ DurationStats DurationAnalyzer::stats() const {
   // Bin-resolution quantile: the type-7 rank is h = (n-1)q; the value
   // at that rank lies in the first bin whose cumulative count exceeds
   // floor(h) — report that bin's lower bound (whole seconds).
-  const auto bin_quantile = [this](double q) {
+  const auto bins = sorted_bins();
+  const auto bin_quantile = [&](double q) {
     const auto rank =
         static_cast<std::uint64_t>(std::floor(static_cast<double>(events_ - 1) * q));
     std::uint64_t cum = 0;
-    const auto& counts = hist_.counts();
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      cum += counts[b];
-      if (cum > rank) return static_cast<double>(b);
+    for (const auto& [bin, n] : bins) {
+      cum += n;
+      if (cum > rank) return static_cast<double>(bin);
     }
-    return static_cast<double>(hist_.bins() - 1);
+    return static_cast<double>(kBins - 1);
   };
   d.median_sec = bin_quantile(0.5);
   d.p90_sec = bin_quantile(0.9);
@@ -169,14 +177,11 @@ DurationStats DurationAnalyzer::stats() const {
 void DurationAnalyzer::save(util::StateWriter& w) const {
   w.u64(events_);
   w.f64(max_sec_);
-  const auto& counts = hist_.counts();
-  std::uint64_t nonzero = 0;
-  for (const auto c : counts) nonzero += c != 0;
-  w.u64(nonzero);
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    if (counts[b] == 0) continue;
-    w.u32(static_cast<std::uint32_t>(b));
-    w.u64(counts[b]);
+  const auto bins = sorted_bins();
+  w.u64(bins.size());
+  for (const auto& [bin, n] : bins) {
+    w.u32(static_cast<std::uint32_t>(bin));
+    w.u64(n);
   }
 }
 
@@ -188,7 +193,7 @@ void DurationAnalyzer::load(util::StateReader& r) {
   for (std::uint64_t i = 0; i < nonzero; ++i) {
     const std::uint32_t bin = r.u32();
     if (bin >= kBins) throw std::runtime_error("DurationAnalyzer::load: bin out of range");
-    hist_.add(bin, r.u64());
+    if (const std::uint64_t n = r.u64()) bins_[bin] += n;
   }
 }
 

@@ -8,13 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "core/scan_event.hpp"
 #include "net/prefix.hpp"
 #include "util/flat_hash.hpp"
-#include "util/histogram.hpp"
 
 namespace v6sonar::analysis {
 
@@ -146,37 +146,39 @@ struct DurationStats {
   std::size_t events = 0;
 };
 
-/// Streaming §3.1 durations: a fixed 1-second-bin histogram spanning
-/// one week (longer events land in the edge bin), so memory is
-/// constant in the event count. Quantiles are read back as the bin's
-/// lower bound — exact to 1 s for events up to a week; the maximum is
-/// tracked exactly. The vector fold duration_stats() stays exact
-/// (type-7 interpolated) because it has all samples in hand; the two
-/// agree to bin resolution, which is what the report paths use.
+/// Streaming §3.1 durations: a 1-second-bin histogram spanning one
+/// week (longer events land in the edge bin), so memory is bounded by
+/// the distinct durations seen, never by the event count. Quantiles are
+/// read back as the bin's lower bound — exact to 1 s for events up to a
+/// week; the maximum is tracked exactly. The vector fold
+/// duration_stats() stays exact (type-7 interpolated) because it has
+/// all samples in hand; the two agree to bin resolution, which is what
+/// the report paths use.
 class DurationAnalyzer final : public Analyzer {
  public:
-  DurationAnalyzer() : Analyzer("durations"), hist_(kBins) {}
+  DurationAnalyzer() : Analyzer("durations") {}
 
   [[nodiscard]] DurationStats stats() const;
 
-  /// The week-span histogram is serialized sparsely (nonzero bins
-  /// only) — it is a 604800-entry array that is near-empty in
-  /// practice.
+  /// The nonzero bins in bin order, each as (bin, count).
   void save(util::StateWriter& w) const override;
   void load(util::StateReader& r) override;
 
  private:
   /// One bin per second for a week: 604800 bins — the timeout-carved
   /// events the detector emits essentially never span longer, and the
-  /// edge bin plus the exact max cover those that do. Storage grows
-  /// only to the longest duration seen, so each of a parallel run's
-  /// per-shard bundles starts empty.
-  static constexpr std::size_t kBins = 7 * 24 * 3600;
+  /// edge bin plus the exact max cover those that do.
+  static constexpr std::uint64_t kBins = 7 * 24 * 3600;
 
   void consume(const core::ScanEvent& ev) override;
   void merge_from(Analyzer& other) override;
+  /// The nonzero bins as (bin, count), in bin order.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted_bins() const;
 
-  util::Histogram1D hist_;
+  /// Only the nonzero bins (bin -> count): a daemon shard publishes a
+  /// delta analyzer per snapshot, and a dense week-wide array would be
+  /// zero-filled and walked for each one.
+  util::FlatMap<std::uint64_t, std::uint64_t, util::IntHash> bins_;
   std::size_t events_ = 0;
   double max_sec_ = 0;
 };

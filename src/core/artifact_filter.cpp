@@ -16,7 +16,7 @@ namespace v6sonar::core {
 namespace {
 
 /// Per-day filter telemetry (names in docs/OBSERVABILITY.md). Recorded
-/// once per closed day — never on the per-record path.
+/// once per judged day — never on the per-record path.
 struct FilterMetrics {
   util::metrics::Counter days_closed{"filter.days_closed"};
   util::metrics::Counter packets_in{"filter.packets_in"};
@@ -29,10 +29,11 @@ struct FilterMetrics {
   /// population sits to the 30% drop line).
   util::metrics::Histogram source_dup_pct{"filter.source_duplicate_pct"};
   /// filter_stream()'s wall time split by what the writing thread was
-  /// waiting on, one sample per work item (µs): its records being read,
-  /// then filtered, then appended. The end-of-input wait and the final
-  /// close/fsync add one read and one write sample; the three sums add
-  /// up to filter_stream()'s wall time.
+  /// waiting on, one sample per work item (µs): the item being cut,
+  /// then judged, then its kept images appended and its input pages
+  /// released. The end-of-input wait and the final close/fsync add one
+  /// read and one write sample; the three sums add up to
+  /// filter_stream()'s wall time.
   util::metrics::Histogram read_us{"filter.read_us"};
   util::metrics::Histogram work_us{"filter.work_us"};
   util::metrics::Histogram write_us{"filter.write_us"};
@@ -47,145 +48,84 @@ FilterMetrics& fm() {
   throw std::invalid_argument("ArtifactFilter: records must be time-ordered");
 }
 
+constexpr std::size_t kRec = sim::kLogRecordBytes;
+
+/// The first timestamp of the day after `day`; INT64_MAX for the last
+/// day a timestamp can fall in.
+sim::TimeUs next_day_start(std::int64_t day) noexcept {
+  return day >= INT64_MAX / kUsPerDay ? INT64_MAX : (day + 1) * kUsPerDay;
+}
+
 }  // namespace
 
-ArtifactFilter::ArtifactFilter(const ArtifactFilterConfig& config, RecordSink out,
-                               StatsSink stats)
-    : config_(config), deriver_(config.source_prefix_len), out_(std::move(out)),
-      stats_(std::move(stats)) {
-  if (!out_) throw std::invalid_argument("ArtifactFilter: null output sink");
+DayJudge::DayJudge(const ArtifactFilterConfig& config)
+    : config_(config), deriver_(config.source_prefix_len) {
   if (config_.max_duplicate_fraction < 0 || config_.max_duplicate_fraction > 1)
     throw std::invalid_argument("ArtifactFilter: bad duplicate fraction");
   if (config_.source_prefix_len < 0 || config_.source_prefix_len > 128)
     throw std::invalid_argument("ArtifactFilter: bad aggregation length");
 }
 
-ArtifactFilter::~ArtifactFilter() {
-  // SourceDays are pool blocks holding live containers; destroy them
-  // explicitly (clearing the index would only drop the pointers).
-  destroy_days();
-}
+FilterDayStats DayJudge::judge(std::int64_t day, std::span<const std::uint8_t> images,
+                               std::vector<std::uint8_t>& kept) {
+  const std::size_t n = images.size() / kRec;
+  const std::uint8_t* const first = images.data();
+  if (source_of_.size() < n) source_of_.resize(n);
 
-ArtifactFilter::SourceDay* ArtifactFilter::new_day() {
-  void* p = pool_.acquire(sizeof(SourceDay));
-  return new (p) SourceDay(&pool_);
-}
-
-void ArtifactFilter::delete_day(SourceDay* sd) noexcept {
-  sd->~SourceDay();
-  pool_.release(sd, sizeof(SourceDay));
-}
-
-void ArtifactFilter::destroy_days() noexcept {
-  sources_.for_each([this](const net::Ipv6Prefix&, SourceDay* sd) { delete_day(sd); });
-  sources_.reset();
-}
-
-void ArtifactFilter::feed(const sim::LogRecord& r) {
-  const net::PrefixKeyDeriver::Derived d = deriver_(r.src);
-  feed_one(r, d.key, d.hash,
-           FlowKeyHash{}(FlowKey{r.dst, proto_port_key(r.proto, r.dst_port)}));
-}
-
-void ArtifactFilter::feed_one(const sim::LogRecord& r, const net::Ipv6Prefix& key,
-                              std::size_t key_hash, std::size_t flow_hash) {
-  if (r.ts_us < last_ts_) throw_unordered();
-  last_ts_ = r.ts_us;
-
-  const std::int64_t day = day_of(r.ts_us);
-  if (day != current_day_) {
-    close_day();
-    current_day_ = day;
-  }
-
-  buffer_.push_back(r);
-  SourceDay*& slot = sources_.insert_hashed(key, key_hash);
-  if (slot == nullptr) slot = new_day();
-  SourceDay& sd = *slot;
-  ++sd.packets;
-  if (++sd.hits.insert_hashed(FlowKey{r.dst, proto_port_key(r.proto, r.dst_port)},
-                              flow_hash) > config_.duplicate_threshold)
-    ++sd.duplicates;
-}
-
-void ArtifactFilter::feed_batch(std::span<const sim::LogRecord> batch) {
-  const std::size_t n = batch.size();
-  batch_keys_.resize(n);
-  batch_key_hashes_.resize(n);
-  batch_flow_hashes_.resize(n);
-  // Vectorizable pre-pass: mask + multiply per record, no table
-  // probes. Both hashes are derived exactly once and reused by the
-  // prefetch stages and the insert probes below.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = batch[i];
-    const net::PrefixKeyDeriver::Derived d = deriver_(r.src);
-    batch_keys_[i] = d.key;
-    batch_key_hashes_[i] = d.hash;
-    batch_flow_hashes_[i] =
-        FlowKeyHash{}(FlowKey{r.dst, proto_port_key(r.proto, r.dst_port)});
-  }
-  if (sources_.size() < kPrefetchMinSources) {
-    for (std::size_t i = 0; i < n; ++i)
-      feed_one(batch[i], batch_keys_[i], batch_key_hashes_[i], batch_flow_hashes_[i]);
-    return;
-  }
-  // Same two-stage software pipeline as the detector's serial path:
-  // far stage warms the source-index slot, near stage resolves it and
-  // warms the day's hit-table slot. Hints are read-only, so output is
-  // identical to feed(). A day boundary inside the batch only makes
-  // later hints miss (the index was rebuilt), never changes output.
-  constexpr std::size_t kLookahead = 12;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 2 * kLookahead < n) sources_.prefetch_hash(batch_key_hashes_[i + 2 * kLookahead]);
-    if (i + kLookahead < n) {
-      if (SourceDay* const* p =
-              sources_.find_hashed(batch_keys_[i + kLookahead], batch_key_hashes_[i + kLookahead]))
-        (*p)->hits.prefetch_hash(batch_flow_hashes_[i + kLookahead]);
+  // Count: every record's source gets a day index, and each flow of
+  // that source its hit count.
+  const std::uint8_t* p = first;
+  for (std::size_t i = 0; i < n; ++i, p += kRec) {
+    const sim::RecordImage r{p};
+    const net::PrefixKeyDeriver::Derived d = deriver_(r.src());
+    const std::size_t seen = sources_.size();
+    std::uint32_t& index = sources_.insert_hashed(d.key, d.hash);
+    if (sources_.size() != seen) {
+      index = static_cast<std::uint32_t>(tally_.size());
+      tally_.emplace_back();
     }
-    feed_one(batch[i], batch_keys_[i], batch_key_hashes_[i], batch_flow_hashes_[i]);
+    source_of_[i] = index;
+    const FlowKey flow{index, proto_port_key(r.proto(), r.dst_port()), r.dst()};
+    Tally& t = tally_[index];
+    ++t.packets;
+    if (++hits_.insert_hashed(flow, FlowKeyHash{}(flow)) > config_.duplicate_threshold)
+      ++t.duplicates;
   }
-}
 
-void ArtifactFilter::close_day() {
-  if (buffer_.empty()) {
-    destroy_days();
-    return;
-  }
   FilterDayStats stats;
-  stats.day = current_day_;
-  stats.packets_in = buffer_.size();
-  stats.sources_seen = sources_.size();
-
-  // Decide which sources to drop today. The verdict is stored on the
-  // SourceDay itself (index iteration order is unspecified, but every
-  // per-source quantity here is an order-independent sum/observation).
+  stats.day = day;
+  stats.packets_in = n;
+  stats.sources_seen = tally_.size();
   const bool counting = util::metrics::enabled();
   std::uint64_t duplicate_packets = 0;
-  sources_.for_each([&](const net::Ipv6Prefix&, SourceDay* sd) {
-    const bool drop = static_cast<double>(sd->duplicates) >
-                      config_.max_duplicate_fraction * static_cast<double>(sd->packets);
-    sd->dropped = drop;
-    stats.sources_dropped += drop;
+  for (Tally& t : tally_) {
+    t.dropped = static_cast<double>(t.duplicates) >
+                config_.max_duplicate_fraction * static_cast<double>(t.packets);
+    stats.sources_dropped += t.dropped;
     if (counting) {
-      duplicate_packets += sd->duplicates;
-      fm().source_dup_pct.observe(sd->packets ? 100 * sd->duplicates / sd->packets : 0);
-    }
-  });
-
-  // Release (or account) the buffered records in arrival order; the
-  // verdict lookup reuses the hash-once derivation.
-  for (const auto& r : buffer_) {
-    const net::PrefixKeyDeriver::Derived d = deriver_(r.src);
-    SourceDay* const* p = sources_.find_hashed(d.key, d.hash);
-    if ((*p)->dropped) {
-      ++stats.packets_dropped;
-      ++stats.dropped_by_port[proto_port_key(r.proto, r.dst_port)];
-    } else {
-      out_(r);
+      duplicate_packets += t.duplicates;
+      fm().source_dup_pct.observe(100 * t.duplicates / t.packets);
     }
   }
-  buffer_.clear();
-  destroy_days();
+
+  // Copy the kept records out in runs; account for the dropped ones.
+  const std::size_t kept_from = kept.size();
+  const std::uint8_t* run = first;
+  p = first;
+  for (std::size_t i = 0; i < n; ++i, p += kRec) {
+    if (!tally_[source_of_[i]].dropped) continue;
+    kept.insert(kept.end(), run, p);
+    run = p + kRec;
+    ++stats.packets_dropped;
+    const sim::RecordImage r{p};
+    ++stats.dropped_by_port[proto_port_key(r.proto(), r.dst_port())];
+  }
+  kept.insert(kept.end(), run, p);
+  for (std::size_t at = kept_from + 51; at < kept.size(); at += kRec) kept[at] = kept[at] != 0;
+
+  sources_.reset();
+  hits_.reset();
+  tally_.clear();
   if (counting) {
     fm().days_closed.add();
     fm().packets_in.add(stats.packets_in);
@@ -194,6 +134,38 @@ void ArtifactFilter::close_day() {
     fm().sources_seen.add(stats.sources_seen);
     fm().sources_dropped.add(stats.sources_dropped);
   }
+  return stats;
+}
+
+ArtifactFilter::ArtifactFilter(const ArtifactFilterConfig& config, RecordSink out,
+                               StatsSink stats)
+    : judge_(config), out_(std::move(out)), stats_(std::move(stats)) {
+  if (!out_) throw std::invalid_argument("ArtifactFilter: null output sink");
+}
+
+void ArtifactFilter::feed(const sim::LogRecord& r) {
+  if (r.ts_us < last_ts_) throw_unordered();
+  last_ts_ = r.ts_us;
+  const std::int64_t day = day_of(r.ts_us);
+  if (day != current_day_) {
+    close_day();
+    current_day_ = day;
+  }
+  std::uint8_t image[kRec];
+  sim::encode_record(r, image);
+  day_.insert(day_.end(), image, image + kRec);
+}
+
+void ArtifactFilter::feed_batch(std::span<const sim::LogRecord> batch) {
+  for (const auto& r : batch) feed(r);
+}
+
+void ArtifactFilter::close_day() {
+  if (day_.empty()) return;
+  kept_.clear();
+  const FilterDayStats stats = judge_.judge(current_day_, day_, kept_);
+  day_.clear();
+  for (std::size_t at = 0; at < kept_.size(); at += kRec) out_(sim::decode_record(&kept_[at]));
   if (stats_) stats_(stats);
 }
 
@@ -206,10 +178,9 @@ namespace {
 
 /// Work-item target: consecutive whole days are merged into one item
 /// until it holds at least this many records (a bigger day is one item).
-constexpr std::size_t kItemRecords = std::size_t{1} << 16;
-/// Records per input read, and per feed_batch() call on a worker (the
-/// batch path's per-batch key buffers stay cache-resident).
-constexpr std::size_t kBatchRecords = 4'096;
+constexpr std::size_t kItemBytes = (std::size_t{1} << 16) * kRec;
+/// The cutter checks for a drain signal once per this many records.
+constexpr std::size_t kSignalCheckBytes = 4'096 * kRec;
 
 using Clock = std::chrono::steady_clock;
 
@@ -218,26 +189,27 @@ std::uint64_t us_between(Clock::time_point from, Clock::time_point to) {
       std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
 }
 
-/// One or more whole days of input; once filtered, `records` holds
-/// their clean records.
+/// One or more whole days of the mapping: day i is
+/// [days[i], days[i + 1]). Once judged, `kept` holds the kept images.
 struct WorkItem {
-  std::vector<sim::LogRecord> records;
+  std::vector<const std::uint8_t*> days;
+  std::vector<std::uint8_t> kept;
   std::vector<FilterDayStats> stats;
   bool done = false;  ///< guarded by DayParallelFilter::mu_
 };
 
 /// filter_stream()'s threads. Items are numbered in input order and
-/// live in a ring of 2 × workers slots: the reader fills slot
-/// `published_`, workers claim slots in FIFO order (so each worker's
-/// clock only moves forward), and the writing thread appends slot
-/// `written_` once it is done and hands it back to the reader.
+/// live in a ring of 2 × workers slots: the cutter fills slot
+/// `published_`, workers claim slots in FIFO order, and the writing
+/// thread appends slot `written_` once it is done and hands it back to
+/// the cutter.
 class DayParallelFilter {
  public:
-  /// Starts the threads; `first` is the stream's first record.
-  DayParallelFilter(sim::RecordStream& in, const sim::LogRecord& first, unsigned workers)
-      : in_(in), items_(2 * std::size_t{workers}) {
+  /// Starts the threads over `in.unread()`, which must not be empty.
+  DayParallelFilter(sim::MappedLogReader& in, unsigned workers)
+      : in_(in), input_(in.unread()), cut_end_(input_.data()), items_(2 * std::size_t{workers}) {
     try {
-      reader_ = std::thread([this, first] { read_loop(first); });
+      cutter_ = std::thread([this] { cut_loop(); });
       for (unsigned i = 0; i < workers; ++i) workers_.emplace_back([this] { work_loop(); });
     } catch (...) {
       stop();
@@ -249,8 +221,8 @@ class DayParallelFilter {
   DayParallelFilter& operator=(const DayParallelFilter&) = delete;
 
   /// Append every item to `out` in input order (on the calling thread),
-  /// timing each from `mark`; rethrows the first error once every item
-  /// before it is written.
+  /// timing each from `mark`, and move `in`'s cursor past the records
+  /// cut; rethrows the first error once every item before it is written.
   void drain(sim::LogWriter& out, const ArtifactFilter::StatsSink& stats,
              Clock::time_point mark) {
     for (;;) {
@@ -258,7 +230,7 @@ class DayParallelFilter {
       Clock::time_point read_end;
       {
         std::unique_lock lock(mu_);
-        ready_cv_.wait(lock, [&] { return abort_ || written_ < published_ || reader_done_; });
+        ready_cv_.wait(lock, [&] { return abort_ || written_ < published_ || cutter_done_; });
         read_end = Clock::now();
         fm().read_us.observe(us_between(mark, read_end));
         if (abort_ || written_ == published_) break;
@@ -268,10 +240,12 @@ class DayParallelFilter {
       }
       const Clock::time_point work_end = Clock::now();
       fm().work_us.observe(us_between(read_end, work_end));
-      out.write(item->records);
+      out.write_images(item->kept);
       if (stats)
         for (const auto& s : item->stats) stats(s);
-      item->records.clear();
+      in_.release(item->days.back());
+      item->days.clear();
+      item->kept.clear();
       item->stats.clear();
       mark = Clock::now();
       fm().write_us.observe(us_between(work_end, mark));
@@ -283,6 +257,7 @@ class DayParallelFilter {
       space_cv_.notify_one();
     }
     stop();
+    in_.skip(static_cast<std::uint64_t>(cut_end_ - input_.data()) / kRec);
     if (error_) std::rethrow_exception(error_);
   }
 
@@ -296,12 +271,12 @@ class DayParallelFilter {
     space_cv_.notify_all();
     work_cv_.notify_all();
     ready_cv_.notify_all();
-    if (reader_.joinable()) reader_.join();
+    if (cutter_.joinable()) cutter_.join();
     for (auto& w : workers_)
       if (w.joinable()) w.join();
   }
 
-  /// The slot the reader fills next, once the ring has room; nullptr on abort.
+  /// The slot the cutter fills next, once the ring has room; nullptr on abort.
   WorkItem* acquire() {
     std::unique_lock lock(mu_);
     space_cv_.wait(lock, [&] { return abort_ || published_ - written_ < items_.size(); });
@@ -317,12 +292,13 @@ class DayParallelFilter {
     ready_cv_.notify_one();
   }
 
-  /// End of input (error empty) or a reader failure: either way every
-  /// published item is still filtered and written first.
-  void finish_reading(std::exception_ptr error) {
+  /// End of input (error empty) or an ordering error: either way every
+  /// published item is still judged and written first.
+  void finish_cutting(const std::uint8_t* cut_end, std::exception_ptr error) {
     {
       const std::lock_guard lock(mu_);
-      reader_done_ = true;
+      cutter_done_ = true;
+      cut_end_ = cut_end;
       if (!error_) error_ = std::move(error);
     }
     work_cv_.notify_all();
@@ -340,81 +316,68 @@ class DayParallelFilter {
     ready_cv_.notify_all();
   }
 
-  /// Cut the stream into items of whole days. Checks the global time
-  /// order the workers' filters can only see per item.
-  void read_loop(const sim::LogRecord& first) {
+  /// Cut the mapping into items of whole days, reading only the
+  /// timestamps. Checks the global time order the judges never see.
+  void cut_loop() {
+    const std::uint8_t* p = input_.data();
+    const std::uint8_t* const end = p + input_.size();
     try {
       WorkItem* item = acquire();
       if (item == nullptr) return;
-      std::vector<sim::LogRecord> batch(kBatchRecords);
-      batch[0] = first;
-      std::size_t n = 1;
       std::int64_t day = INT64_MIN;
+      sim::TimeUs day_end = INT64_MIN;  // first timestamp past `day`
       sim::TimeUs last_ts = INT64_MIN;
-      std::size_t day_start = 0;  // where the open day begins in item->records
-      // Append batch[from, to) to the item being filled.
-      const auto take = [&](std::size_t from, std::size_t to) {
-        item->records.insert(item->records.end(), batch.begin() + from, batch.begin() + to);
-      };
-      while (n > 0) {
-        std::size_t from = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const sim::TimeUs ts = batch[i].ts_us;
+      while (p != end) {
+        const std::uint8_t* const stretch_end =
+            p + std::min<std::size_t>(kSignalCheckBytes, static_cast<std::size_t>(end - p));
+        for (; p != stretch_end; p += kRec) {
+          const sim::TimeUs ts = sim::RecordImage{p}.ts_us();
           if (ts < last_ts) {
-            // The serial filter loses the open day with the exception:
-            // publish only the days it would have released.
-            item->records.resize(day_start);
-            if (day_start > 0) publish();
+            // The streaming filter loses the open day with the
+            // exception: publish only the days it would have released.
+            if (item->days.size() > 1) publish();
             throw_unordered();
           }
           last_ts = ts;
-          const std::int64_t d = day_of(ts);
-          if (d == day) continue;
-          day = d;
-          take(from, i);
-          from = i;
-          if (item->records.size() >= kItemRecords) {
+          if (ts < day_end || day_of(ts) == day) continue;
+          day = day_of(ts);
+          day_end = next_day_start(day);
+          if (!item->days.empty() &&
+              static_cast<std::size_t>(p - item->days.front()) >= kItemBytes) {
+            item->days.push_back(p);
             publish();
             if ((item = acquire()) == nullptr) return;
           }
-          day_start = item->records.size();
+          item->days.push_back(p);
         }
-        take(from, n);
         if (util::ShutdownSignal::requested()) break;
-        n = in_.next_batch(batch.data(), batch.size());
       }
-      if (!item->records.empty()) publish();
-      finish_reading(nullptr);
+      item->days.push_back(p);
+      publish();
+      finish_cutting(p, nullptr);
     } catch (...) {
-      finish_reading(std::current_exception());
+      finish_cutting(p, std::current_exception());
     }
   }
 
-  /// Filter items in FIFO order with one reused filter. Clean records
-  /// overwrite the item's consumed prefix in place: the filter copies a
-  /// record into its day buffer as it reads it and releases a day only
-  /// after reading all of it, so the write index never passes the read
-  /// index.
+  /// Judge items in FIFO order with one reused DayJudge.
   void work_loop() {
     try {
-      WorkItem* item = nullptr;
-      std::size_t kept = 0;
-      ArtifactFilter filter(
-          {}, [&](const sim::LogRecord& r) { item->records[kept++] = r; },
-          [&item](const FilterDayStats& s) { item->stats.push_back(s); });
+      DayJudge judge({});
       for (;;) {
+        WorkItem* item = nullptr;
         {
           std::unique_lock lock(mu_);
-          work_cv_.wait(lock, [&] { return abort_ || taken_ < published_ || reader_done_; });
+          work_cv_.wait(lock, [&] { return abort_ || taken_ < published_ || cutter_done_; });
           if (abort_ || taken_ == published_) return;
           item = &items_[taken_++ % items_.size()];
         }
-        const std::span<const sim::LogRecord> recs(item->records);
-        kept = 0;
-        for (std::size_t off = 0; off < recs.size(); off += kBatchRecords)
-          filter.feed_batch(recs.subspan(off, std::min(kBatchRecords, recs.size() - off)));
-        filter.flush();
-        item->records.resize(kept);
+        for (std::size_t d = 0; d + 1 < item->days.size(); ++d) {
+          const std::uint8_t* from = item->days[d];
+          item->stats.push_back(judge.judge(
+              day_of(sim::RecordImage{from}.ts_us()),
+              {from, static_cast<std::size_t>(item->days[d + 1] - from)}, item->kept));
+        }
         {
           const std::lock_guard lock(mu_);
           item->done = true;
@@ -426,33 +389,33 @@ class DayParallelFilter {
     }
   }
 
-  sim::RecordStream& in_;
+  sim::MappedLogReader& in_;
+  const std::span<const std::uint8_t> input_;
+  const std::uint8_t* cut_end_;  ///< guarded by mu_: where the cutter stopped
   std::vector<WorkItem> items_;
 
   std::mutex mu_;
-  std::condition_variable space_cv_;  ///< reader: a slot was written back
+  std::condition_variable space_cv_;  ///< cutter: a slot was written back
   std::condition_variable work_cv_;   ///< workers: an item was published
   std::condition_variable ready_cv_;  ///< writer: an item was published or done
-  std::uint64_t published_ = 0;       ///< items handed out by the reader
+  std::uint64_t published_ = 0;       ///< items handed out by the cutter
   std::uint64_t taken_ = 0;           ///< items claimed by workers
   std::uint64_t written_ = 0;         ///< items appended by the writer
-  bool reader_done_ = false;
+  bool cutter_done_ = false;
   bool abort_ = false;
   std::exception_ptr error_;
 
-  std::thread reader_;
+  std::thread cutter_;
   std::vector<std::thread> workers_;
 };
 
 }  // namespace
 
-void filter_stream(sim::RecordStream& in, sim::LogWriter& out, unsigned workers,
+void filter_stream(sim::MappedLogReader& in, sim::LogWriter& out, unsigned workers,
                    const ArtifactFilter::StatsSink& stats) {
   const Clock::time_point start = Clock::now();
-  // The first read runs here so an empty input allocates no buffers
-  // and starts no thread.
-  if (const auto first = in.next()) {
-    DayParallelFilter pipeline(in, *first, std::max(workers, 1u));
+  if (!in.unread().empty()) {
+    DayParallelFilter pipeline(in, std::max(workers, 1u));
     pipeline.drain(out, stats, start);
   } else {
     fm().read_us.observe(us_between(start, Clock::now()));

@@ -164,6 +164,7 @@ struct Daemon::Impl {
   std::mutex ingest_mu;
   std::condition_variable ingest_cv;
   std::vector<sim::LogRecord> pushed_records;  ///< guarded by ingest_mu
+  std::vector<sim::LogRecord> ingest_frame;    ///< kIngest decode buffer (server thread)
   std::atomic<bool> ingest_stop{false};
   std::atomic<bool> ingest_pause{false};  ///< checkpoint quiesce request
   bool ingest_paused = false;             ///< guarded by ingest_mu
@@ -519,12 +520,18 @@ struct Daemon::Impl {
           break;
         }
         const std::size_t n = req.payload.size() / sim::kLogRecordBytes;
+        // Decode outside the lock; the queue then takes the frame with
+        // one append (geometric growth) or, when empty, a buffer swap.
+        ingest_frame.resize(n);
+        const auto* p = reinterpret_cast<const std::uint8_t*>(req.payload.data());
+        for (std::size_t i = 0; i < n; ++i)
+          ingest_frame[i] = sim::decode_record(p + i * sim::kLogRecordBytes);
         {
           std::lock_guard lock(ingest_mu);
-          pushed_records.reserve(pushed_records.size() + n);
-          const auto* p = reinterpret_cast<const std::uint8_t*>(req.payload.data());
-          for (std::size_t i = 0; i < n; ++i)
-            pushed_records.push_back(sim::decode_record(p + i * sim::kLogRecordBytes));
+          if (pushed_records.empty())
+            pushed_records.swap(ingest_frame);
+          else
+            pushed_records.insert(pushed_records.end(), ingest_frame.begin(), ingest_frame.end());
         }
         ingest_cv.notify_one();
         server_metrics().socket_records.add(n);

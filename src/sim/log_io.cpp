@@ -22,6 +22,8 @@ namespace v6sonar::sim {
 
 namespace {
 
+using detail::load_le;
+
 constexpr std::size_t kRecordBytes = kLogRecordBytes;
 /// LogWriter starts the disk writeback of what it has written every
 /// this many bytes, so close()'s fsync waits only for the tail instead
@@ -46,23 +48,7 @@ LogIoMetrics& lm() {
   return m;
 }
 
-/// Little-endian load. On little-endian hosts this compiles to a
-/// single unaligned load; the byte loop is the big-endian fallback.
-template <typename T>
-T load_le(const std::uint8_t* p) noexcept {
-  if constexpr (std::endian::native == std::endian::little) {
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
-  } else {
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
-    return v;
-  }
-}
-
-/// Little-endian store, the mirror of load_le().
+/// Little-endian store, the mirror of detail::load_le().
 template <typename T>
 void store_le(std::uint8_t* p, T v) noexcept {
   if constexpr (std::endian::native == std::endian::little) {
@@ -72,12 +58,12 @@ void store_le(std::uint8_t* p, T v) noexcept {
   }
 }
 
-// Wire layout: ts 0, src 8, dst 24, asn 40, ports 44/46, frame_len 48,
-// proto 50, dns 51. Its first 40 bytes — ts then the two addresses,
-// each a little-endian u64 sequence — coincide with LogRecord's
-// in-memory layout on little-endian hosts, so pack() and decode() move
-// them with one bulk copy instead of five field stores/loads. (The
-// golden-bytes and roundtrip tests in sim_test pin this equivalence.)
+// Wire layout: see RecordImage in the header. Its first 40 bytes — ts
+// then the two addresses, each a little-endian u64 sequence — coincide
+// with LogRecord's in-memory layout on little-endian hosts, so pack()
+// and decode() move them with one bulk copy instead of five field
+// stores/loads. (The golden-bytes and roundtrip tests in sim_test pin
+// this equivalence.)
 static_assert(offsetof(LogRecord, ts_us) == 0 && offsetof(LogRecord, src) == 8 &&
               offsetof(LogRecord, dst) == 24);
 static_assert(std::is_trivially_copyable_v<LogRecord>);
@@ -188,10 +174,21 @@ void LogWriter::write(std::span<const LogRecord> records) {
   auto& buf = impl_->staging;
   buf.resize(records.size() * kRecordBytes);
   for (std::size_t i = 0; i < records.size(); ++i) pack(records[i], buf.data() + i * kRecordBytes);
-  if (std::fwrite(buf.data(), 1, buf.size(), impl_->file.f) != buf.size())
+  append(buf);
+}
+
+void LogWriter::write_images(std::span<const std::uint8_t> images) {
+  if (images.size() % kRecordBytes != 0)
+    throw std::invalid_argument("log_io: partial record image");
+  if (!impl_) throw std::runtime_error("log_io: writer closed");
+  append(images);
+}
+
+void LogWriter::append(std::span<const std::uint8_t> bytes) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), impl_->file.f) != bytes.size())
     throw std::runtime_error("log_io: record write failed");
-  count_ += records.size();
-  if ((impl_->unsynced += buf.size()) >= kWritebackBytes) {
+  count_ += bytes.size() / kRecordBytes;
+  if ((impl_->unsynced += bytes.size()) >= kWritebackBytes) {
     if (!util::start_writeback(impl_->file.f))
       throw std::runtime_error("log_io: record write failed");
     impl_->unsynced = 0;
@@ -335,6 +332,7 @@ struct MappedLogReader::Impl {
   std::size_t map_len = 0;
   std::uint64_t total = 0;
   std::uint64_t pos = 0;
+  std::size_t released = 0;  ///< release() has dropped the pages before this offset
   bool prefaulted = false;
 };
 
@@ -366,6 +364,20 @@ std::uint64_t MappedLogReader::skip(std::uint64_t n) {
   const std::uint64_t k = std::min(n, impl_->total - impl_->pos);
   impl_->pos += k;
   return k;
+}
+
+std::span<const std::uint8_t> MappedLogReader::unread() const noexcept {
+  const std::size_t from = kLogHeaderBytes + impl_->pos * kRecordBytes;
+  return {impl_->base + from, static_cast<std::size_t>(impl_->total - impl_->pos) * kRecordBytes};
+}
+
+void MappedLogReader::release(const std::uint8_t* end) noexcept {
+  auto& im = *impl_;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t to = static_cast<std::size_t>(end - im.base) / page * page;
+  if (to <= im.released) return;
+  ::madvise(const_cast<std::uint8_t*>(im.base) + im.released, to - im.released, MADV_DONTNEED);
+  im.released = to;
 }
 
 std::uint64_t MappedLogReader::total_records() const noexcept { return impl_->total; }

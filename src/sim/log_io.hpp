@@ -27,8 +27,10 @@
 // run skips are never touched.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -54,6 +56,44 @@ void encode_record(const LogRecord& r, std::uint8_t* out) noexcept;
 /// invalid encodings, so this cannot fail.
 [[nodiscard]] LogRecord decode_record(const std::uint8_t* p) noexcept;
 
+namespace detail {
+/// Little-endian load. On little-endian hosts this compiles to a
+/// single unaligned load; the byte loop is the big-endian fallback.
+template <typename T>
+[[nodiscard]] T load_le(const std::uint8_t* p) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+  } else {
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
+    return v;
+  }
+}
+}  // namespace detail
+
+/// Single fields of one record's wire image, read in place: for code
+/// that judges records without decoding them whole. Wire layout: ts 0,
+/// src 8, dst 24, asn 40, ports 44/46, frame_len 48, proto 50, dns 51.
+struct RecordImage {
+  const std::uint8_t* p;
+
+  [[nodiscard]] TimeUs ts_us() const noexcept {
+    return static_cast<TimeUs>(detail::load_le<std::uint64_t>(p));
+  }
+  [[nodiscard]] net::Ipv6Address src() const noexcept { return address(8); }
+  [[nodiscard]] net::Ipv6Address dst() const noexcept { return address(24); }
+  [[nodiscard]] std::uint16_t dst_port() const noexcept {
+    return detail::load_le<std::uint16_t>(p + 46);
+  }
+  [[nodiscard]] wire::IpProto proto() const noexcept { return static_cast<wire::IpProto>(p[50]); }
+  [[nodiscard]] net::Ipv6Address address(std::size_t at) const noexcept {
+    return {detail::load_le<std::uint64_t>(p + at), detail::load_le<std::uint64_t>(p + at + 8)};
+  }
+};
+
 /// Streaming writer. Throws std::runtime_error on I/O errors. Starts
 /// the disk writeback of what it has written every few MiB, so the
 /// fsync in close() waits only for the tail.
@@ -68,12 +108,17 @@ class LogWriter {
   /// Append a run of records: encoded into one staging buffer and
   /// handed to stdio with a single fwrite.
   void write(std::span<const LogRecord> records);
+  /// Append records already in wire form, byte for byte: `images` holds
+  /// whole kLogRecordBytes records (std::invalid_argument otherwise).
+  void write_images(std::span<const std::uint8_t> images);
   /// Finalize the header (record count), fsync, and close.
   void close();
 
   [[nodiscard]] std::uint64_t written() const noexcept { return count_; }
 
  private:
+  void append(std::span<const std::uint8_t> bytes);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::uint64_t count_ = 0;
@@ -122,6 +167,17 @@ class MappedLogReader final : public RecordStream {
   std::size_t next_batch(LogRecord* out, std::size_t max) override;
   /// Moves the cursor past up to `n` records; touches no mapped byte.
   std::uint64_t skip(std::uint64_t n) override;
+
+  /// The wire images of the records from the cursor to the end,
+  /// straight from the mapping (no prefault); valid while the reader
+  /// lives.
+  [[nodiscard]] std::span<const std::uint8_t> unread() const noexcept;
+  /// Hand the mapped pages that lie wholly before `end` (a pointer into
+  /// or just past unread()) back to the kernel (MADV_DONTNEED), so a
+  /// reader that works through the mapping once keeps only what it is
+  /// still reading resident. A later read of those bytes faults them
+  /// back in from the file.
+  void release(const std::uint8_t* end) noexcept;
 
   [[nodiscard]] std::uint64_t total_records() const noexcept;
   /// Records consumed or skipped so far (= the cursor into the mapping).

@@ -15,6 +15,7 @@
 #include "core/scan_event.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/state_io.hpp"
 
 namespace v6sonar::analysis {
 namespace {
@@ -155,6 +156,66 @@ TEST(StreamingDurations, MatchesRankQuantilesAndExactMax) {
   EXPECT_DOUBLE_EQ(binned.p90_sec, rank_floor(0.9));
   EXPECT_LE(binned.median_sec, exact.median_sec);
   EXPECT_LE(binned.p90_sec, exact.p90_sec);
+}
+
+TEST(StreamingDurations, SparseBinsFoldLikeADenseHistogram) {
+  // Durations from 0 s to past a week (the edge bin), fed to 64 delta
+  // analyzers merged into one, as a daemon's shards publish them. The
+  // quantiles and the saved state must be those of a dense week-wide
+  // histogram of the same events: the nonzero bins in bin order.
+  constexpr std::uint64_t kWeekSec = 7 * 24 * 3600;
+  util::Xoshiro256 rng(77);
+  std::vector<ScanEvent> events(5'000);
+  for (auto& ev : events) {
+    const double r = rng.unit();
+    const std::uint64_t sec = r < 0.6   ? rng.below(3'600)
+                              : r < 0.8 ? rng.below(kWeekSec)
+                                        : kWeekSec + rng.below(kWeekSec);
+    ev.first_us = static_cast<sim::TimeUs>(rng.below(1'000'000'000'000ULL));
+    ev.last_us = ev.first_us + static_cast<sim::TimeUs>(sec * 1'000'000 + rng.below(1'000'000));
+  }
+  std::vector<std::uint64_t> dense(kWeekSec);
+  double max_sec = 0;
+  for (const auto& ev : events) {
+    ++dense[std::min(static_cast<std::uint64_t>(ev.duration_sec()), kWeekSec - 1)];
+    max_sec = std::max(max_sec, ev.duration_sec());
+  }
+  const auto dense_quantile = [&](double q) {
+    const auto rank =
+        static_cast<std::uint64_t>(std::floor(static_cast<double>(events.size() - 1) * q));
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b < dense.size(); ++b)
+      if ((cum += dense[b]) > rank) return static_cast<double>(b);
+    return static_cast<double>(kWeekSec - 1);
+  };
+  util::StateWriter want;
+  want.u64(events.size());
+  want.f64(max_sec);
+  want.u64(static_cast<std::uint64_t>(std::count_if(dense.begin(), dense.end(),
+                                                    [](std::uint64_t n) { return n != 0; })));
+  for (std::size_t b = 0; b < dense.size(); ++b) {
+    if (dense[b] == 0) continue;
+    want.u32(static_cast<std::uint32_t>(b));
+    want.u64(dense[b]);
+  }
+
+  DurationAnalyzer merged;
+  const std::size_t slice = events.size() / 64;
+  for (std::size_t from = 0; from < events.size(); from += slice) {
+    DurationAnalyzer delta;
+    feed(delta, {events.begin() + static_cast<std::ptrdiff_t>(from),
+                 events.begin() + static_cast<std::ptrdiff_t>(std::min(events.size(), from + slice))});
+    merged.merge(std::move(delta));
+  }
+  const auto stats = merged.stats();
+  EXPECT_EQ(stats.events, events.size());
+  EXPECT_DOUBLE_EQ(stats.median_sec, dense_quantile(0.5));
+  EXPECT_DOUBLE_EQ(stats.p90_sec, dense_quantile(0.9));
+  EXPECT_DOUBLE_EQ(stats.p90_sec, static_cast<double>(kWeekSec - 1));  // the edge bin
+  EXPECT_DOUBLE_EQ(stats.max_sec, max_sec);
+  util::StateWriter got;
+  merged.save(got);
+  EXPECT_TRUE(std::ranges::equal(got.bytes(), want.bytes()));
 }
 
 TEST(StreamingTimeSeries, MatchesVectorFold) {

@@ -163,29 +163,6 @@ TEST(Stats, TopKShare) {
   EXPECT_DOUBLE_EQ(top_k_share({0, 0}, 1), 0.0);
 }
 
-TEST(Histogram, OneDimensionalClampsEdges) {
-  Histogram1D h(4);
-  h.add(0);
-  h.add(3);
-  h.add(99);  // clamps to last bin
-  EXPECT_EQ(h.at(0), 1u);
-  EXPECT_EQ(h.at(3), 2u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_THROW((void)h.at(4), std::out_of_range);
-
-  // A wide histogram stores only up to its highest bin in use.
-  Histogram1D wide(1'000'000);
-  wide.add(5, 2);
-  Histogram1D other(1'000'000);
-  other.add(9);
-  wide.merge(other);
-  EXPECT_EQ(wide.counts().size(), 10u);
-  EXPECT_EQ(wide.at(5), 2u);
-  EXPECT_EQ(wide.at(9), 1u);
-  EXPECT_EQ(wide.at(999'999), 0u);
-  EXPECT_EQ(wide.total(), 3u);
-}
-
 TEST(Histogram, LogHistogramBinsByDecade) {
   LogHistogram2D h(4, 4);
   h.add(1, 1);        // bin (0,0)

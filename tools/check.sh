@@ -33,7 +33,7 @@
 # `bench_guard` binary and runs it. Its tree and the `daemon` tree are
 # Release builds with warnings as errors, so warnings only -O3 raises
 # fail there. The binary times pairs of variants
-# in one process, alternately for 15 rounds after a warm-up, and fails
+# in one process, alternately for 31 rounds after a warm-up, and fails
 # if the median per-round ratio falls below its floor: feed_batch() vs
 # per-record feed(), 3 shards vs 1 (on hosts with >= 4 hardware
 # threads), the summary-only IDS ladder vs the full one, and the
@@ -882,7 +882,8 @@ case "$kind" in
     tree=build-tsan
     targets=(util_spsc_ring_test core_parallel_pipeline_test core_batch_feed_test
              util_flat_hash_fuzz_test daemon_snapshot_test daemon_server_test
-             core_checkpoint_resume_test core_filter_stream_test core_ids_oracle_test)
+             core_checkpoint_resume_test core_filter_stream_test core_filter_oracle_test
+             core_ids_oracle_test)
     ;;
   address)
     tree=build-asan
@@ -893,7 +894,7 @@ case "$kind" in
              daemon_framing_test daemon_tail_test daemon_snapshot_test
              daemon_server_test util_signal_test util_test
              core_state_codec_test core_checkpoint_resume_test
-             core_filter_stream_test core_streaming_ids_test
+             core_filter_stream_test core_filter_oracle_test core_streaming_ids_test
              core_detector_summary_test core_ids_oracle_test)
     ;;
 esac

@@ -31,9 +31,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -504,7 +507,10 @@ int cmd_fh(const std::string& path, const Options& o) {
 }
 
 int cmd_filter(const std::string& in, const std::string& out) {
-  sim::LogReader reader(in);
+  sim::MappedLogReader reader(in);
+  // Truncating the mapped input under the filter would fault its threads.
+  if (std::error_code ec; std::filesystem::equivalent(in, out, ec))
+    throw std::runtime_error("filter: output " + out + " is the input");
   sim::LogWriter writer(out);
   std::uint64_t dropped = 0;
   // Whole days filter independently, so every hardware thread gets
