@@ -42,7 +42,7 @@ void print_a4() {
   const net::Ipv6Prefix a = ranked[0].second, b = ranked[1].second;
 
   analysis::SimilarityAnalysis sim_an({a, b}, 64);
-  sim::LogReader reader(benchx::ensure_world_log());
+  sim::MappedLogReader reader(benchx::ensure_world_log());
   while (auto r = reader.next()) sim_an.feed(*r);
   const auto& pa = sim_an.profiles().at(a);
   const auto& pb = sim_an.profiles().at(b);

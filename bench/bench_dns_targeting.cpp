@@ -57,7 +57,7 @@ void print_dns_targeting() {
               watched.size());
 
   analysis::NearbyProbeAnalysis nearby(watched, 64);
-  sim::LogReader reader(benchx::ensure_world_log());
+  sim::MappedLogReader reader(benchx::ensure_world_log());
   while (auto r = reader.next()) nearby.feed(*r);
 
   util::TextTable table({"source /64", "not-in-DNS probes", "/124", "/120", "/116", "/112"});

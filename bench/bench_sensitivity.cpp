@@ -31,7 +31,7 @@ void print_sensitivity() {
       {.source_prefix_len = 64, .min_destinations = 100, .timeout_us = 900'000'000LL},
       {.source_prefix_len = 64, .min_destinations = 50, .timeout_us = 3'600'000'000LL},
   };
-  sim::LogReader reader(log);
+  sim::MappedLogReader reader(log);
   const auto results = core::detect_multi(reader, configs);
 
   const benchx::WorldMeta meta;

@@ -66,7 +66,7 @@ std::vector<core::ScanEvent> load_events(int len, const telescope::WorldConfig& 
   std::vector<core::DetectorConfig> configs;
   configs.reserve(kLevels.size());
   for (int l : kLevels) configs.push_back({.source_prefix_len = l});
-  sim::LogReader reader(log);
+  sim::MappedLogReader reader(log);
   auto events = core::detect_multi(reader, configs);
   for (std::size_t i = 0; i < kLevels.size(); ++i)
     core::write_events(tag + "_" + std::to_string(kLevels[i]) + ".v6ev", events[i]);

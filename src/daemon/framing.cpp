@@ -5,20 +5,19 @@
 
 namespace v6sonar::daemon {
 
-std::string encode_frame(const Frame& f) {
-  if (f.payload.size() > kMaxPayload)
+std::string encode_header(std::uint8_t verb, std::uint8_t status, std::uint16_t seq,
+                          std::size_t payload_bytes) {
+  if (payload_bytes > kMaxPayload)
     throw std::length_error("framing: payload exceeds kMaxPayload");
-  const auto len = static_cast<std::uint32_t>(f.payload.size());
-  std::string out;
-  out.reserve(kFrameHeaderBytes + f.payload.size());
-  out.push_back(static_cast<char>(len & 0xFF));
-  out.push_back(static_cast<char>((len >> 8) & 0xFF));
-  out.push_back(static_cast<char>((len >> 16) & 0xFF));
-  out.push_back(static_cast<char>((len >> 24) & 0xFF));
-  out.push_back(static_cast<char>(f.verb));
-  out.push_back(static_cast<char>(f.status));
-  out.push_back(static_cast<char>(f.seq & 0xFF));
-  out.push_back(static_cast<char>((f.seq >> 8) & 0xFF));
+  const auto len = static_cast<std::uint32_t>(payload_bytes);
+  return {static_cast<char>(len & 0xFF),         static_cast<char>((len >> 8) & 0xFF),
+          static_cast<char>((len >> 16) & 0xFF), static_cast<char>((len >> 24) & 0xFF),
+          static_cast<char>(verb),               static_cast<char>(status),
+          static_cast<char>(seq & 0xFF),         static_cast<char>((seq >> 8) & 0xFF)};
+}
+
+std::string encode_frame(const Frame& f) {
+  std::string out = encode_header(f.verb, f.status, f.seq, f.payload.size());
   out += f.payload;
   return out;
 }

@@ -49,6 +49,12 @@ struct Frame {
 /// exceeds kMaxPayload — a daemon bug, not a client's.
 [[nodiscard]] std::string encode_frame(const Frame& f);
 
+/// The kFrameHeaderBytes header of a frame carrying `payload_bytes`, for
+/// a sender that writes the payload from its own buffer. Throws like
+/// encode_frame.
+[[nodiscard]] std::string encode_header(std::uint8_t verb, std::uint8_t status,
+                                        std::uint16_t seq, std::size_t payload_bytes);
+
 class FrameDecoder {
  public:
   enum class Result {

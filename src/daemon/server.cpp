@@ -145,6 +145,13 @@ struct Client {
   Clock::time_point last_progress = Clock::now();
 };
 
+/// The kError text refusing an ingest frame whose record at `ts` would
+/// follow one at `after`.
+std::string out_of_order(sim::TimeUs ts, sim::TimeUs after) {
+  return "ingest records must be time-ordered: ts " + std::to_string(ts) + " after ts " +
+         std::to_string(after) + "; frame refused\n";
+}
+
 }  // namespace
 
 struct Daemon::Impl {
@@ -164,6 +171,8 @@ struct Daemon::Impl {
   std::mutex ingest_mu;
   std::condition_variable ingest_cv;
   std::vector<sim::LogRecord> pushed_records;  ///< guarded by ingest_mu
+  /// The last accepted socket record's timestamp; guarded by ingest_mu.
+  sim::TimeUs last_pushed_us = INT64_MIN;
   std::vector<sim::LogRecord> ingest_frame;    ///< kIngest decode buffer (server thread)
   std::atomic<bool> ingest_stop{false};
   std::atomic<bool> ingest_pause{false};  ///< checkpoint quiesce request
@@ -520,18 +529,40 @@ struct Daemon::Impl {
           break;
         }
         const std::size_t n = req.payload.size() / sim::kLogRecordBytes;
-        // Decode outside the lock; the queue then takes the frame with
-        // one append (geometric growth) or, when empty, a buffer swap.
+        // Decode and check the frame's own order outside the lock; the
+        // queue then takes the frame with one append (geometric growth)
+        // or, when empty, a buffer swap. A frame that would put the
+        // pipeline out of time order is refused whole: fed, it would
+        // stop the ingest thread and the daemon with it.
         ingest_frame.resize(n);
         const auto* p = reinterpret_cast<const std::uint8_t*>(req.payload.data());
         for (std::size_t i = 0; i < n; ++i)
           ingest_frame[i] = sim::decode_record(p + i * sim::kLogRecordBytes);
+        const auto later = [](const sim::LogRecord& a, const sim::LogRecord& b) {
+          return b.ts_us < a.ts_us;
+        };
+        if (const auto it = std::adjacent_find(ingest_frame.begin(), ingest_frame.end(), later);
+            it != ingest_frame.end()) {
+          respond(c, req, Status::kError, out_of_order(it[1].ts_us, it[0].ts_us));
+          break;
+        }
+        std::string refused;
         {
           std::lock_guard lock(ingest_mu);
-          if (pushed_records.empty())
-            pushed_records.swap(ingest_frame);
-          else
-            pushed_records.insert(pushed_records.end(), ingest_frame.begin(), ingest_frame.end());
+          if (ingest_frame.front().ts_us < last_pushed_us) {
+            refused = out_of_order(ingest_frame.front().ts_us, last_pushed_us);
+          } else {
+            last_pushed_us = ingest_frame.back().ts_us;
+            if (pushed_records.empty())
+              pushed_records.swap(ingest_frame);
+            else
+              pushed_records.insert(pushed_records.end(), ingest_frame.begin(),
+                                    ingest_frame.end());
+          }
+        }
+        if (!refused.empty()) {
+          respond(c, req, Status::kError, refused);
+          break;
         }
         ingest_cv.notify_one();
         server_metrics().socket_records.add(n);

@@ -6,10 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstddef>
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -25,10 +24,19 @@ namespace {
 using detail::load_le;
 
 constexpr std::size_t kRecordBytes = kLogRecordBytes;
+/// LogWriter gathers small appends into one buffer of this size and
+/// writes larger runs straight from the caller's bytes.
+constexpr std::size_t kBufferBytes = 1 << 20;
 /// LogWriter starts the disk writeback of what it has written every
 /// this many bytes, so close()'s fsync waits only for the tail instead
 /// of the whole file (~0.1 s per 200 MB on a 4-vCPU VM).
 constexpr std::uint64_t kWritebackBytes = 4 << 20;
+/// MappedLogReader keeps this much of the mapping populated ahead of
+/// its cursor, and slides the window (releasing what lies behind the
+/// cursor) once the cursor comes within kRefillBytes of its end: the
+/// reader's resident set is bounded by the window, not the log.
+constexpr std::size_t kWindowBytes = 32 << 20;
+constexpr std::size_t kRefillBytes = 16 << 20;
 
 /// Data-plane telemetry (names in docs/OBSERVABILITY.md). Recorded per
 /// open / per batch — the per-record next() paths stay untouched.
@@ -36,11 +44,9 @@ struct LogIoMetrics {
   util::metrics::Counter bytes_mapped{"log.mmap.bytes_mapped"};
   util::metrics::Counter files_mapped{"log.mmap.files_mapped"};
   util::metrics::Counter mmap_records{"log.mmap.batch_records"};
-  util::metrics::Counter stdio_records{"log.stdio.batch_records"};
-  /// Batch-size distributions: was the reader actually fed full
+  /// Batch-size distribution: was the reader actually fed full
   /// batches, or dribbling?
   util::metrics::Histogram mmap_batch{"log.mmap.batch_size"};
-  util::metrics::Histogram stdio_batch{"log.stdio.batch_size"};
 };
 
 LogIoMetrics& lm() {
@@ -109,16 +115,6 @@ LogRecord decode(const std::uint8_t* p) noexcept {
   return r;
 }
 
-struct File {
-  std::FILE* f = nullptr;
-  File(const std::string& path, const char* mode) : f(std::fopen(path.c_str(), mode)) {
-    if (!f) throw std::runtime_error("log_io: cannot open " + path);
-  }
-  ~File() {
-    if (f) std::fclose(f);
-  }
-};
-
 /// Shared open-time shape validation: the header count must match the
 /// file size exactly. Errors name the path — a truncated or corrupt
 /// log is a data problem the operator locates by file, not a crash.
@@ -145,16 +141,24 @@ void encode_record(const LogRecord& r, std::uint8_t* out) noexcept { pack(r, out
 LogRecord decode_record(const std::uint8_t* p) noexcept { return decode(p); }
 
 struct LogWriter::Impl {
-  explicit Impl(const std::string& path) : file(path, "wb") {
-    std::setvbuf(file.f, nullptr, _IOFBF, 1 << 20);
-    std::uint8_t header[kLogHeaderBytes] = {};
-    for (int i = 0; i < 8; ++i) header[i] = static_cast<std::uint8_t>(kLogMagic >> (8 * i));
-    if (std::fwrite(header, 1, sizeof header, file.f) != sizeof header)
-      throw std::runtime_error("log_io: header write failed");
+  explicit Impl(const std::string& path)
+      : fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)) {
+    if (!fd.valid()) throw std::runtime_error("log_io: cannot open " + path);
+    buf.reserve(kBufferBytes);
+    buf.resize(kLogHeaderBytes);  // the count stays 0 until close()
+    store_le(buf.data(), kLogMagic);
   }
-  File file;
-  std::vector<std::uint8_t> staging;  ///< write() encode buffer
-  std::uint64_t unsynced = 0;         ///< bytes written since the last writeback start
+  void write(std::span<const std::uint8_t> bytes) const {
+    if (!util::write_fully(fd.get(), bytes.data(), bytes.size()))
+      throw std::runtime_error("log_io: record write failed");
+  }
+  void drain() {
+    write(buf);
+    buf.clear();
+  }
+  util::UniqueFd fd;
+  std::vector<std::uint8_t> buf;  ///< bytes not yet written
+  std::uint64_t unsynced = 0;     ///< bytes appended since the last writeback start
 };
 
 LogWriter::LogWriter(const std::string& path) : impl_(std::make_unique<Impl>(path)) {}
@@ -171,26 +175,34 @@ void LogWriter::write(const LogRecord& r) { write(std::span<const LogRecord>(&r,
 
 void LogWriter::write(std::span<const LogRecord> records) {
   if (!impl_) throw std::runtime_error("log_io: writer closed");
-  auto& buf = impl_->staging;
-  buf.resize(records.size() * kRecordBytes);
-  for (std::size_t i = 0; i < records.size(); ++i) pack(records[i], buf.data() + i * kRecordBytes);
-  append(buf);
+  auto& buf = impl_->buf;
+  const std::size_t at = buf.size();
+  buf.resize(at + records.size() * kRecordBytes);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    pack(records[i], buf.data() + at + i * kRecordBytes);
+  if (buf.size() >= kBufferBytes) impl_->drain();
+  advance(records.size());
 }
 
 void LogWriter::write_images(std::span<const std::uint8_t> images) {
   if (images.size() % kRecordBytes != 0)
     throw std::invalid_argument("log_io: partial record image");
   if (!impl_) throw std::runtime_error("log_io: writer closed");
-  append(images);
+  auto& im = *impl_;
+  if (im.buf.size() + images.size() < kBufferBytes) {
+    im.buf.insert(im.buf.end(), images.begin(), images.end());
+  } else {
+    im.drain();
+    im.write(images);
+  }
+  advance(images.size() / kRecordBytes);
 }
 
-void LogWriter::append(std::span<const std::uint8_t> bytes) {
-  if (std::fwrite(bytes.data(), 1, bytes.size(), impl_->file.f) != bytes.size())
-    throw std::runtime_error("log_io: record write failed");
-  count_ += bytes.size() / kRecordBytes;
-  if ((impl_->unsynced += bytes.size()) >= kWritebackBytes) {
-    if (!util::start_writeback(impl_->file.f))
-      throw std::runtime_error("log_io: record write failed");
+void LogWriter::advance(std::uint64_t records) {
+  count_ += records;
+  if ((impl_->unsynced += records * kRecordBytes) >= kWritebackBytes) {
+    impl_->drain();
+    util::start_writeback(impl_->fd.get());
     impl_->unsynced = 0;
   }
 }
@@ -198,83 +210,16 @@ void LogWriter::append(std::span<const std::uint8_t> bytes) {
 void LogWriter::close() {
   if (!impl_) return;
   auto impl = std::move(impl_);  // closed even if the finalize throws
+  impl->drain();
   std::uint8_t count[8];
-  for (int i = 0; i < 8; ++i) count[i] = static_cast<std::uint8_t>(count_ >> (8 * i));
+  store_le(count, count_);
   // Same durability contract as EventWriter::close: the backpatched
   // header must reach stable storage before close() reports success.
-  if (std::fseek(impl->file.f, 8, SEEK_SET) != 0 ||
-      std::fwrite(count, 1, 8, impl->file.f) != 8 || !util::flush_to_disk(impl->file.f))
+  if (::pwrite(impl->fd.get(), count, sizeof count, 8) != sizeof count ||
+      !util::sync_fd(impl->fd.get()))
     throw std::runtime_error("log_io: header finalize failed");
-  std::FILE* f = impl->file.f;
-  impl->file.f = nullptr;  // File dtor must not double-close
-  if (std::fclose(f) != 0) throw std::runtime_error("log_io: close failed");
+  if (::close(impl->fd.release()) != 0) throw std::runtime_error("log_io: close failed");
 }
-
-struct LogReader::Impl {
-  explicit Impl(const std::string& p) : path(p), file(p, "rb") {
-    std::setvbuf(file.f, nullptr, _IOFBF, 1 << 20);
-    if (std::fseek(file.f, 0, SEEK_END) != 0)
-      throw std::runtime_error("log_io: cannot size " + path);
-    const long size = std::ftell(file.f);
-    if (size < 0 || std::fseek(file.f, 0, SEEK_SET) != 0)
-      throw std::runtime_error("log_io: cannot size " + path);
-    std::uint8_t header[kLogHeaderBytes] = {};
-    const std::size_t got = std::fread(header, 1, sizeof header, file.f);
-    if (got != sizeof header)
-      throw std::runtime_error("log_io: truncated header (" + std::to_string(got) +
-                               " bytes): " + path);
-    total = validate_header(path, header, static_cast<std::uint64_t>(size));
-  }
-  std::string path;
-  File file;
-  std::uint64_t total = 0;
-  std::uint64_t pos = 0;                ///< records consumed or skipped
-  std::vector<std::uint8_t> batch_buf;  ///< next_batch() staging
-};
-
-LogReader::LogReader(const std::string& path) : impl_(std::make_unique<Impl>(path)) {}
-LogReader::~LogReader() = default;
-
-std::optional<LogRecord> LogReader::next() {
-  std::array<std::uint8_t, kRecordBytes> buf;
-  const std::size_t got = std::fread(buf.data(), 1, buf.size(), impl_->file.f);
-  if (got == 0) return std::nullopt;
-  if (got != buf.size())
-    throw std::runtime_error("log_io: truncated record in " + impl_->path);
-  ++impl_->pos;
-  return decode(buf.data());
-}
-
-std::size_t LogReader::next_batch(LogRecord* out, std::size_t max) {
-  if (max == 0) return 0;
-  auto& buf = impl_->batch_buf;
-  buf.resize(max * kRecordBytes);
-  const std::size_t got = std::fread(buf.data(), 1, buf.size(), impl_->file.f);
-  if (got % kRecordBytes != 0)
-    throw std::runtime_error("log_io: truncated record in " + impl_->path);
-  const std::size_t n = got / kRecordBytes;
-  for (std::size_t i = 0; i < n; ++i) out[i] = decode(buf.data() + i * kRecordBytes);
-  impl_->pos += n;
-  if (n && util::metrics::enabled()) {
-    lm().stdio_records.add(n);
-    lm().stdio_batch.observe(n);
-  }
-  return n;
-}
-
-std::uint64_t LogReader::skip(std::uint64_t n) {
-  auto& im = *impl_;
-  const std::uint64_t k = std::min(n, im.total - std::min(im.pos, im.total));
-  if (k == 0) return 0;
-  const std::uint64_t offset = kLogHeaderBytes + (im.pos + k) * kRecordBytes;
-  if (::fseeko(im.file.f, static_cast<off_t>(offset), SEEK_SET) != 0)
-    throw std::runtime_error("log_io: cannot seek in " + im.path);
-  im.pos += k;
-  return k;
-}
-
-std::uint64_t LogReader::total_records() const noexcept { return impl_->total; }
-std::uint64_t LogReader::position() const noexcept { return impl_->pos; }
 
 struct MappedLogReader::Impl {
   explicit Impl(const std::string& p) : path(p) {
@@ -287,8 +232,8 @@ struct MappedLogReader::Impl {
     }
     map_len = static_cast<std::size_t>(st.st_size);
     if (map_len > 0) {
-      // Not MAP_POPULATE: prefault() populates from the cursor on the
-      // first batch, so the records a resumed run skips stay unread.
+      // Not MAP_POPULATE: the window is populated from the cursor on
+      // the first read, so the records a resumed run skips stay unread.
       void* m = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd, 0);
       ::close(fd);
       if (m == MAP_FAILED) throw std::runtime_error("log_io: cannot mmap " + path);
@@ -308,19 +253,34 @@ struct MappedLogReader::Impl {
   }
   ~Impl() { unmap(); }
 
-  /// Prefault from the cursor's page to the end in one call. A replay
-  /// touches every page once, and ~50k minor faults inside the decode
-  /// loop cost more than one batched populate. A kernel without
-  /// MADV_POPULATE_READ (before Linux 5.14) refuses it, and the pages
-  /// then fault in lazily.
-  void prefault() noexcept {
-    prefaulted = true;
+  [[nodiscard]] std::size_t offset(std::uint64_t record) const noexcept {
+    return kLogHeaderBytes + static_cast<std::size_t>(record) * kRecordBytes;
+  }
+
+  /// Called before reading the record at offset `at`: once the cursor
+  /// comes within kRefillBytes of the populated window's end, hand back
+  /// every page before it and populate the window up to kWindowBytes
+  /// past it. One populate per window replaces ~4k minor faults inside
+  /// the decode loop; a kernel without MADV_POPULATE_READ (before Linux
+  /// 5.14) takes them lazily instead. Either way the resident set stays
+  /// one window, however long the log.
+  void ahead(std::size_t at) noexcept {
+    if (at < refill_at) return;
+    release(at);
+    const std::size_t from = std::max(window_end, at / page * page);
+    window_end = std::min(map_len, at + kWindowBytes);
+    refill_at = window_end == map_len ? SIZE_MAX : window_end - kRefillBytes;
 #ifdef MADV_POPULATE_READ
-    if (pos == total) return;
-    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    const std::size_t from = (kLogHeaderBytes + pos * kRecordBytes) / page * page;
-    ::madvise(const_cast<std::uint8_t*>(base) + from, map_len - from, MADV_POPULATE_READ);
+    if (window_end > from)
+      ::madvise(const_cast<std::uint8_t*>(base) + from, window_end - from, MADV_POPULATE_READ);
 #endif
+  }
+  /// MADV_DONTNEED the pages wholly before offset `to`.
+  void release(std::size_t to) noexcept {
+    to = to / page * page;
+    if (to <= released) return;
+    ::madvise(const_cast<std::uint8_t*>(base) + released, to - released, MADV_DONTNEED);
+    released = to;
   }
   void unmap() noexcept {
     if (base) ::munmap(const_cast<std::uint8_t*>(base), map_len);
@@ -332,8 +292,10 @@ struct MappedLogReader::Impl {
   std::size_t map_len = 0;
   std::uint64_t total = 0;
   std::uint64_t pos = 0;
-  std::size_t released = 0;  ///< release() has dropped the pages before this offset
-  bool prefaulted = false;
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::size_t released = 0;    ///< the pages before this offset have been handed back
+  std::size_t window_end = 0;  ///< populated up to this offset
+  std::size_t refill_at = 0;   ///< ahead() slides the window from this offset on
 };
 
 MappedLogReader::MappedLogReader(const std::string& path)
@@ -341,18 +303,28 @@ MappedLogReader::MappedLogReader(const std::string& path)
 MappedLogReader::~MappedLogReader() = default;
 
 std::optional<LogRecord> MappedLogReader::next() {
-  if (impl_->pos == impl_->total) return std::nullopt;
-  return decode(impl_->base + kLogHeaderBytes + impl_->pos++ * kRecordBytes);
+  auto& im = *impl_;
+  if (im.pos == im.total) return std::nullopt;
+  const std::size_t at = im.offset(im.pos++);
+  im.ahead(at);
+  return decode(im.base + at);
 }
 
 std::size_t MappedLogReader::next_batch(LogRecord* out, std::size_t max) {
-  if (!impl_->prefaulted) impl_->prefault();
-  const std::uint64_t remaining = impl_->total - impl_->pos;
-  const std::size_t n =
-      static_cast<std::size_t>(remaining < max ? remaining : static_cast<std::uint64_t>(max));
-  const std::uint8_t* p = impl_->base + kLogHeaderBytes + impl_->pos * kRecordBytes;
-  for (std::size_t i = 0; i < n; ++i, p += kRecordBytes) out[i] = decode(p);
-  impl_->pos += n;
+  auto& im = *impl_;
+  const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(im.total - im.pos, max));
+  // Decode in slices that end where the window next slides, so a batch
+  // longer than a window still reads only populated pages and releases
+  // behind itself.
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t at = im.offset(im.pos);
+    im.ahead(at);
+    const std::size_t k = std::min(n - done, (im.refill_at - at) / kRecordBytes + 1);
+    const std::uint8_t* p = im.base + at;
+    for (std::size_t i = 0; i < k; ++i, p += kRecordBytes) out[done + i] = decode(p);
+    im.pos += k;
+    done += k;
+  }
   if (n && util::metrics::enabled()) {
     lm().mmap_records.add(n);
     lm().mmap_batch.observe(n);
@@ -367,17 +339,12 @@ std::uint64_t MappedLogReader::skip(std::uint64_t n) {
 }
 
 std::span<const std::uint8_t> MappedLogReader::unread() const noexcept {
-  const std::size_t from = kLogHeaderBytes + impl_->pos * kRecordBytes;
-  return {impl_->base + from, static_cast<std::size_t>(impl_->total - impl_->pos) * kRecordBytes};
+  return {impl_->base + impl_->offset(impl_->pos),
+          static_cast<std::size_t>(impl_->total - impl_->pos) * kRecordBytes};
 }
 
 void MappedLogReader::release(const std::uint8_t* end) noexcept {
-  auto& im = *impl_;
-  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const std::size_t to = static_cast<std::size_t>(end - im.base) / page * page;
-  if (to <= im.released) return;
-  ::madvise(const_cast<std::uint8_t*>(im.base) + im.released, to - im.released, MADV_DONTNEED);
-  im.released = to;
+  impl_->release(static_cast<std::size_t>(end - impl_->base));
 }
 
 std::uint64_t MappedLogReader::total_records() const noexcept { return impl_->total; }

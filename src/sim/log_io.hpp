@@ -6,25 +6,22 @@
 // bench harness to generate the 15-month world once and stream it into
 // every experiment, and usable as a general interchange format.
 //
-// Two readers share the format:
-//   LogReader        buffered stdio, record-at-a-time or batched
-//   MappedLogReader  mmap-backed, zero-copy: the header is validated
-//                    once and records are decoded straight from the
-//                    mapping into caller-provided batches — the fast
-//                    path of the batched data plane (replay cost is
-//                    the decode loop, no per-record syscalls/copies).
-//
-// Both validate the file shape at open (magic, and that the header
-// record count matches the file size exactly) and throw
+// One reader, MappedLogReader, serves every consumer: it maps the log,
+// validates the header once, and decodes records straight from the
+// mapping into caller-provided batches (or hands out the wire images
+// themselves). It validates the file shape at open (magic, and that the
+// header record count matches the file size exactly) and throws
 // std::runtime_error naming the path on any mismatch — a truncated or
-// corrupt log is refused up front, never silently short-read.
+// corrupt log is refused up front, never silently short-read. A log
+// truncated while it is being read raises SIGBUS, as any mapped read
+// does.
 //
-// Records are fixed-size, so both skip() by moving their cursor (one
-// fseek, or pointer arithmetic over the mapping) instead of decoding:
-// a resumed run starts reading where its checkpoint stopped. The
-// mapped reader prefaults only from the page under its cursor to the
-// end of the file, on its first next_batch(), so the records a resumed
-// run skips are never touched.
+// Memory is bounded by a window, not by the log: the reader populates
+// 32 MiB of the mapping ahead of its cursor and, when the cursor comes
+// within 16 MiB of the window's end, releases every page before the
+// cursor and populates the next window. Records are fixed-size, so
+// skip() only moves the cursor: a resumed run starts reading where its
+// checkpoint stopped, and the pages it skips are never touched.
 #pragma once
 
 #include <bit>
@@ -105,11 +102,12 @@ class LogWriter {
   LogWriter& operator=(const LogWriter&) = delete;
 
   void write(const LogRecord& r);
-  /// Append a run of records: encoded into one staging buffer and
-  /// handed to stdio with a single fwrite.
+  /// Append a run of records, encoded into the writer's 1 MiB buffer
+  /// (written out with one write(2) whenever it fills).
   void write(std::span<const LogRecord> records);
   /// Append records already in wire form, byte for byte: `images` holds
-  /// whole kLogRecordBytes records (std::invalid_argument otherwise).
+  /// whole kLogRecordBytes records (std::invalid_argument otherwise). A
+  /// run that does not fit the buffer is written straight from `images`.
   void write_images(std::span<const std::uint8_t> images);
   /// Finalize the header (record count), fsync, and close.
   void close();
@@ -117,45 +115,22 @@ class LogWriter {
   [[nodiscard]] std::uint64_t written() const noexcept { return count_; }
 
  private:
-  void append(std::span<const std::uint8_t> bytes);
+  /// Count `records` appended; start the writeback every few MiB.
+  void advance(std::uint64_t records);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::uint64_t count_ = 0;
 };
 
-/// Streaming reader; a RecordStream, so it plugs into the pipeline
-/// anywhere a generator does. next_batch() amortizes the stdio read
-/// over whole batches.
-class LogReader final : public RecordStream {
- public:
-  explicit LogReader(const std::string& path);
-  ~LogReader() override;
-  LogReader(const LogReader&) = delete;
-  LogReader& operator=(const LogReader&) = delete;
-
-  [[nodiscard]] std::optional<LogRecord> next() override;
-  std::size_t next_batch(LogRecord* out, std::size_t max) override;
-  /// One fseek past up to `n` records (clamped at the header's count).
-  std::uint64_t skip(std::uint64_t n) override;
-
-  [[nodiscard]] std::uint64_t total_records() const noexcept;
-  /// Records consumed or skipped so far.
-  [[nodiscard]] std::uint64_t position() const noexcept;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Zero-copy reader: maps the whole log and decodes fixed 52-byte
-/// records directly from the mapping. The header is validated once at
-/// open; next_batch() is then a pure decode loop over the mapped
-/// bytes — no syscalls, no buffering, no per-record allocation. The
-/// first next_batch() prefaults the mapping from the cursor's page to
-/// the end in one call (MADV_POPULATE_READ; a kernel without it takes
-/// the faults lazily instead), so a replay takes no page faults inside
-/// the decode loop and a resumed one faults in only what it reads.
+/// Zero-copy reader; a RecordStream, so it plugs into the pipeline
+/// anywhere a generator does. Maps the whole log and decodes fixed
+/// 52-byte records directly from the mapping. The header is validated
+/// once at open; next_batch() is then a decode loop over the mapped
+/// bytes — no read syscalls, no buffering, no per-record allocation —
+/// that slides the populated window (MADV_POPULATE_READ ahead of the
+/// cursor, MADV_DONTNEED behind it) every 16 MiB, even inside one long
+/// batch. next() slides the same window.
 class MappedLogReader final : public RecordStream {
  public:
   explicit MappedLogReader(const std::string& path);
@@ -169,8 +144,9 @@ class MappedLogReader final : public RecordStream {
   std::uint64_t skip(std::uint64_t n) override;
 
   /// The wire images of the records from the cursor to the end,
-  /// straight from the mapping (no prefault); valid while the reader
-  /// lives.
+  /// straight from the mapping; valid while the reader lives. Neither
+  /// populated nor released by the window: a consumer that works
+  /// through it calls release() behind itself.
   [[nodiscard]] std::span<const std::uint8_t> unread() const noexcept;
   /// Hand the mapped pages that lie wholly before `end` (a pointer into
   /// or just past unread()) back to the kernel (MADV_DONTNEED), so a

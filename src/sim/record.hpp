@@ -70,10 +70,10 @@ class RecordStream {
 
   /// Pass over up to `n` records without handing them out; returns how
   /// many were skipped (fewer only at end of stream). The default
-  /// decodes and discards, which serves every generator; readers that
-  /// can seek (sim::LogReader, sim::MappedLogReader) override it with
-  /// one cursor move, so a resumed run does not decode the records its
-  /// checkpoint already covers.
+  /// decodes and discards, which serves every generator; the log
+  /// reader (sim::MappedLogReader) overrides it with one cursor move,
+  /// so a resumed run does not decode the records its checkpoint
+  /// already covers.
   virtual std::uint64_t skip(std::uint64_t n) {
     std::uint64_t done = 0;
     while (done < n && next()) ++done;

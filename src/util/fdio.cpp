@@ -36,12 +36,12 @@ bool flush_to_disk(std::FILE* f) noexcept {
   return sync_fd(::fileno(f));
 }
 
-bool start_writeback(std::FILE* f) noexcept {
-  if (std::fflush(f) != 0) return false;
+void start_writeback(int fd) noexcept {
 #ifdef __linux__
-  (void)::sync_file_range(::fileno(f), 0, 0, SYNC_FILE_RANGE_WRITE);
+  (void)::sync_file_range(fd, 0, 0, SYNC_FILE_RANGE_WRITE);
+#else
+  (void)fd;
 #endif
-  return true;
 }
 
 bool sync_fd(int fd) noexcept {

@@ -55,12 +55,11 @@ std::pair<UniqueFd, UniqueFd> nonblocking_pipe();
 /// loss can still drop them after close() returned success.
 bool flush_to_disk(std::FILE* f) noexcept;
 
-/// fflush a stdio stream, then start writeback of the file's dirty
-/// pages without waiting for it (sync_file_range on Linux; elsewhere
-/// just the fflush), so a later fsync waits only for what was written
-/// since. Returns false (with errno set) if the fflush fails; the
-/// writeback is a hint, and its failure leaves the work to the fsync.
-bool start_writeback(std::FILE* f) noexcept;
+/// Start writeback of a file's dirty pages without waiting for it
+/// (sync_file_range on Linux; elsewhere nothing), so a later fsync
+/// waits only for what was written since. A hint: its failure leaves
+/// the work to the fsync.
+void start_writeback(int fd) noexcept;
 
 /// fsync a descriptor. Returns false on failure.
 bool sync_fd(int fd) noexcept;

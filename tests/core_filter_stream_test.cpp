@@ -174,7 +174,7 @@ class FilterStreamTest : public ::testing::Test {
       }
       if (consumed != nullptr) *consumed = reader.position();
     }
-    sim::LogReader r(p);
+    sim::MappedLogReader r(p);
     got.kept.resize(r.total_records());
     EXPECT_EQ(r.next_batch(got.kept.data(), got.kept.size()), got.kept.size());
     return got;

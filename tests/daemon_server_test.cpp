@@ -479,6 +479,55 @@ TEST_F(DaemonServerTest, IngestRejectsPartialRecords) {
   EXPECT_EQ(rd.stop_and_join(), 0);
 }
 
+TEST_F(DaemonServerTest, OutOfOrderIngestIsRefusedAndTheDaemonLivesOn) {
+  // A frame that would put the pipeline out of time order (unsorted
+  // within itself, or starting before the last accepted record) is
+  // refused whole, naming both timestamps; a frame starting at the last
+  // accepted timestamp is taken. The drained spill is the serial
+  // detector's over the accepted records, byte for byte.
+  const auto recs = workload();
+  const std::size_t cut = recs.size() / 2;
+  std::vector<LogRecord> accepted(recs.begin(), recs.begin() + cut);
+  accepted.push_back(recs[cut - 1]);  // equal timestamp: accepted
+  accepted.insert(accepted.end(), recs.begin() + cut, recs.end());
+  const SerialFold serial = serial_fold(accepted);
+  const std::string reference = (dir_ / "serial.v6ev").string();
+  core::write_events(reference, serial.events);
+  const std::string spill = (dir_ / "spill.v6ev").string();
+
+  auto opts = options();
+  opts.events_out = spill;
+  RunningDaemon rd(std::move(opts));
+  TestClient c(sock_);
+  ASSERT_GE(c.fd, 0);
+  const auto ok = static_cast<std::uint8_t>(Status::kOk);
+  const auto ts = [](const LogRecord& r) { return std::to_string(r.ts_us); };
+  Frame resp = c.roundtrip(Verb::kIngest, 1, encode_records({recs.begin(), recs.begin() + cut}));
+  ASSERT_EQ(resp.status, ok) << resp.payload;
+
+  resp = c.roundtrip(Verb::kIngest, 2, encode_records({recs[cut + 1], recs[cut]}));
+  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError));
+  EXPECT_NE(resp.payload.find(ts(recs[cut]) + " after ts " + ts(recs[cut + 1])),
+            std::string::npos) << resp.payload;
+  resp = c.roundtrip(Verb::kIngest, 3, encode_records({recs[0], recs[cut]}));
+  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError));
+  EXPECT_NE(resp.payload.find(ts(recs[0]) + " after ts " + ts(recs[cut - 1])),
+            std::string::npos) << resp.payload;
+
+  EXPECT_EQ(c.roundtrip(Verb::kStatus, 4).status, ok);
+  resp = c.roundtrip(Verb::kIngest, 5,
+                     encode_records({accepted.begin() + cut, accepted.end()}));
+  ASSERT_EQ(resp.status, ok) << resp.payload;
+  ASSERT_TRUE(wait_status(c, "ingested_records", accepted.size()));
+  EXPECT_EQ(c.roundtrip(Verb::kShutdown, 6).status, ok);
+  EXPECT_EQ(rd.stop_and_join(), 0);
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(bytes(spill), bytes(reference));
+}
+
 TEST_F(DaemonServerTest, DisconnectMidRequestIsHarmless) {
   RunningDaemon rd(options());
   {

@@ -1,6 +1,5 @@
 // Deterministic mutation fuzz for the readers of untrusted files:
-// sim::LogReader, sim::MappedLogReader (.v6slog) and core::EventReader
-// (.v6ev). A valid file is mutated by seeded byte flips, by truncation
+// sim::MappedLogReader (.v6slog) and core::EventReader (.v6ev). A valid file is mutated by seeded byte flips, by truncation
 // at every record boundary and one byte either side, and by headers
 // and list lengths whose counts lie. Every mutation must end in a
 // clean std::runtime_error or in a valid parse that returns exactly
@@ -11,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -82,24 +82,8 @@ Outcome classify(Read&& read, const std::string& what) {
   return Outcome::kRefused;
 }
 
-/// Every reader of one format, to the end of the file.
-Outcome read_log_stdio(const std::string& p, const std::string& what) {
-  return classify(
-      [&] {
-        sim::LogReader r(p);
-        std::vector<sim::LogRecord> batch(17);
-        std::uint64_t got = 0;
-        while (auto rec = r.next()) {
-          ++got;
-          if (got % 3 == 0) got += r.next_batch(batch.data(), batch.size());
-          if (got % 7 == 0) got += r.skip(2);
-        }
-        return std::pair{got, r.total_records()};
-      },
-      what + " (LogReader)");
-}
-
-Outcome read_log_mapped(const std::string& p, const std::string& what) {
+/// Each reader, to the end of the file.
+Outcome read_log(const std::string& p, const std::string& what) {
   return classify(
       [&] {
         sim::MappedLogReader r(p);
@@ -190,14 +174,19 @@ Bytes flip(const Bytes& good, util::Xoshiro256& rng, std::size_t header_bytes) {
   return b;
 }
 
+// The .v6slog format carries no checksum: a flip in the records parses,
+// and a flip in the header (magic or count) must be refused.
 TEST_F(ReaderFuzzTest, LogReadersSurviveByteFlips) {
   const Bytes good = make_log(path("good.v6slog"), kRecords);
   const std::string p = path("mutant.v6slog");
   util::Xoshiro256 rng(11);
   for (int round = 0; round < kFlipRounds; ++round) {
-    write_file(p, flip(good, rng, sim::kLogHeaderBytes));
+    const Bytes mutant = flip(good, rng, sim::kLogHeaderBytes);
+    write_file(p, mutant);
     const std::string what = "flip round " + std::to_string(round);
-    EXPECT_EQ(read_log_stdio(p, what), read_log_mapped(p, what)) << what;
+    const bool header_intact =
+        std::equal(good.begin(), good.begin() + sim::kLogHeaderBytes, mutant.begin());
+    EXPECT_EQ(read_log(p, what), header_intact ? Outcome::kParsed : Outcome::kRefused) << what;
   }
 }
 
@@ -211,8 +200,7 @@ TEST_F(ReaderFuzzTest, LogReadersSurviveTruncationAtEveryRecordBoundary) {
       write_file(p, Bytes(good.begin(), good.begin() + static_cast<long>(len)));
       const std::string what = "truncated to " + std::to_string(len);
       const Outcome want = len == good.size() ? Outcome::kParsed : Outcome::kRefused;
-      EXPECT_EQ(read_log_stdio(p, what), want) << what;
-      EXPECT_EQ(read_log_mapped(p, what), want) << what;
+      EXPECT_EQ(read_log(p, what), want) << what;
     }
   }
 }
@@ -230,8 +218,7 @@ TEST_F(ReaderFuzzTest, LogReadersRefuseHeadersThatLie) {
     put_u64(b, 8, count);
     write_file(p, b);
     const std::string what = "count " + std::to_string(count);
-    EXPECT_EQ(read_log_stdio(p, what), Outcome::kRefused) << what;
-    EXPECT_EQ(read_log_mapped(p, what), Outcome::kRefused) << what;
+    EXPECT_EQ(read_log(p, what), Outcome::kRefused) << what;
   }
   // The size lies about the count: trailing bytes, up to one record.
   for (const std::size_t extra : {std::size_t{1}, sim::kLogRecordBytes - 1, sim::kLogRecordBytes}) {
@@ -239,8 +226,7 @@ TEST_F(ReaderFuzzTest, LogReadersRefuseHeadersThatLie) {
     b.resize(b.size() + extra, 0xAB);
     write_file(p, b);
     const std::string what = std::to_string(extra) + " trailing bytes";
-    EXPECT_EQ(read_log_stdio(p, what), Outcome::kRefused) << what;
-    EXPECT_EQ(read_log_mapped(p, what), Outcome::kRefused) << what;
+    EXPECT_EQ(read_log(p, what), Outcome::kRefused) << what;
   }
 }
 

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <span>
 #include <vector>
@@ -189,7 +191,7 @@ TEST_F(LogIoTest, RoundTripPreservesEveryField) {
     EXPECT_EQ(w.written(), original.size());
     w.close();
   }
-  LogReader reader(p);
+  MappedLogReader reader(p);
   EXPECT_EQ(reader.total_records(), original.size());
   for (const auto& want : original) {
     const auto got = reader.next();
@@ -259,7 +261,7 @@ TEST_F(LogIoTest, ReaderIsARecordStream) {
     w.write(rec(5));
     w.close();
   }
-  LogReader reader(p);
+  MappedLogReader reader(p);
   RecordStream& s = reader;
   EXPECT_EQ(drain(s).size(), 1u);
 }
@@ -276,9 +278,46 @@ std::string open_error(const std::string& p) {
   return {};
 }
 
-/// Both readers enforce the same open-time contract: magic checked,
-/// header record count matched against the file size exactly, errors
-/// naming the path. The typed suite runs every case against each.
+}  // namespace
+
+/// The one reader consumed through its wire images, the way `filter`
+/// and `query ingest` read it: records decoded from unread(), the
+/// cursor moved with skip(), the pages behind it handed back with
+/// release(). As the second instance of the contract suite it checks
+/// that this path yields exactly what next()/next_batch() yield. It
+/// carries the retired stdio reader's name, so the suite's instances
+/// keep the names they have always had.
+class LogReader {
+ public:
+  explicit LogReader(const std::string& path) : mapped_(path) {}
+
+  std::optional<LogRecord> next() {
+    LogRecord r;
+    if (next_batch(&r, 1) == 0) return std::nullopt;
+    return r;
+  }
+  std::size_t next_batch(LogRecord* out, std::size_t max) {
+    const auto images = mapped_.unread();
+    const std::size_t n = std::min(max, images.size() / kLogRecordBytes);
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = decode_record(images.data() + i * kLogRecordBytes);
+    mapped_.skip(n);
+    mapped_.release(images.data() + n * kLogRecordBytes);
+    return n;
+  }
+  std::uint64_t skip(std::uint64_t n) { return mapped_.skip(n); }
+  [[nodiscard]] std::uint64_t position() const noexcept { return mapped_.position(); }
+
+ private:
+  MappedLogReader mapped_;
+};
+
+namespace {
+
+/// The reader's open-time contract (magic checked, header record count
+/// matched against the file size exactly, errors naming the path) and
+/// its cursor, over the reader's record path (MappedLogReader) and its
+/// wire-image path (LogReader above).
 template <typename Reader>
 class LogReaderContractTest : public LogIoTest {
  protected:
@@ -486,6 +525,102 @@ TEST_F(LogIoTest, MappedReaderHandlesEmptyLog) {
   EXPECT_FALSE(reader.next().has_value());
   LogRecord buf;
   EXPECT_EQ(reader.next_batch(&buf, 1), 0u);
+}
+
+/// Resident bytes of the mapping that holds `inside`: the `Rss:` line
+/// of its VMA in /proc/self/smaps (0 if not found).
+std::size_t mapping_rss(const void* inside) {
+  const auto at = reinterpret_cast<std::uintptr_t>(inside);
+  std::FILE* f = std::fopen("/proc/self/smaps", "r");
+  if (f == nullptr) return 0;
+  bool in_vma = false;
+  std::size_t kb = 0;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line, "%lx-%lx ", &lo, &hi) == 2) {
+      in_vma = lo <= at && at < hi;
+    } else if (in_vma && std::sscanf(line, "Rss: %zu kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb << 10;
+}
+
+/// Pages of [begin, end) the process has mapped in (/proc/self/pagemap
+/// bit 63).
+std::size_t present_pages(const std::uint8_t* begin, const std::uint8_t* end) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  std::FILE* f = std::fopen("/proc/self/pagemap", "rb");
+  if (f == nullptr) return 0;
+  std::size_t present = 0;
+  for (auto p = reinterpret_cast<std::uintptr_t>(begin) / page;
+       p < reinterpret_cast<std::uintptr_t>(end) / page; ++p) {
+    std::uint64_t entry = 0;
+    if (std::fseek(f, static_cast<long>(p * sizeof entry), SEEK_SET) != 0 ||
+        std::fread(&entry, sizeof entry, 1, f) != 1)
+      break;
+    present += entry >> 63;
+  }
+  std::fclose(f);
+  return present;
+}
+
+/// The reader keeps a 32 MiB window populated ahead of its cursor and
+/// releases what lies behind it, so a log of ~2.5 windows never has
+/// more than a window and a half of its mapping resident: read batch by
+/// batch, in one batch that spans every window, and after a resume's
+/// skip, whose pages are never touched.
+TEST_F(LogIoTest, MappedReaderResidencyIsBoundedByTheWindow) {
+  constexpr std::size_t kMiB = 1 << 20;
+  constexpr std::size_t kRecords = 80 * kMiB / kLogRecordBytes;
+  constexpr std::size_t kBatch = 4'096;
+  constexpr std::size_t kBound = 48 * kMiB;
+  const auto p = path("long.bin");
+  {
+    std::vector<LogRecord> chunk(kBatch);
+    LogWriter w(p);
+    for (std::size_t i = 0; i < kRecords; i += kBatch) {
+      const std::size_t n = std::min(kBatch, kRecords - i);
+      for (std::size_t k = 0; k < n; ++k) chunk[k] = rec(static_cast<TimeUs>(i + k), i + k);
+      w.write(std::span<const LogRecord>(chunk).first(n));
+    }
+    w.close();
+  }
+  std::vector<LogRecord> buf(kRecords);
+  {
+    MappedLogReader r(p);
+    const std::uint8_t* data = r.unread().data();
+    std::size_t peak = 0;
+    for (std::size_t n; (n = r.next_batch(buf.data(), kBatch)) > 0;) {
+      EXPECT_EQ(buf[n - 1], rec(static_cast<TimeUs>(r.position() - 1), r.position() - 1));
+      peak = std::max(peak, mapping_rss(data));
+      ASSERT_LE(peak, kBound + kBatch * kLogRecordBytes) << "at record " << r.position();
+    }
+    EXPECT_EQ(r.position(), kRecords);
+    EXPECT_GT(peak, 16 * kMiB) << "the window was never populated";
+  }
+  {
+    MappedLogReader r(p);
+    const std::uint8_t* data = r.unread().data();
+    ASSERT_EQ(r.next_batch(buf.data(), kRecords), kRecords);
+    EXPECT_EQ(buf.back(), rec(static_cast<TimeUs>(kRecords - 1), kRecords - 1));
+    EXPECT_LE(mapping_rss(data), kBound) << "one long batch kept what it read";
+  }
+  {
+    MappedLogReader r(p);
+    const std::uint8_t* data = r.unread().data();
+    ASSERT_EQ(r.skip(kRecords / 2), kRecords / 2);
+    const std::uint8_t* cursor = r.unread().data();
+    ASSERT_EQ(r.next_batch(buf.data(), kBatch), kBatch);
+    EXPECT_EQ(buf[0], rec(static_cast<TimeUs>(kRecords / 2), kRecords / 2));
+    // The first fault may map cached pages around it (fault-around, a
+    // large folio): at most 2 MiB below the cursor.
+    EXPECT_EQ(present_pages(data, cursor - 2 * kMiB), 0u) << "skipped pages are resident";
+    EXPECT_GT(present_pages(cursor, cursor + kMiB), 0u) << "pagemap shows no window";
+    EXPECT_LE(mapping_rss(data), kBound + kBatch * kLogRecordBytes);
+  }
 }
 
 }  // namespace

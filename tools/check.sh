@@ -22,7 +22,9 @@
 # generates a small world, runs
 # `v6sonar detect --mmap --threads 4 --metrics=…`, and validates the
 # JSON snapshot (nonzero ingestion/feed counters, per-shard ring
-# gauges, full guard-fallback breakdown), then a `--checkpoint` run
+# gauges, full guard-fallback breakdown, and `process.maxrss_kb` under
+# 128 MB: the mapped reader's window, not the 741 MB log, is what stays
+# resident), then a `--checkpoint` run
 # whose snapshot must hold one `checkpoint.stall_us` and one
 # `checkpoint.commit_us` sample per checkpoint, a `--resume` from it
 # whose `log.mmap.batch_records` must equal the records after the
@@ -61,14 +63,15 @@
 # spilled event stream (`detect --events` at one and two shards,
 # `detect` at two without a spill, `detect --events` at three
 # checkpointing every 1000 records, killed mid-commit, and `detect` at
-# two read without `--mmap`), the resumed
+# two without `--mmap`, whose resume must match the `--mmap` one: the
+# flag is an accepted no-op), the resumed
 # `ids` output (one
 # and two shards), and a `v6sonard --tail --events` restarted from its
 # checkpoint verb's file (live report and drained spill against
 # `detect --report --events`) must be byte-identical to an
 # uninterrupted run. A
 # resume against an input shorter than the checkpoint must fail
-# (through the mapped and the stdio reader), a
+# (with and without `--mmap`), a
 # `--checkpoint-every` of 2^64-1 on a resumed run must write no
 # checkpoint, and a corrupt checkpoint must be refused. `docs` is a grep-based
 # lint needing no build:
@@ -544,10 +547,10 @@ PY
   # The fourth leg checkpoints every 1000 records, so a commit is in
   # flight at almost every barrier and the SIGKILL, a second into the
   # run, lands mid-commit: the previous checkpoint and its spill
-  # cursors must resume. The last leg reads through the stdio reader
-  # (no --mmap), whose resume seeks past the covered records.
+  # cursors must resume. The last leg passes no --mmap: the flag is an
+  # accepted no-op, so its resumed report must equal the --mmap legs'.
   for leg in "1 events 250000 0 mmap" "2 events 250000 0 mmap" "2 - 250000 0 mmap" \
-             "3 events 1000 1 mmap" "2 - 250000 0 stdio"; do
+             "3 events 1000 1 mmap" "2 - 250000 0 no-mmap"; do
     read -r threads spill every linger reader <<< "$leg"
     events=() mmap=()
     [[ "$spill" == events ]] && events=(--events "$work/spill.v6ev")
@@ -590,8 +593,8 @@ PY
 
   # A checkpoint at ~3 M records against a 2 M-record prefix of the
   # same log: the input is not the checkpointed one, and --resume must
-  # fail naming both counts rather than print a wrong report, through
-  # either reader.
+  # fail naming both counts rather than print a wrong report, with and
+  # without --mmap.
   rm -f "$work/ck3m.v6ckpt"
   "$v6sonar" detect "$work/world.v6slog" --mmap --report --threads 2 \
       --checkpoint "$work/ck3m.v6ckpt" --checkpoint-every 3000000 > /dev/null
@@ -733,8 +736,8 @@ PY
 
   echo "check.sh: checkpoint smoke passed (SIGKILL + resume == uninterrupted for detect" \
        "--events and ids at 1 and 2 shards, detect --events at 3 checkpointing every 1000" \
-       "records, detect at 2 through the stdio reader, and v6sonard --tail --events;" \
-       "short input through either reader, cadence overflow and corruption handled)"
+       "records, detect at 2 without --mmap, and v6sonard --tail --events;" \
+       "short input with and without --mmap, cadence overflow and corruption handled)"
   exit 0
 fi
 
@@ -777,13 +780,18 @@ shard_gauges = [g for g in gauges if g.startswith("pipeline.shard")
                 and g.endswith(".in_ring.occupancy_hw")]
 if len(shard_gauges) != 4:
     failures.append(f"expected 4 per-shard in-ring gauges, saw {len(shard_gauges)}")
+# The mapped reader keeps one window of the 741 MB log resident, so the
+# peak is detector state plus ~32 MiB (~50 MB), not the log's size.
+maxrss_kb = gauges.get("process.maxrss_kb", 0)
+if not 0 < maxrss_kb < 128 * 1024:
+    failures.append(f"process.maxrss_kb {maxrss_kb}, want under 128 MB")
 
 if failures:
     print("metrics smoke check FAILED:", *failures, sep="\n  ", file=sys.stderr)
     sys.exit(1)
 print(f"metrics snapshot ok: {len(counters)} counters, {len(gauges)} gauges, "
       f"{counters['pipeline.feed.records']} records fed, "
-      f"{counters['detector.events.emitted']} events")
+      f"{counters['detector.events.emitted']} events, peak RSS {maxrss_kb // 1024} MB")
 PY
 
   # A checkpointing detect: every checkpoint records how long it held

@@ -36,6 +36,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -80,7 +81,6 @@ using cli::value_of;
 
 struct Options : cli::RunOptions {
   std::int64_t period_sec = 86'400;  ///< ids: reattribution period
-  bool mmap = false;
   bool report = false;  ///< detect: render the full analyzer report
   std::uint64_t checkpoint_every = 1'000'000;  ///< records between checkpoints
   bool resume = false;  ///< restore from --checkpoint before feeding
@@ -120,8 +120,8 @@ struct Options : cli::RunOptions {
       "                    (default 16384, minimum 8; rounded up to a power of\n"
       "                    two)\n"
       "  --period <sec>    ids only: reattribution pass period (default 86400)\n"
-      "  --mmap            detect/ids/fh/fingerprint: stream a .v6slog via the zero-copy\n"
-      "                    mapped reader in batches instead of loading it into memory\n"
+      "  --mmap            accepted and ignored: a .v6slog is always streamed\n"
+      "                    through the zero-copy mapped reader\n"
       "  --report          detect only: print the full streaming analyzer report\n"
       "                    (sources, ASes, durations, ports, weekly, DNS) instead\n"
       "                    of the top-sources table; byte-identical to running\n"
@@ -170,22 +170,20 @@ std::vector<sim::LogRecord> load_records(const std::string& path) {
                    static_cast<unsigned long long>(skipped));
     return records;
   }
-  sim::LogReader reader(path);
-  std::vector<sim::LogRecord> records;
-  records.reserve(reader.total_records());
-  while (auto r = reader.next()) records.push_back(*r);
+  sim::MappedLogReader reader(path);
+  std::vector<sim::LogRecord> records(reader.total_records());
+  reader.next_batch(records.data(), records.size());
   return records;
 }
 
 /// Stream every record of `path` after the first `skip` through `fn`,
 /// batch by batch, without materializing the log; returns how many
 /// records were skipped (fewer than `skip` only if the input is
-/// shorter). --mmap uses the zero-copy mapped reader, otherwise the
-/// buffered log reader streams in chunks; either skips with one
-/// cursor move, decoding nothing it skips. pcap inputs have no
-/// streaming parser: they are parsed in one in-memory pass and fed in
-/// slices of the same batch size, so no consumer sizes its per-batch
-/// scratch to the whole capture. Batches end where a read from record
+/// shorter). The mapped log reader skips with one cursor move,
+/// decoding nothing it skips. pcap inputs have no streaming parser:
+/// they are parsed in one in-memory pass and fed in slices of the same
+/// batch size, so no consumer sizes its per-batch scratch to the whole
+/// capture. Batches end where a read from record
 /// 0 would end them, skip or not, so a resumed run checkpoints at the
 /// same records whichever way it got past the skipped ones.
 /// Streaming loops check the drain signal between batches: on
@@ -194,7 +192,7 @@ std::vector<sim::LogRecord> load_records(const std::string& path) {
 /// get a real (fsync'd) count header and --metrics still dumps.
 /// main() then maps the partial run to exit code 128+signo.
 template <typename Fn>
-std::uint64_t for_each_record_batch(const std::string& path, bool use_mmap, Fn&& fn,
+std::uint64_t for_each_record_batch(const std::string& path, Fn&& fn,
                                     std::uint64_t skip = 0) {
   constexpr std::size_t kBatch = 4'096;
   if (is_pcap(path)) {
@@ -210,17 +208,14 @@ std::uint64_t for_each_record_batch(const std::string& path, bool use_mmap, Fn&&
     return skipped;
   }
   std::array<sim::LogRecord, kBatch> batch;
-  const auto stream = [&](sim::RecordStream&& reader) {
-    const std::uint64_t skipped = reader.skip(skip);
-    std::size_t want = kBatch - static_cast<std::size_t>(skipped % kBatch);
-    for (std::size_t n; (n = reader.next_batch(batch.data(), want)) > 0; want = kBatch) {
-      if (util::ShutdownSignal::requested()) break;
-      fn(std::span<const sim::LogRecord>{batch.data(), n});
-    }
-    return skipped;
-  };
-  if (use_mmap) return stream(sim::MappedLogReader(path));
-  return stream(sim::LogReader(path));
+  sim::MappedLogReader reader(path);
+  const std::uint64_t skipped = reader.skip(skip);
+  std::size_t want = kBatch - static_cast<std::size_t>(skipped % kBatch);
+  for (std::size_t n; (n = reader.next_batch(batch.data(), want)) > 0; want = kBatch) {
+    if (util::ShutdownSignal::requested()) break;
+    fn(std::span<const sim::LogRecord>{batch.data(), n});
+  }
+  return skipped;
 }
 
 Options parse_options(int argc, char** argv, int first) {
@@ -231,7 +226,7 @@ Options parse_options(int argc, char** argv, int first) {
       o.period_sec = parse_seconds("--period", value_of(argc, argv, i));
       if (o.period_sec < 1) fail("--period must be at least 1 second");
     } else if (std::strcmp(argv[i], "--mmap") == 0) {
-      o.mmap = true;
+      // Accepted and ignored: every .v6slog is read through the mapping.
     } else if (std::strcmp(argv[i], "--report") == 0) {
       o.report = true;
     } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
@@ -321,7 +316,7 @@ void run_records(const std::string& path, const Options& o, std::uint64_t covere
   std::uint64_t fed = covered;
   std::uint64_t next_ckpt = next_after(fed);
   const std::uint64_t skipped = for_each_record_batch(
-      path, o.mmap,
+      path,
       [&](std::span<const sim::LogRecord> batch) {
         feed(batch);
         fed += batch.size();
@@ -489,7 +484,7 @@ int cmd_ids(const std::string& path, const Options& o) {
 
 int cmd_fh(const std::string& path, const Options& o) {
   core::FhAccumulator acc({.source_prefix_len = o.agg, .min_destinations = o.min_dsts});
-  for_each_record_batch(path, o.mmap, [&](std::span<const sim::LogRecord> batch) {
+  for_each_record_batch(path, [&](std::span<const sim::LogRecord> batch) {
     acc.feed_batch(batch);
   });
   const auto scans = acc.finish();
@@ -535,7 +530,7 @@ int cmd_fingerprint(const std::string& path, const Options& o) {
     if (pcap)
       fn(std::span<const sim::LogRecord>{pcap_records});
     else
-      for_each_record_batch(path, o.mmap, fn);
+      for_each_record_batch(path, fn);
   };
 
   // Pass 1: find the scan sources worth fingerprinting. The detector
@@ -660,13 +655,12 @@ util::UniqueFd query_connect(const std::string& path, SteadyClock::time_point de
   }
 }
 
-bool query_send(int fd, daemon::Verb verb, const std::string& payload, std::uint16_t seq) {
-  daemon::Frame f;
-  f.verb = static_cast<std::uint8_t>(verb);
-  f.seq = seq;
-  f.payload = payload;
-  const std::string wire = daemon::encode_frame(f);
-  if (util::write_fully(fd, wire.data(), wire.size())) return true;
+bool query_send(int fd, daemon::Verb verb, std::string_view payload, std::uint16_t seq) {
+  const std::string header =
+      daemon::encode_header(static_cast<std::uint8_t>(verb), 0, seq, payload.size());
+  if (util::write_fully(fd, header.data(), header.size()) &&
+      util::write_fully(fd, payload.data(), payload.size()))
+    return true;
   std::fprintf(stderr, "error: send failed\n");
   return false;
 }
@@ -789,30 +783,30 @@ int cmd_query(int argc, char** argv) {
     }
   }
 
-  // ingest <file.v6slog>: push the file's records through the socket
-  // in chunks, awaiting the ack for each.
+  // ingest <file.v6slog>: push the file's wire images through the
+  // socket as they are, 4,096 records a frame, awaiting the ack for
+  // each and then releasing the frame's pages.
   if (verb == daemon::Verb::kIngest) {
     if (arg.empty()) fail("ingest needs a .v6slog file argument");
-    sim::LogReader reader(arg);
-    std::array<sim::LogRecord, 4'096> batch;
-    std::uint64_t pushed = 0;
-    for (std::size_t n; (n = reader.next_batch(batch.data(), batch.size())) > 0;) {
-      std::string payload(n * sim::kLogRecordBytes, '\0');
-      for (std::size_t i = 0; i < n; ++i)
-        sim::encode_record(batch[i],
-                           reinterpret_cast<std::uint8_t*>(payload.data()) +
-                               i * sim::kLogRecordBytes);
-      if (!query_send(fd.get(), verb, payload, seq)) return 1;
+    sim::MappedLogReader reader(arg);
+    const auto images = reader.unread();
+    constexpr std::size_t kFrameBytes = 4'096 * sim::kLogRecordBytes;
+    for (std::size_t at = 0; at < images.size(); at += kFrameBytes) {
+      const auto frame = images.subspan(at, std::min(kFrameBytes, images.size() - at));
+      if (!query_send(fd.get(), verb,
+                      {reinterpret_cast<const char*>(frame.data()), frame.size()}, seq))
+        return 1;
       daemon::Frame resp;
       if (!query_read(fd.get(), decoder, resp, deadline)) return 1;
       if (resp.status != static_cast<std::uint8_t>(daemon::Status::kOk)) {
         std::fprintf(stderr, "error: %s", resp.payload.c_str());
         return 1;
       }
-      pushed += n;
+      reader.release(frame.data() + frame.size());
       ++seq;
     }
-    std::printf("ingested %llu records\n", static_cast<unsigned long long>(pushed));
+    std::printf("ingested %llu records\n",
+                static_cast<unsigned long long>(images.size() / sim::kLogRecordBytes));
     return 0;
   }
 
