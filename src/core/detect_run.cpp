@@ -1,5 +1,6 @@
 #include "core/detect_run.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -140,7 +141,7 @@ DetectRun::PendingCheckpoint DetectRun::checkpoint(ShardSave save) {
   return {std::move(sections), std::move(done)};
 }
 
-void DetectRun::resume(const CheckpointReader& ck, const ShardLoad& load) {
+sim::TimeUs DetectRun::resume(const CheckpointReader& ck, const ShardLoad& load) {
   if (started_) throw std::logic_error("DetectRun: resume after feed");
   const std::size_t n = shards_.size();
   check_shard_count(ck, n, ".detector");
@@ -156,15 +157,18 @@ void DetectRun::resume(const CheckpointReader& ck, const ShardLoad& load) {
   }
   start();  // the spills without a cursor open fresh
   // Each shard's state goes in on its own worker, before any record.
+  std::vector<sim::TimeUs> clocks(n, INT64_MIN);
   pipeline_.with_shard_state([&](std::size_t s, ScanDetector& det, ArtifactFilter*) {
     auto dr = ck.section(shard_section(s, ".detector"));
     det.load(dr);
     dr.expect_end();
+    clocks[s] = det.clock();
     if (!load) return;
     auto ar = ck.section(shard_section(s, ".analyzers"));
     load(s, ar);
     ar.expect_end();
   });
+  return *std::max_element(clocks.begin(), clocks.end());
 }
 
 void DetectRun::flush() {

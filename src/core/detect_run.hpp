@@ -94,8 +94,11 @@ class DetectRun {
   /// Before the first record: load what checkpoint() saved (same shard
   /// count) and reopen each spill at its cursor, dropping the events
   /// after it (the resumed run emits them again), or fresh without one.
-  /// Throws std::runtime_error on another shard count or bad section.
-  void resume(const CheckpointReader& ck, const ShardLoad& load = {});
+  /// Returns the restored stream clock, the latest shard detector clock
+  /// (INT64_MIN before any record): a record older than it would fail
+  /// the detectors' time order. Throws std::runtime_error on another
+  /// shard count or bad section.
+  sim::TimeUs resume(const CheckpointReader& ck, const ShardLoad& load = {});
 
   /// End of stream: every chain has all its events when this returns.
   void flush();

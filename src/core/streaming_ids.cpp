@@ -80,8 +80,7 @@ void Attributor::pass(sim::TimeUs now, const AlertSink& sink) {
     }
     fresh.clear();
     attribute_tallies(ranges, config_, fresh);
-    if (sink)
-      for (const auto& a : fresh) alert(a, now, sink);
+    for (const auto& a : fresh) alert(a, now, sink);
     auto& slot = attributed_[group];
     attributed_count_ = attributed_count_ - slot.size() + fresh.size();
     if (fresh.empty())

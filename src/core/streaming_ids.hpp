@@ -80,11 +80,10 @@ class Attributor {
   /// Fold one event detected at ladder level `level`.
   void add(std::size_t level, const ScanEvent& ev);
 
-  /// One attribution pass at stream time `now`. With a `sink`, emits
-  /// one IdsAlert per prefix that is new or escalated to a coarser
-  /// level since it was last alerted, in prefix order; without one,
-  /// only the blocklist is refreshed. Timed as one ids.attribute_us
-  /// sample.
+  /// One attribution pass at stream time `now`: emits to `sink` one
+  /// IdsAlert per prefix that is new or escalated to a coarser level
+  /// since it was last alerted, in prefix order, and refreshes the
+  /// blocklist. Timed as one ids.attribute_us sample.
   void pass(sim::TimeUs now, const AlertSink& sink);
 
   /// The attribution set as of the last pass, in prefix order.

@@ -17,7 +17,6 @@ const char* verb_name(Verb v) noexcept {
     case Verb::kSubscribe: return "subscribe";
     case Verb::kIngest: return "ingest";
     case Verb::kShutdown: return "shutdown";
-    case Verb::kSetPeriod: return "set-period";
     case Verb::kCheckpoint: return "checkpoint";
   }
   return "?";
@@ -27,7 +26,7 @@ bool parse_verb(const std::string& name, Verb& out) noexcept {
   for (const Verb v : {Verb::kPing, Verb::kStatus, Verb::kReport, Verb::kTopSources,
                        Verb::kTopPorts, Verb::kAsReport, Verb::kBlocklist, Verb::kMetrics,
                        Verb::kSubscribe, Verb::kIngest, Verb::kShutdown,
-                       Verb::kSetPeriod, Verb::kCheckpoint}) {
+                       Verb::kCheckpoint}) {
     if (name == verb_name(v)) {
       out = v;
       return true;

@@ -9,13 +9,12 @@
 //   kTopSources  top-sources section only
 //   kTopPorts    top-ports section only
 //   kAsReport    per-AS section only
-//   kBlocklist   adaptive attribution over observed scan events
+//   kBlocklist   the per-source blocklist at --agg, from the snapshot
+//                master (freshness as kReport)
 //   kMetrics     util::metrics JSON snapshot
 //   kSubscribe   switch the connection to live scan-event push
 //   kIngest      push raw 52-byte .v6slog records into the pipeline
 //   kShutdown    request a graceful drain (same path as SIGTERM)
-//   kSetPeriod   change the re-attribution period (ASCII seconds;
-//                0 disables the periodic pass)
 //   kCheckpoint  freeze full daemon state into the checkpoint file
 //                (payload overrides the configured path)
 //
@@ -42,7 +41,7 @@ enum class Verb : std::uint8_t {
   kSubscribe = 9,
   kIngest = 10,
   kShutdown = 11,
-  kSetPeriod = 12,
+  // 12 is unassigned: a frame carrying it gets "unknown verb".
   kCheckpoint = 13,
 };
 

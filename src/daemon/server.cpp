@@ -26,7 +26,6 @@
 #include "core/detect_run.hpp"
 #include "core/event_sink.hpp"
 #include "core/state_codec.hpp"
-#include "core/streaming_ids.hpp"
 #include "daemon/framing.hpp"
 #include "daemon/log_tail.hpp"
 #include "daemon/protocol.hpp"
@@ -37,7 +36,6 @@
 #include "util/process_stats.hpp"
 #include "util/signal_drain.hpp"
 #include "util/state_io.hpp"
-#include "util/timebase.hpp"
 
 namespace v6sonar::daemon {
 
@@ -58,10 +56,10 @@ struct ServerMetrics {
   util::metrics::Histogram query_us{"daemon.queries.us"};
   util::metrics::Counter ingest_records{"daemon.ingest.records"};
   util::metrics::Counter socket_records{"daemon.ingest.socket_records"};
+  util::metrics::Counter late_records{"daemon.ingest.late_records"};
   util::metrics::Counter events_tx{"daemon.subscribe.events_tx"};
   util::metrics::Gauge drain_us{"daemon.drain.duration_us"};
   util::metrics::Counter checkpoints{"daemon.checkpoints.written"};
-  util::metrics::Counter reattributions{"daemon.reattribution.passes"};
 };
 
 ServerMetrics& server_metrics() {
@@ -170,10 +168,16 @@ struct Daemon::Impl {
   std::thread ingest;
   std::mutex ingest_mu;
   std::condition_variable ingest_cv;
-  std::vector<sim::LogRecord> pushed_records;  ///< guarded by ingest_mu
-  /// The last accepted socket record's timestamp; guarded by ingest_mu.
-  sim::TimeUs last_pushed_us = INT64_MIN;
+  /// Admitted records, tailed and pushed, in admission order; guarded
+  /// by ingest_mu.
+  std::vector<sim::LogRecord> pushed_records;
+  /// The ingest watermark: the latest admitted timestamp, seeded from
+  /// a restored checkpoint's stream clock. Nothing older is admitted,
+  /// so the pipeline only ever sees time-ordered records. Guarded by
+  /// ingest_mu.
+  sim::TimeUs watermark_us = INT64_MIN;
   std::vector<sim::LogRecord> ingest_frame;    ///< kIngest decode buffer (server thread)
+  std::atomic<std::uint64_t> late_records{0};  ///< tailed records behind the watermark
   std::atomic<bool> ingest_stop{false};
   std::atomic<bool> ingest_pause{false};  ///< checkpoint quiesce request
   bool ingest_paused = false;             ///< guarded by ingest_mu
@@ -182,24 +186,12 @@ struct Daemon::Impl {
   std::string ingest_error;  ///< guarded by error_mu
 
   std::vector<std::unique_ptr<Client>> clients;
-  /// Blocklist state (server thread): the IDS attributor on a
-  /// one-rung ladder at the detector's aggregation.
-  core::Attributor attributor{core::AdaptiveConfig{.ladder = {opts.detector.source_prefix_len}}};
   std::uint64_t events_seen = 0;
   bool draining = false;
-
-  // Re-attribution control plane (server thread only). With a period
-  // set, the blocklist is recomputed on that cadence and kBlocklist
-  // serves the cached pass; at 0 every kBlocklist computes on demand.
-  std::int64_t period_s = 0;
-  Clock::time_point next_pass{};
-  std::string cached_blocklist;
-  bool blocklist_cached = false;
 
   // The stop pipe must exist before run() is called: request_stop()
   // may race with startup from another thread, and it reads stop_wr.
   explicit Impl(DaemonOptions o) : opts(std::move(o)), hub(0, opts.top) {
-    period_s = opts.reattribution_period_s;
     std::tie(stop_rd, stop_wr) = util::nonblocking_pipe();
   }
 
@@ -237,22 +229,41 @@ struct Daemon::Impl {
     return ingest_error;
   }
 
-  /// Feed what the tailer and the socket delivered since the last call;
-  /// returns the record count.
-  std::size_t feed_once(std::vector<sim::LogRecord>& tailed, std::vector<sim::LogRecord>& pushed) {
+  /// Admit what the tailer delivered since the last call (a record
+  /// behind the watermark is dropped and counted), then feed everything
+  /// admitted so far, socket frames included, in admission order.
+  /// Returns whether anything was polled or fed.
+  bool feed_once(std::vector<sim::LogRecord>& tailed, std::vector<sim::LogRecord>& batch) {
     tailed.clear();
     if (tailer) tailer->poll([&](const sim::LogRecord& r) { tailed.push_back(r); });
-    if (!tailed.empty()) run_state->feed_batch(tailed);
-    pushed.clear();
+    std::size_t late = 0;
+    batch.clear();
     {
       std::lock_guard lock(ingest_mu);
-      pushed.swap(pushed_records);
+      for (const auto& r : tailed) {
+        if (r.ts_us < watermark_us) {
+          ++late;
+        } else {
+          watermark_us = r.ts_us;
+          pushed_records.push_back(r);
+        }
+      }
+      batch.swap(pushed_records);
     }
-    if (!pushed.empty()) run_state->feed_batch(pushed);
-    const std::size_t n = tailed.size() + pushed.size();
-    ingested.fetch_add(n, std::memory_order_relaxed);
-    if (n > 0) server_metrics().ingest_records.add(n);
-    return n;
+    if (late > 0) {
+      server_metrics().late_records.add(late);
+      if (late_records.fetch_add(late, std::memory_order_relaxed) == 0)
+        std::fprintf(stderr,
+                     "v6sonard: dropped %zu tailed records older than the ingest watermark; "
+                     "status key late_records counts every such record\n",
+                     late);
+    }
+    if (!batch.empty()) {
+      run_state->feed_batch(batch);
+      ingested.fetch_add(batch.size(), std::memory_order_relaxed);
+      server_metrics().ingest_records.add(batch.size());
+    }
+    return !tailed.empty() || !batch.empty();
   }
 
   void ingest_main() {
@@ -272,7 +283,7 @@ struct Daemon::Impl {
           ingest_paused = false;
           continue;
         }
-        if (feed_once(tail_batch, push_batch) > 0) continue;  // keep draining while data flows
+        if (feed_once(tail_batch, push_batch)) continue;  // keep draining while data flows
         std::unique_lock lock(ingest_mu);
         if (pushed_records.empty() && !ingest_stop.load(std::memory_order_relaxed))
           ingest_cv.wait_for(lock, std::chrono::milliseconds(opts.poll_interval_ms));
@@ -292,7 +303,7 @@ struct Daemon::Impl {
     }
   }
 
-  // ---------------- checkpoint / re-attribution ----------------
+  // ---------------- checkpoint ----------------
 
   /// Park the ingest thread between batches; true once it is parked.
   /// The caller must resume_ingest() afterwards, success or not.
@@ -313,14 +324,14 @@ struct Daemon::Impl {
   /// pause, so the server thread owns the pipeline feeder and the
   /// tailer: the shard barrier saves and seals each shard's sections on
   /// its own worker thread and flushes the snapshot publishers, then
-  /// the queue/hub drains make the server-side state (slim events,
+  /// the queue/hub drains make the server-side state (events seen,
   /// master bundle) current before the container commits. Returns a
   /// one-line summary payload.
   [[nodiscard]] std::string checkpoint_now(const std::string& path) {
     auto pending = run_state->checkpoint(
         [&](std::size_t s, util::StateWriter&) { chains[s]->publisher.flush(); });
     core::CheckpointWriter ck = pending.take();
-    deliver_events();  // barrier-pushed events -> subscribers + attributor
+    deliver_events();  // barrier-pushed events -> subscribers
     hub.drain();       // barrier-published deltas -> master
     const auto shards = static_cast<std::uint32_t>(run_state->threads());
     const std::uint64_t records = ingested.load(std::memory_order_relaxed);
@@ -331,16 +342,12 @@ struct Daemon::Impl {
                   .flags = opts.events_out.empty() ? std::uint8_t{0} : core::RunMeta::kEvents}
         .save(ck);
     util::StateWriter dw;
-    dw.i64(period_s);
     const auto tail = tailer ? tailer->cursor() : LogTailer::Cursor{};
     for (const std::uint64_t v : {tail.dev, tail.ino, tail.offset, tail.records}) dw.u64(v);
     ck.add("daemon", std::move(dw));
     util::StateWriter mw;
     hub.save_master(mw);
     ck.add("master", std::move(mw));
-    util::StateWriter ew;
-    attributor.save_level(ew, 0);
-    ck.add("events", std::move(ew));
     ck.commit(path);
     server_metrics().checkpoints.add();
     std::string out;
@@ -352,17 +359,15 @@ struct Daemon::Impl {
 
   /// Restore-on-start counterpart: called from run() once the pipeline
   /// runs with the checkpoint's shard count, before the ingest thread
-  /// exists, so no quiesce is needed.
+  /// exists, so no quiesce is needed. The watermark starts at the
+  /// restored stream clock: records the checkpoint covers are not
+  /// admitted again.
   void restore_checkpoint(const core::CheckpointReader& ck, const core::RunMeta& meta) {
-    run_state->resume(ck);
+    watermark_us = run_state->resume(ck);
     auto mr = ck.section("master");
     hub.restore_master(mr);
     mr.expect_end();
-    auto er = ck.section("events");
-    attributor.load_level(er, 0);
-    er.expect_end();
     auto dr = ck.section("daemon");
-    period_s = dr.i64();
     const LogTailer::Cursor tail{dr.u64(), dr.u64(), dr.u64(), dr.u64()};  // read left to right
     dr.expect_end();
     if (tailer && !tailer->resume(tail))
@@ -375,21 +380,6 @@ struct Daemon::Impl {
     std::fprintf(stderr, "v6sonard: restored %s (%llu records, %llu events)\n",
                  opts.checkpoint_path.c_str(), static_cast<unsigned long long>(meta.records),
                  static_cast<unsigned long long>(meta.outputs));
-  }
-
-  [[nodiscard]] std::string render_blocklist_now() {
-    attributor.pass(0, {});  // re-attributes only the sources with new events
-    return analysis::render_blocklist(attributor.blocklist());
-  }
-
-  /// Periodic pass (poll-loop housekeeping): recompute the cached
-  /// blocklist on the configured cadence.
-  void maybe_reattribute() {
-    if (period_s <= 0 || Clock::now() < next_pass) return;
-    cached_blocklist = render_blocklist_now();
-    blocklist_cached = true;
-    next_pass = Clock::now() + std::chrono::seconds(period_s);
-    server_metrics().reattributions.add();
   }
 
   // ---------------- client IO ----------------
@@ -455,7 +445,8 @@ struct Daemon::Impl {
             static_cast<unsigned long long>(t ? t->truncations() : 0));
     appendf(out, "spill_events %llu\n",
             static_cast<unsigned long long>(run_state->spilled()));
-    appendf(out, "reattribution_period_s %lld\n", static_cast<long long>(period_s));
+    appendf(out, "late_records %llu\n",
+            static_cast<unsigned long long>(late_records.load(std::memory_order_relaxed)));
     appendf(out, "draining %d\n", draining ? 1 : 0);
     return out;
   }
@@ -503,13 +494,21 @@ struct Daemon::Impl {
         respond(c, req, Status::kOk,
                 analysis::render_as_report(hub.master(), parse_top(req.payload)));
         break;
-      case Verb::kBlocklist:
-        // Periodic mode serves the cached pass (the period is the
-        // staleness contract); on-demand mode recomputes per query.
-        respond(c, req, Status::kOk,
-                period_s > 0 && blocklist_cached ? cached_blocklist
-                                                 : render_blocklist_now());
+      case Verb::kBlocklist: {
+        // A one-rung ladder at --agg never escalates: every source in
+        // the master is its own attribution, in prefix order.
+        hub.drain();
+        std::vector<core::Attribution> rows;
+        for (const auto& s : hub.master().sources.sources())
+          rows.push_back({.source = s.source,
+                          .level = opts.detector.source_prefix_len,
+                          .packets = s.packets,
+                          .child_packets = s.packets,
+                          .children = 1,
+                          .src_asn = s.asn});
+        respond(c, req, Status::kOk, analysis::render_blocklist(rows));
         break;
+      }
       case Verb::kMetrics:
         util::note_max_rss();
         respond(c, req, Status::kOk, util::metrics::snapshot().to_json() + "\n");
@@ -549,10 +548,10 @@ struct Daemon::Impl {
         std::string refused;
         {
           std::lock_guard lock(ingest_mu);
-          if (ingest_frame.front().ts_us < last_pushed_us) {
-            refused = out_of_order(ingest_frame.front().ts_us, last_pushed_us);
+          if (ingest_frame.front().ts_us < watermark_us) {
+            refused = out_of_order(ingest_frame.front().ts_us, watermark_us);
           } else {
-            last_pushed_us = ingest_frame.back().ts_us;
+            watermark_us = ingest_frame.back().ts_us;
             if (pushed_records.empty())
               pushed_records.swap(ingest_frame);
             else
@@ -573,22 +572,6 @@ struct Daemon::Impl {
         respond(c, req, Status::kOk, "draining\n");
         request_stop_impl();
         break;
-      case Verb::kSetPeriod: {
-        char* end = nullptr;
-        const long long v = std::strtoll(req.payload.c_str(), &end, 10);
-        if (req.payload.empty() || end == req.payload.c_str() || *end != '\0' || v < 0 ||
-            v > util::kMaxSeconds) {
-          respond(c, req, Status::kError,
-                  "set-period payload must be an ASCII second count from 0 to " +
-                      std::to_string(util::kMaxSeconds) + "\n");
-          break;
-        }
-        period_s = v;
-        blocklist_cached = false;  // next pass recomputes under the new cadence
-        next_pass = Clock::now() + std::chrono::seconds(v);
-        respond(c, req, Status::kOk, "period " + std::to_string(v) + "\n");
-        break;
-      }
       case Verb::kCheckpoint: {
         if (draining) {
           respond(c, req, Status::kError, "draining; checkpoint rejected\n");
@@ -699,7 +682,6 @@ struct Daemon::Impl {
           try_send(*c);
         }
       }
-      attributor.add(0, ev);
     }
   }
 
@@ -750,6 +732,12 @@ struct Daemon::Impl {
       resume.emplace(opts.checkpoint_path);
       meta = core::RunMeta::load(*resume, core::RunMeta::Producer::kDaemon,
                                  opts.checkpoint_path);
+      if (resume->has("events"))
+        throw std::runtime_error(
+            opts.checkpoint_path +
+            " was written by an older version of v6sonard (its events section held "
+            "blocklist state the master now serves), which no longer restores; start "
+            "again without it");
     }
     const int threads = core::shard_count(opts.threads, meta ? &*meta : nullptr);
     setup_listener();
@@ -762,11 +750,6 @@ struct Daemon::Impl {
                         return chains.back()->fan;
                       });
     if (resume) restore_checkpoint(*resume, *meta);
-    // Past kMaxSeconds, now() + period overflows the steady clock.
-    if (period_s < 0 || period_s > util::kMaxSeconds)
-      throw std::runtime_error("daemon: re-attribution period " + std::to_string(period_s) +
-                               " s is out of range");
-    if (period_s > 0) next_pass = Clock::now() + std::chrono::seconds(period_s);
     ingest = std::thread([this] { ingest_main(); });
 
     while (!should_stop()) {
@@ -804,7 +787,6 @@ struct Daemon::Impl {
         if (!c.dead && (rev & POLLOUT)) try_send(c);
       }
       check_timeouts();
-      maybe_reattribute();
       reap_clients();
     }
     return drain();
@@ -821,7 +803,7 @@ struct Daemon::Impl {
     ingest_cv.notify_all();
     if (ingest.joinable()) ingest.join();
     // 3. The last events are now in the queue; deliver them so
-    //    subscribers and the blocklist see everything.
+    //    subscribers see everything.
     deliver_events();
     hub.drain();
     // 4. Finalize the durable outputs (both fsync before reporting

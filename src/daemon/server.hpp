@@ -56,9 +56,6 @@ struct DaemonOptions {
   bool write_metrics = false;
   std::string checkpoint_path;  ///< checkpoint file: restored on start if it
                                 ///< exists, default target of kCheckpoint
-  std::int64_t reattribution_period_s = 0;  ///< periodic blocklist
-                                            ///< re-attribution; 0 = on demand
-                                            ///< only (kSetPeriod adjusts live)
 };
 
 class Daemon {

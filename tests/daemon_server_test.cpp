@@ -33,7 +33,6 @@
 #include "daemon/server.hpp"
 #include "sim/log_io.hpp"
 #include "util/signal_drain.hpp"
-#include "util/timebase.hpp"
 
 namespace v6sonar::daemon {
 namespace {
@@ -100,6 +99,21 @@ std::string encode_records(const std::vector<LogRecord>& recs) {
     p += sim::kLogRecordBytes;
   }
   return out;
+}
+
+/// The blocklist an attribute_adaptive() walk on the one-rung ladder
+/// at the detector's aggregation gives for `events`, slimmed as the
+/// IDS keeps them.
+std::string expected_blocklist(const std::vector<ScanEvent>& events) {
+  std::vector<ScanEvent> slim;
+  for (const auto& ev : events) slim.push_back(core::slim_scan_event(ev));
+  return analysis::render_blocklist(
+      core::attribute_adaptive({slim}, {.ladder = {test_detector().source_prefix_len}}));
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 /// Blocking test-side client speaking the wire protocol.
@@ -388,7 +402,7 @@ TEST_F(DaemonServerTest, QueriesMatchSerialFoldByteForByte) {
 
   resp = c.roundtrip(Verb::kBlocklist, 7);
   EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
-  EXPECT_FALSE(resp.payload.empty());
+  EXPECT_EQ(resp.payload, expected_blocklist(serial.events));
   resp = c.roundtrip(Verb::kMetrics, 8);
   EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
   EXPECT_EQ(rd.stop_and_join(), 0);
@@ -430,14 +444,18 @@ TEST_F(DaemonServerTest, UnknownVerbGetsErrorButConnectionSurvives) {
   RunningDaemon rd(options());
   TestClient c(sock_);
   ASSERT_GE(c.fd, 0);
-  Frame req;
-  req.verb = 77;
-  req.seq = 9;
-  c.send_raw(encode_frame(req));
   Frame resp;
-  ASSERT_TRUE(c.read_frame(resp));
-  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError));
-  EXPECT_EQ(resp.seq, 9);
+  // 12 is the retired set-period verb's id, unassigned since.
+  for (const std::uint8_t verb : {77, 12}) {
+    Frame req;
+    req.verb = verb;
+    req.seq = 9;
+    c.send_raw(encode_frame(req));
+    ASSERT_TRUE(c.read_frame(resp));
+    EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError)) << int{verb};
+    EXPECT_NE(resp.payload.find("unknown verb"), std::string::npos) << resp.payload;
+    EXPECT_EQ(resp.seq, 9);
+  }
 
   // Same connection keeps working: verb validation is per-frame.
   resp = c.roundtrip(Verb::kPing, 10, "still here");
@@ -521,11 +539,91 @@ TEST_F(DaemonServerTest, OutOfOrderIngestIsRefusedAndTheDaemonLivesOn) {
   ASSERT_TRUE(wait_status(c, "ingested_records", accepted.size()));
   EXPECT_EQ(c.roundtrip(Verb::kShutdown, 6).status, ok);
   EXPECT_EQ(rd.stop_and_join(), 0);
-  const auto bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  };
-  EXPECT_EQ(bytes(spill), bytes(reference));
+  EXPECT_EQ(file_bytes(spill), file_bytes(reference));
+}
+
+TEST_F(DaemonServerTest, SocketFrameOlderThanTheTailIsRefusedAndLateTailRecordsDropped) {
+  // Tail and socket share one watermark. A frame older than what the
+  // tail already fed is refused whole; a tailed record older than an
+  // accepted frame is dropped and counted in late_records. The daemon
+  // drains with exit 0, and its spill is the serial detector's over
+  // the admitted records.
+  const auto recs = workload();
+  const std::size_t cut = recs.size() / 2;
+  const SerialFold serial = serial_fold(recs);
+  const std::string reference = (dir_ / "serial.v6ev").string();
+  core::write_events(reference, serial.events);
+  const std::string log = (dir_ / "tail.v6slog").string();
+  append_log(log, std::span(recs).first(cut), true);
+
+  auto opts = options();
+  opts.tail_path = log;
+  opts.events_out = (dir_ / "spill.v6ev").string();
+  RunningDaemon rd(opts);
+  TestClient c(sock_);
+  ASSERT_GE(c.fd, 0);
+  ASSERT_TRUE(wait_status(c, "ingested_records", cut));
+  const auto ok = static_cast<std::uint8_t>(Status::kOk);
+  Frame resp = c.roundtrip(Verb::kIngest, 1, encode_records({recs.begin(), recs.begin() + 2}));
+  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError));
+  EXPECT_NE(resp.payload.find(std::to_string(recs[0].ts_us) + " after ts " +
+                              std::to_string(recs[cut - 1].ts_us)),
+            std::string::npos) << resp.payload;
+  EXPECT_EQ(c.roundtrip(Verb::kStatus, 2).status, ok);
+
+  resp = c.roundtrip(Verb::kIngest, 3, encode_records({recs.begin() + cut, recs.end()}));
+  ASSERT_EQ(resp.status, ok) << resp.payload;
+  ASSERT_TRUE(wait_status(c, "ingested_records", recs.size()));
+  append_log(log, std::span(recs).subspan(cut, 3), false);  // behind the accepted frame
+  ASSERT_TRUE(wait_status(c, "late_records", 3));
+  resp = c.roundtrip(Verb::kStatus, 4);
+  EXPECT_EQ(status_value(resp.payload, "ingested_records"), recs.size()) << resp.payload;
+  EXPECT_EQ(status_value(resp.payload, "tail_records"), cut + 3) << resp.payload;
+  EXPECT_EQ(c.roundtrip(Verb::kShutdown, 5).status, ok);
+  EXPECT_EQ(rd.stop_and_join(), 0);
+  EXPECT_EQ(file_bytes(opts.events_out), file_bytes(reference));
+}
+
+TEST_F(DaemonServerTest, RePushAfterRestoreIsRefused) {
+  // A restore seeds the watermark from the checkpoint's stream clock:
+  // pushing the checkpointed records again is refused, not fed twice,
+  // and the records after them are taken.
+  const auto recs = workload();
+  const std::size_t cut = recs.size() / 2;
+  const SerialFold serial = serial_fold(recs);
+  const std::string reference = (dir_ / "serial.v6ev").string();
+  core::write_events(reference, serial.events);
+  auto opts = options();
+  opts.checkpoint_path = (dir_ / "d.v6ckpt").string();
+  opts.events_out = (dir_ / "spill.v6ev").string();
+  const std::string first_half = encode_records({recs.begin(), recs.begin() + cut});
+  const auto ok = static_cast<std::uint8_t>(Status::kOk);
+  {
+    RunningDaemon rd(opts);
+    TestClient c(sock_);
+    ASSERT_GE(c.fd, 0);
+    ASSERT_EQ(c.roundtrip(Verb::kIngest, 1, first_half).status, ok);
+    ASSERT_TRUE(wait_status(c, "ingested_records", cut));
+    Frame resp = c.roundtrip(Verb::kCheckpoint, 2);
+    ASSERT_EQ(resp.status, ok) << resp.payload;
+    EXPECT_EQ(rd.stop_and_join(), 0);
+  }
+  RunningDaemon rd(opts);
+  TestClient c(sock_);
+  ASSERT_GE(c.fd, 0);
+  Frame resp = c.roundtrip(Verb::kIngest, 1, first_half);
+  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError));
+  EXPECT_NE(resp.payload.find(std::to_string(recs[0].ts_us) + " after ts " +
+                              std::to_string(recs[cut - 1].ts_us)),
+            std::string::npos) << resp.payload;
+  resp = c.roundtrip(Verb::kStatus, 2);
+  EXPECT_EQ(status_value(resp.payload, "ingested_records"), cut) << resp.payload;
+  resp = c.roundtrip(Verb::kIngest, 3, encode_records({recs.begin() + cut, recs.end()}));
+  ASSERT_EQ(resp.status, ok) << resp.payload;
+  ASSERT_TRUE(wait_status(c, "ingested_records", recs.size()));
+  EXPECT_EQ(c.roundtrip(Verb::kShutdown, 4).status, ok);
+  EXPECT_EQ(rd.stop_and_join(), 0);
+  EXPECT_EQ(file_bytes(opts.events_out), file_bytes(reference));
 }
 
 TEST_F(DaemonServerTest, DisconnectMidRequestIsHarmless) {
@@ -602,51 +700,6 @@ TEST_F(DaemonServerTest, IngestAfterShutdownIsRejected) {
   EXPECT_FALSE(std::filesystem::exists(sock_));
 }
 
-TEST_F(DaemonServerTest, SetPeriodVerbAdjustsReattributionCadence) {
-  RunningDaemon rd(options());
-  TestClient c(sock_);
-  ASSERT_GE(c.fd, 0);
-  Frame resp = c.roundtrip(Verb::kStatus, 1);
-  EXPECT_EQ(status_value(resp.payload, "reattribution_period_s"), 0u);
-
-  resp = c.roundtrip(Verb::kSetPeriod, 2, "5");
-  ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
-  EXPECT_EQ(resp.payload, "period 5\n");
-  resp = c.roundtrip(Verb::kStatus, 3);
-  EXPECT_EQ(status_value(resp.payload, "reattribution_period_s"), 5u);
-
-  // Junk, negative, and empty payloads, and periods past
-  // util::kMaxSeconds (now() + period would overflow the steady
-  // clock), are rejected without touching the configured period.
-  const std::string max = std::to_string(util::kMaxSeconds);
-  for (const std::string& bad : {std::string("soon"), std::string("-3"), std::string(),
-                                 std::string("5x"), std::to_string(util::kMaxSeconds + 1),
-                                 std::string("99999999999999999999")}) {
-    resp = c.roundtrip(Verb::kSetPeriod, 4, bad);
-    EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kError)) << bad;
-  }
-  resp = c.roundtrip(Verb::kStatus, 5);
-  EXPECT_EQ(status_value(resp.payload, "reattribution_period_s"), 5u);
-  resp = c.roundtrip(Verb::kSetPeriod, 5, max);
-  EXPECT_EQ(resp.payload, "period " + max + "\n");
-
-  // Blocklist still answers in periodic mode, and 0 restores on-demand.
-  resp = c.roundtrip(Verb::kBlocklist, 6);
-  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
-  resp = c.roundtrip(Verb::kSetPeriod, 7, "0");
-  EXPECT_EQ(resp.payload, "period 0\n");
-  EXPECT_EQ(rd.stop_and_join(), 0);
-}
-
-TEST_F(DaemonServerTest, PeriodPastTheClockRangeIsRefusedAtStart) {
-  // A period from the options (or a restored checkpoint) past
-  // util::kMaxSeconds would overflow now() + period: run() refuses it.
-  auto opts = options();
-  opts.reattribution_period_s = util::kMaxSeconds + 1;
-  RunningDaemon rd(std::move(opts));
-  EXPECT_EQ(rd.stop_and_join(), -2);
-}
-
 TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {
   const auto recs = workload();
   const SerialFold serial = serial_fold(recs);
@@ -661,8 +714,6 @@ TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {
     Frame resp = c.roundtrip(Verb::kIngest, 1, encode_records(recs));
     ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
     ASSERT_TRUE(wait_folded(c, serial.events.size()));
-    resp = c.roundtrip(Verb::kSetPeriod, 2, "9");
-    ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
     resp = c.roundtrip(Verb::kCheckpoint, 3);
     ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk)) << resp.payload;
     EXPECT_NE(resp.payload.find("checkpointed"), std::string::npos) << resp.payload;
@@ -673,9 +724,9 @@ TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {
     EXPECT_EQ(resp.payload, "post-ckpt");
     EXPECT_EQ(rd.stop_and_join(), 0);
   }
-  // A new incarnation restores the frozen state: counters, runtime-set
-  // period, and a byte-identical report (the check.sh smoke covers the
-  // SIGKILL variant; here the restart itself is under test).
+  // A new incarnation restores the frozen state: counters and a
+  // byte-identical report (the check.sh smoke covers the SIGKILL
+  // variant; here the restart itself is under test).
   {
     auto opts = options();
     opts.checkpoint_path = ckpt;
@@ -685,7 +736,6 @@ TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {
     Frame resp = c.roundtrip(Verb::kStatus, 1);
     EXPECT_EQ(status_value(resp.payload, "ingested_records"), recs.size());
     EXPECT_EQ(status_value(resp.payload, "events_seen"), serial.events.size());
-    EXPECT_EQ(status_value(resp.payload, "reattribution_period_s"), 9u);
     resp = c.roundtrip(Verb::kReport, 2);
     EXPECT_EQ(resp.payload, report_before);
     EXPECT_EQ(resp.payload, analysis::render_report(serial.bundle, 10));
@@ -693,11 +743,10 @@ TEST_F(DaemonServerTest, CheckpointVerbAndRestoreOnStart) {
   }
 }
 
-TEST_F(DaemonServerTest, EventListCheckpointRestoresTheSameBlocklist) {
-  // Older daemons wrote every scan event into the `events` section;
-  // today's hold one folded event per source (packet sum, last ASN).
-  // Restoring an event-list section must serve the same blocklist as
-  // the attribute_adaptive() refold of those events always did.
+/// The workload, then source 0 scanning again past the timeout from
+/// another AS: the blocklist's packet sums and last-event ASNs differ
+/// from any single event's.
+std::vector<LogRecord> rescanning_workload() {
   std::vector<LogRecord> recs;
   sim::TimeUs ts = 1'000 * kSec;
   for (std::uint64_t d = 0; d < 6; ++d)
@@ -710,14 +759,20 @@ TEST_F(DaemonServerTest, EventListCheckpointRestoresTheSameBlocklist) {
     recs.push_back(r);
   }
   recs.push_back(probe(ts + 200 * kSec, 0x9999, 0));  // sentinel
+  return recs;
+}
+
+TEST_F(DaemonServerTest, CheckpointRestoresTheSameBlocklist) {
+  // The blocklist renders from the snapshot master, so a restored
+  // daemon serves the bytes it served before its checkpoint: the
+  // attribute_adaptive() walk over the same events.
+  const auto recs = rescanning_workload();
   const SerialFold serial = serial_fold(recs);
   ASSERT_EQ(serial.events.size(), 5u);
-  std::vector<ScanEvent> slim;
-  for (const auto& ev : serial.events) slim.push_back(core::slim_scan_event(ev));
-  const std::string expected = analysis::render_blocklist(
-      core::attribute_adaptive({slim}, {.ladder = {test_detector().source_prefix_len}}));
+  const std::string expected = expected_blocklist(serial.events);
 
   const std::string ckpt = (dir_ / "d.v6ckpt").string();
+  std::string before;
   {
     auto opts = options();
     opts.checkpoint_path = ckpt;
@@ -727,41 +782,68 @@ TEST_F(DaemonServerTest, EventListCheckpointRestoresTheSameBlocklist) {
     Frame resp = c.roundtrip(Verb::kIngest, 1, encode_records(recs));
     ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
     ASSERT_TRUE(wait_folded(c, serial.events.size()));
-    resp = c.roundtrip(Verb::kCheckpoint, 2);  // also delivers every queued event
+    resp = c.roundtrip(Verb::kBlocklist, 2);
+    before = resp.payload;
+    EXPECT_EQ(before, expected);
+    resp = c.roundtrip(Verb::kCheckpoint, 3);
     ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk)) << resp.payload;
-    resp = c.roundtrip(Verb::kBlocklist, 3);
-    EXPECT_EQ(resp.payload, expected);
     EXPECT_EQ(rd.stop_and_join(), 0);
   }
-  {
-    // Rewrite the `events` section as the event list older daemons
-    // wrote; every other section stays byte for byte.
-    const core::CheckpointReader folded(ckpt);
-    core::CheckpointWriter old;
-    for (const auto& name : folded.names()) {
-      util::StateWriter w;
-      if (name == "events") {
-        w.u64(slim.size());
-        for (const auto& ev : slim) core::save_scan_event(w, ev);
-      } else {
-        auto r = folded.section(name);
-        std::vector<char> bytes(r.remaining());
-        r.raw(bytes.data(), bytes.size());
-        w.raw(bytes.data(), bytes.size());
-      }
-      old.add(name, std::move(w));
-    }
-    old.commit(ckpt);
-  }
+  auto opts = options();
+  opts.checkpoint_path = ckpt;
+  RunningDaemon rd(std::move(opts));
+  TestClient c(sock_);
+  ASSERT_GE(c.fd, 0);
+  Frame resp = c.roundtrip(Verb::kBlocklist, 1);
+  EXPECT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
+  EXPECT_EQ(resp.payload, before);
+  EXPECT_EQ(rd.stop_and_join(), 0);
+}
+
+TEST_F(DaemonServerTest, CheckpointWithAnEventsSectionIsRefused) {
+  // Older daemons kept blocklist state in an `events` section and a
+  // re-attribution period ahead of the tail cursor in `daemon`. Such a
+  // file is refused, naming the cause, before any section is parsed.
+  const std::string ckpt = (dir_ / "d.v6ckpt").string();
   {
     auto opts = options();
     opts.checkpoint_path = ckpt;
     RunningDaemon rd(std::move(opts));
     TestClient c(sock_);
     ASSERT_GE(c.fd, 0);
-    Frame resp = c.roundtrip(Verb::kBlocklist, 1);
-    EXPECT_EQ(resp.payload, expected);
+    Frame resp = c.roundtrip(Verb::kIngest, 1, encode_records(workload()));
+    ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk));
+    resp = c.roundtrip(Verb::kCheckpoint, 2);
+    ASSERT_EQ(resp.status, static_cast<std::uint8_t>(Status::kOk)) << resp.payload;
     EXPECT_EQ(rd.stop_and_join(), 0);
+  }
+  {
+    const core::CheckpointReader current(ckpt);
+    core::CheckpointWriter old;
+    for (const auto& name : current.names()) {
+      util::StateWriter w;
+      if (name == "daemon") w.i64(0);  // the period
+      auto r = current.section(name);
+      std::vector<char> bytes(r.remaining());
+      r.raw(bytes.data(), bytes.size());
+      w.raw(bytes.data(), bytes.size());
+      old.add(name, std::move(w));
+    }
+    util::StateWriter ew;
+    ew.u64(0);  // an empty event list
+    old.add("events", std::move(ew));
+    old.commit(ckpt);
+  }
+  auto opts = options();
+  opts.checkpoint_path = ckpt;
+  Daemon d(std::move(opts));
+  try {
+    (void)d.run();
+    ADD_FAILURE() << "a checkpoint with an events section was restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("older version of v6sonard (its events section"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -821,11 +903,7 @@ TEST_F(DaemonServerTest, SpillResumesByteIdenticalAtEveryShardCount) {
       EXPECT_EQ(status_value(resp.payload, "spill_events"), serial.events.size());
     }
     EXPECT_EQ(rd->stop_and_join(), 0);
-    const auto bytes = [](const std::string& path) {
-      std::ifstream in(path, std::ios::binary);
-      return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    };
-    EXPECT_EQ(bytes(spill), bytes(reference)) << "threads=" << threads;
+    EXPECT_EQ(file_bytes(spill), file_bytes(reference)) << "threads=" << threads;
   }
 }
 

@@ -13,9 +13,10 @@
 # the day-parallel artifact filter, and the IDS oracle differential,
 # whose shards hand their passes back to the feeding thread);
 # `address` additionally covers the mmap log reader, the arena-backed
-# flat containers, the mutation fuzz of the log and event readers, the
-# daemon's framing/tailing paths, the checkpoint byte handling
-# (CRC-32, StateWriter, container reader), and the IDS ladder
+# flat containers, the mutation fuzz of the log and event readers and
+# of the daemon's frame decoder, the daemon's framing/tailing paths,
+# the checkpoint byte handling (CRC-32, StateWriter, container
+# reader), and the IDS ladder
 # (streaming IDS, summary-only detector state and its cross-mode
 # loads), whose bugs are memory bugs rather than races. `metrics` builds every
 # target, tests included, with warnings as errors (-DV6SONAR_WERROR=ON),
@@ -24,7 +25,8 @@
 # JSON snapshot (nonzero ingestion/feed counters, per-shard ring
 # gauges, full guard-fallback breakdown, and `process.maxrss_kb` under
 # 128 MB: the mapped reader's window, not the 741 MB log, is what stays
-# resident), then a `--checkpoint` run
+# resident), checks that `v6sonar info` on that world peaks under 64 MB
+# (it counts batch by batch), then a `--checkpoint` run
 # whose snapshot must hold one `checkpoint.stall_us` and one
 # `checkpoint.commit_us` sample per checkpoint, a `--resume` from it
 # whose `log.mmap.batch_records` must equal the records after the
@@ -794,6 +796,19 @@ print(f"metrics snapshot ok: {len(counters)} counters, {len(gauges)} gauges, "
       f"{counters['detector.events.emitted']} events, peak RSS {maxrss_kb // 1024} MB")
 PY
 
+  # `info` streams the log: its peak is one batch and the reader's
+  # window, not the log (ru_maxrss of the only child is info's peak).
+  python3 - "$tree/tools/v6sonar" "$work/world.v6slog" <<'PY'
+import resource, subprocess, sys
+
+subprocess.run([sys.argv[1], "info", sys.argv[2]], check=True, stdout=subprocess.DEVNULL)
+maxrss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+if not 0 < maxrss_kb < 64 * 1024:
+    print(f"info RSS check FAILED: peak {maxrss_kb} kB, want under 64 MB", file=sys.stderr)
+    sys.exit(1)
+print(f"info peak RSS {maxrss_kb // 1024} MB")
+PY
+
   # A checkpointing detect: every checkpoint records how long it held
   # the feeding thread and how long its commit took off the feed path.
   "$tree/tools/v6sonar" detect "$work/world.v6slog" --mmap --threads 3 \
@@ -899,7 +914,7 @@ case "$kind" in
              sim_test util_flat_hash_test util_flat_hash_fuzz_test
              core_event_sink_test core_event_io_test io_reader_fuzz_test
              analysis_streaming_test
-             daemon_framing_test daemon_tail_test daemon_snapshot_test
+             daemon_framing_test daemon_frame_fuzz_test daemon_tail_test daemon_snapshot_test
              daemon_server_test util_signal_test util_test
              core_state_codec_test core_checkpoint_resume_test
              core_filter_stream_test core_filter_oracle_test core_streaming_ids_test

@@ -9,7 +9,10 @@
 # `older`: every checkpoint an older version wrote over
 # eight_records.v6slog (the serial detect and ids; the sharded detect
 # --events, ids and v6sonard that came after them) is refused by
-# detect, ids and v6sonard with a message naming "older version".
+# detect, ids and v6sonard with a message naming "older version", and
+# a v6sonard checkpoint that still holds an `events` section (the
+# blocklist state of the versions before the master served it) is
+# refused by v6sonard with a message naming that section.
 # `producers`: a checkpoint resumes only in the front end that wrote
 # it — the refusal names both — and v6sonard refuses an explicit
 # --threads that differs from its checkpoint's shard count, naming
@@ -46,6 +49,8 @@ if [ "$mode" = older ]; then
     done
   done
   refused 'older version' daemon "$data/older_daemon.v6ckpt"
+  refused 'older version of v6sonard (its events section' \
+    daemon "$data/older_daemon_events.v6ckpt"
   exit 0
 fi
 

@@ -103,7 +103,7 @@ struct Options : cli::RunOptions {
       "  query     <socket> <verb> [arg]    query a running v6sonard (see docs/DAEMON.md);\n"
       "                                     verbs: ping status report top-sources top-ports\n"
       "                                     as-report blocklist metrics subscribe ingest\n"
-      "                                     shutdown set-period checkpoint; options:\n"
+      "                                     shutdown checkpoint; options:\n"
       "                                     --top <n> --count <n>\n"
       "                                     --timeout-sec <s> --wait-key <key> --wait-min <n>\n"
       "\n"
@@ -245,18 +245,22 @@ Options parse_options(int argc, char** argv, int first) {
 }
 
 int cmd_info(const std::string& path) {
-  const auto records = load_records(path);
-  std::printf("%s: %zu IPv6 records\n", path.c_str(), records.size());
-  if (records.empty()) return 0;
-  std::printf("time span: %s .. %s\n",
-              util::format_datetime(sim::seconds_of(records.front().ts_us)).c_str(),
-              util::format_datetime(sim::seconds_of(records.back().ts_us)).c_str());
-  std::uint64_t tcp = 0, udp = 0, icmp = 0;
-  for (const auto& r : records) {
-    tcp += r.proto == wire::IpProto::kTcp;
-    udp += r.proto == wire::IpProto::kUdp;
-    icmp += r.proto == wire::IpProto::kIcmpv6;
-  }
+  std::uint64_t n = 0, tcp = 0, udp = 0, icmp = 0;
+  sim::TimeUs first = 0, last = 0;
+  for_each_record_batch(path, [&](std::span<const sim::LogRecord> batch) {
+    if (n == 0) first = batch.front().ts_us;
+    n += batch.size();
+    last = batch.back().ts_us;
+    for (const auto& r : batch) {
+      tcp += r.proto == wire::IpProto::kTcp;
+      udp += r.proto == wire::IpProto::kUdp;
+      icmp += r.proto == wire::IpProto::kIcmpv6;
+    }
+  });
+  std::printf("%s: %llu IPv6 records\n", path.c_str(), static_cast<unsigned long long>(n));
+  if (n == 0) return 0;
+  std::printf("time span: %s .. %s\n", util::format_datetime(sim::seconds_of(first)).c_str(),
+              util::format_datetime(sim::seconds_of(last)).c_str());
   std::printf("protocols: TCP %llu, UDP %llu, ICMPv6 %llu\n",
               static_cast<unsigned long long>(tcp), static_cast<unsigned long long>(udp),
               static_cast<unsigned long long>(icmp));

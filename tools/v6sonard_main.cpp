@@ -22,7 +22,6 @@ namespace {
 using namespace v6sonar;
 using cli::parse_int;
 using cli::fail;
-using cli::parse_seconds;
 using cli::value_of;
 
 [[noreturn]] void usage() {
@@ -64,10 +63,7 @@ using cli::value_of;
       "                         written by the checkpoint verb (`v6sonar\n"
       "                         query <sock> checkpoint`); with --events the\n"
       "                         shard spills <file.v6ev>.shard<i> are kept\n"
-      "                         for the next restore\n"
-      "  --period <sec>         blocklist re-attribution cadence (0 = on\n"
-      "                         demand only; the set-period verb adjusts\n"
-      "                         this at runtime)\n",
+      "                         for the next restore\n",
       stderr);
   std::exit(2);
 }
@@ -91,9 +87,6 @@ int main(int argc, char** argv) {
       opts.client_timeout_ms =
           parse_int<int>("--client-timeout", value_of(argc, argv, i));
       if (opts.client_timeout_ms < 1) fail("--client-timeout must be at least 1 ms");
-    } else if (std::strcmp(argv[i], "--period") == 0) {
-      opts.reattribution_period_s = parse_seconds("--period", value_of(argc, argv, i));
-      if (opts.reattribution_period_s < 0) fail("--period must be >= 0");
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       opts.write_metrics = true;
     } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
